@@ -1,22 +1,36 @@
 """Exact rational linear programming by the two-phase simplex method.
 
-Small dense tableau implementation over exact rationals with Bland's
-least-index pivot rule, which makes every solve deterministic and immune to
-cycling.  The reduced-cost row is carried in the tableau and updated per
-pivot.  Problem sizes here are tiny (tens of variables), so no effort is
-spent on sparsity or revised-simplex updates.
+Small dense tableau implementation with Bland's least-index pivot rule,
+which makes every solve deterministic and immune to cycling.  Problem sizes
+here are tiny (tens of variables), so no effort is spent on sparsity or
+revised-simplex updates.
+
+The tableau holds Python ints only (fraction-free pivoting after Bareiss,
+as in Avis's lrs).  With B the current basis of the integer system
+M = [A | I | b], it stores T = d * B^-1 M with d = |det B|, and the
+reduced-cost row likewise as d times its rational value.  A pivot on T[r][s]
+maps every other row to (T[r][s] * T[i] - T[i][s] * T[r]) / d, a division
+that is always exact because every entry is, up to sign, a minor of M; then
+d <- T[r][s].  Entries therefore stay as small as the minors of the input,
+and no rational is formed until a solution is read off as T[i][-1] / d.
+
+All rows are scaled by one common denominator.  That multiplies the
+phase-1 objective (the sum of the artificial variables) by a single
+positive constant, so every comparison, and hence every pivot, is the one
+the rational tableau would make; scaling each row by its own denominator
+would reweight the artificial variables and change the pivot sequence.
+The phase-2 cost vector is cleared of its denominator separately.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .kernel import QQ
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-_ZERO = QQ(0)
-_ONE = QQ(1)
 
 
 class LPResult:
@@ -39,59 +53,64 @@ def lp_max(n, objective, ineqs=(), eqs=()):
     inequalities get surplus variables, giving a standard-form program.
     """
     ncols = 2 * n + len(ineqs)
+    # Coefficients are ints or rationals; both carry numerator and denominator.
+    cons = [(*a, r) for a, r in ineqs] + [(*a, r) for a, r in eqs]
+    scale = lcm(*{q.denominator for con in cons for q in con})
 
-    def widen(coeffs):
-        row = [QQ(a) for a in coeffs]
-        return row + [-c for c in row]
+    def widen(coeffs, s):
+        row = [q.numerator * (s // q.denominator) for q in coeffs]
+        return row + [-c for c in row] + [0] * len(ineqs)
 
     rows = []
     rhs = []
-    for i, (a, r) in enumerate(ineqs):
-        row = widen(a) + [_ZERO] * len(ineqs)
-        row[2 * n + i] = -_ONE
+    for i, con in enumerate(cons):
+        row = widen(con[:n], scale)
+        if i < len(ineqs):
+            row[2 * n + i] = -scale
         rows.append(row)
-        rhs.append(QQ(r))
-    for a, r in eqs:
-        rows.append(widen(a) + [_ZERO] * len(ineqs))
-        rhs.append(QQ(r))
-    cost = widen(objective) + [_ZERO] * len(ineqs)
+        r = con[n]
+        rhs.append(r.numerator * (scale // r.denominator))
+    cscale = lcm(*{c.denominator for c in objective})
+    cost = widen(objective, cscale)
 
-    status, values = _simplex_standard(rows, rhs, cost, ncols)
+    status, d, y = _simplex_standard(rows, rhs, cost, ncols)
     if status != OPTIMAL:
         return LPResult(status)
-    point = tuple(values[j] - values[n + j] for j in range(n))
-    value = sum(QQ(c) * x for c, x in zip(objective, point))
+    point = tuple(QQ(y[j] - y[n + j], d) for j in range(n))
+    value = QQ(sum(c * yj for c, yj in zip(cost, y)), d * cscale)
     return LPResult(OPTIMAL, value, point)
 
 
 def _simplex_standard(rows, rhs, cost, ncols):
-    """Maximize cost . y subject to rows @ y = rhs, y >= 0."""
+    """Maximize cost . y subject to rows @ y = rhs, y >= 0, all integers.
+
+    Returns (status, d, d * y) for an optimal basic solution y.
+    """
     m = len(rows)
     if m == 0:
         if any(c > 0 for c in cost):
-            return UNBOUNDED, None
-        return OPTIMAL, [_ZERO] * ncols
+            return UNBOUNDED, None, None
+        return OPTIMAL, 1, [0] * ncols
 
     tab = []
-    for row, b0 in zip(rows, rhs):
-        r = list(row)
-        b = QQ(b0)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
         if b < 0:
-            r = [-x for x in r]
+            row = [-x for x in row]
             b = -b
-        tab.append(r + [_ZERO] * m + [b])
-    for i in range(m):
-        tab[i][ncols + i] = _ONE
+        unit = [0] * m
+        unit[i] = 1
+        tab.append(row + unit + [b])
     basis = [ncols + i for i in range(m)]
-    total = ncols + m
 
-    phase1 = [_ZERO] * ncols + [-_ONE] * m
-    value = _optimize(tab, basis, phase1, total)
-    assert value is not None  # the phase-1 objective is bounded above by 0
+    phase1 = [0] * ncols + [-1] * m
+    d, value = _optimize(tab, basis, phase1, 1)
+    if value is None:
+        raise RuntimeError("phase 1 of the simplex is unbounded; its objective is at most 0")
     if value < 0:
-        return INFEASIBLE, None
+        return INFEASIBLE, None, None
 
-    # Drive leftover artificial variables out of the basis.
+    # Drive leftover artificial variables out of the basis.  The pivot may
+    # be negative; negating the whole tableau keeps d positive.
     for i in range(m - 1, -1, -1):
         if basis[i] >= ncols:
             pivot_col = next((j for j in range(ncols) if tab[i][j] != 0), None)
@@ -99,71 +118,83 @@ def _simplex_standard(rows, rhs, cost, ncols):
                 del tab[i]
                 del basis[i]
             else:
-                _pivot(tab, basis, i, pivot_col)
+                d = _pivot(tab, basis, i, pivot_col, d)
+                if d < 0:
+                    d = -d
+                    for k, row in enumerate(tab):
+                        tab[k] = [-x for x in row]
     for row in tab:
         del row[ncols:ncols + m]
 
-    value = _optimize(tab, basis, list(cost), ncols)
+    d, value = _optimize(tab, basis, cost, d)
     if value is None:
-        return UNBOUNDED, None
-    values = [_ZERO] * ncols
+        return UNBOUNDED, None, None
+    y = [0] * ncols
     for i, b in enumerate(basis):
-        values[b] = tab[i][-1]
-    return OPTIMAL, values
+        y[b] = tab[i][-1]
+    return OPTIMAL, d, y
 
 
-def _optimize(tab, basis, cost, total):
-    """Run simplex pivots until optimal or unbounded (returns None).
+def _optimize(tab, basis, cost, d):
+    """Run simplex pivots until optimal or unbounded.
 
-    The reduced-cost row z (with -value in the last slot) is updated by the
-    same row operations as the tableau.
+    Returns the new d and d times the optimal value, or None for the value
+    when the program is unbounded.  The reduced-cost row z (with -value in
+    the last slot), scaled by d like the tableau, is updated by the same
+    fraction-free row operations.  Basic columns have z == 0 exactly, so the
+    first column with z > 0 is Bland's entering variable.
     """
     m = len(tab)
-    z = list(cost) + [_ZERO]
+    z = [d * c for c in cost] + [0]
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb != 0:
-            row = tab[i]
-            z = [a - cb * x for a, x in zip(z, row)]
-    in_basis = bytearray(total)
-    for b in basis:
-        in_basis[b] = 1
+            z = [a - cb * x for a, x in zip(z, tab[i])]
+    ncols = len(cost)
     while True:
-        entering = -1
-        for j in range(total):
-            if not in_basis[j] and z[j] > 0:
-                entering = j
-                break
+        entering = next((j for j in range(ncols) if z[j] > 0), -1)
         if entering < 0:
-            return -z[-1]
+            return d, -z[-1]
+        # Bland's ratio test: least b_i / a_i over a_i > 0, compared by
+        # cross-multiplication (both scaled by the same d > 0).
         leaving = -1
-        best = None
+        best_b = best_a = 0
         for i in range(m):
-            a = tab[i][entering]
+            row = tab[i]
+            a = row[entering]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+                b = row[-1]
+                if leaving < 0:
+                    better = True
+                else:
+                    lhs = b * best_a
+                    rhs = best_b * a
+                    better = lhs < rhs or (lhs == rhs and basis[i] < basis[leaving])
+                if better:
+                    best_b, best_a, leaving = b, a, i
         if leaving < 0:
-            return None
-        in_basis[basis[leaving]] = 0
-        in_basis[entering] = 1
-        _pivot(tab, basis, leaving, entering)
+            return d, None
         f = z[entering]
-        if f != 0:
-            pr = tab[leaving]
-            z = [a - f * x for a, x in zip(z, pr)]
+        pr = tab[leaving]
+        new_d = _pivot(tab, basis, leaving, entering, d)
+        z = [(new_d * a - f * x) // d for a, x in zip(z, pr)]
+        d = new_d
 
 
-def _pivot(tab, basis, row, col):
-    pv = tab[row][col]
-    if pv != 1:
-        tab[row] = [x / pv for x in tab[row]]
+def _pivot(tab, basis, row, col, d):
+    """Fraction-free pivot on tab[row][col]; returns the new d (the pivot)."""
     pr = tab[row]
+    pv = pr[col]
     for i in range(len(tab)):
         if i != row:
-            f = tab[i][col]
-            if f != 0:
-                tab[i] = [a - f * b for a, b in zip(tab[i], pr)]
+            ri = tab[i]
+            f = ri[col]
+            if f == 0:
+                if pv != d:
+                    tab[i] = [pv * a // d for a in ri]
+            elif d == 1:
+                tab[i] = [pv * a - f * b for a, b in zip(ri, pr)]
+            else:
+                tab[i] = [(pv * a - f * b) // d for a, b in zip(ri, pr)]
     basis[row] = col
+    return pv

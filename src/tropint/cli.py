@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .cycles import Cycle, is_balanced, rn_cycle
+from .cycles import Cycle, is_balanced, rn_cycle, validate_complex
 from .divisors import divisor_chain
 from .documents import DocumentError, parse_document, serialize_document
 from .library import builtin_example, example_names
@@ -73,7 +73,8 @@ def _build_parser():
                            help="write result here instead of stdout")
         return p
 
-    p = cmd("validate", "check a cycle document for balancing", _cmd_validate)
+    p = cmd("validate", "check a cycle document for complex validity and balancing",
+            _cmd_validate)
     p.add_argument("cycle", nargs="?", default="-")
 
     p = cmd("divisor", "intersect one function with a cycle", _cmd_divisor, output=True)
@@ -155,6 +156,11 @@ def _write(obj, args):
 
 def _cmd_validate(args):
     cycle = _load(args.cycle, {"cycle"})
+    diagnostics = validate_complex(cycle.complex)
+    if not diagnostics.valid:
+        for problem in diagnostics.problems:
+            print(f"invalid complex: {problem}")
+        return EXIT_MATH
     report = is_balanced(cycle.complex)
     if report.balanced:
         print("balanced")

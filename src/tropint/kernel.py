@@ -27,8 +27,6 @@ IntMatrix = tuple  # tuple of int row tuples
 
 def rat(x) -> "QQ":
     """Coerce an int, rational or 'p/q' string to an exact rational."""
-    if isinstance(x, str):
-        return QQ(x)
     return QQ(x)
 
 
@@ -464,7 +462,8 @@ def quotient_generator(sub: LatticeBasis, sup: LatticeBasis) -> IntVector:
     if hnf_basis(coords) != sat:
         raise ValueError("torsion in quotient: sublattice is not saturated")
     w = kernel_lattice(coords, r)
-    assert len(w) == 1
+    if len(w) != 1:
+        raise RuntimeError(f"expected a rank-1 annihilator of the sublattice, got rank {len(w)}")
     w = primitive_part(w[0])
     u_coord = _solve_unimodular(w)
     out = [0] * sup.ambient_dim

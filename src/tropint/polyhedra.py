@@ -171,7 +171,9 @@ class Cell:
             ceq = ceq + implied
             cin = strict
             point, slack = _relint_lp(ambient_dim, cin, ceq)
-            assert point is not None and slack > 0
+            if point is None or slack <= 0:
+                raise RuntimeError("relative-interior LP found no strict point "
+                                   "after moving implied equalities")
         lattice = LatticeBasis(ambient_dim, kernel_lattice([f.linear for f in ceq], ambient_dim))
         return cls(ambient_dim, cin, ceq, lattice.rank, point, lattice)
 
@@ -209,10 +211,6 @@ class Cell:
         # migration every listed inequality is strict on the interior.
         return (all(f.value_at(p) == 0 for f in self.eqs)
                 and all(f.value_at(p) > 0 for f in self.ineqs))
-
-    def is_cone(self) -> bool:
-        origin = (0,) * self.ambient_dim
-        return self.contains_point(origin) and self.same_set(self.recession_cone())
 
     # -- derived geometry -------------------------------------------------
 
@@ -309,6 +307,13 @@ class Cell:
 # -- LP helpers -----------------------------------------------------------
 
 
+def _require_optimal(res, what):
+    """Raise unless an LP that is feasible and bounded by construction
+    came back optimal."""
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"{what} is {res.status}; it is feasible and bounded by construction")
+
+
 def _relint_lp(n, ineqs, eqs):
     """Point with all inequalities at slack >= t0 for the best t0 <= 1.
 
@@ -327,7 +332,7 @@ def _relint_lp(n, ineqs, eqs):
         # A negative best slack means the relaxed system only meets the
         # constraints short of their boundaries: the cell is empty.
         return None, None
-    assert res.status == OPTIMAL
+    _require_optimal(res, "relative-interior LP")
     return res.point[:n], res.value
 
 
@@ -342,7 +347,7 @@ def _max_capped(n, form, ineqs, eqs, cap=1):
     lp_ineqs.append(((0,) * n + (-1,), -cap))
     lp_eqs = [(tuple(f.linear) + (0,), -f.constant) for f in eqs]
     res = lp_max(n + 1, (0,) * n + (1,), ineqs=lp_ineqs, eqs=lp_eqs)
-    assert res.status == OPTIMAL
+    _require_optimal(res, "capped maximum LP")
     return res.value
 
 
@@ -363,7 +368,7 @@ def strict_point(cell, form) -> tuple | None:
     lp_ineqs.append((fc + (-1,), -form.value_at(p)))
     lp_ineqs.append(((0,) * d + (-1,), -1))
     res = lp_max(d + 1, (0,) * d + (1,), ineqs=lp_ineqs)
-    assert res.status == OPTIMAL
+    _require_optimal(res, "strict-point LP")
     if res.value <= 0:
         return None
     t = res.point[:d]

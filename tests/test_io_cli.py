@@ -109,6 +109,22 @@ def test_cli_validate_and_degree(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_cli_validate_rejects_overlapping_cells(capsys, tmp_path):
+    # The line y = 0 plus both of its half-lines: balanced at every ridge,
+    # but the half-lines overlap the line in dimension 1.
+    doc = tmp_path / "overlap.json"
+    doc.write_text(json.dumps({
+        "kind": "cycle", "ambient_dim": 2, "dim": 1,
+        "cells": [{"ineqs": [], "eqs": [[0, 1, 0]], "weight": 1},
+                  {"ineqs": [[1, 0, 0]], "eqs": [[0, 1, 0]], "weight": 1},
+                  {"ineqs": [[-1, 0, 0]], "eqs": [[0, 1, 0]], "weight": 1}],
+    }))
+    assert main(["validate", str(doc)]) == 1
+    out = capsys.readouterr().out
+    assert "balanced" not in out
+    assert "invalid complex: maximal cells 0 and 1 overlap in dimension 1" in out
+
+
 def test_cli_chain_rigid_example(capsys, tmp_path):
     out = tmp_path / "second.json"
     code = main(["chain", "rigid-function", "rigid-function", "rigid-surface",

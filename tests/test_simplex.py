@@ -1,5 +1,11 @@
 import random
 
+import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_lp_max
+
+from tropint import _simplex as simplex
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
 from tropint.kernel import QQ, dot
 
@@ -81,3 +87,63 @@ def test_random_against_vertex_enumeration():
         else:
             assert r.status == OPTIMAL
             assert r.value == best
+
+
+# Small rationals, zero-heavy so that vertices are often degenerate.
+_coef = st.one_of(st.just(QQ(0)), st.builds(QQ, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3))))
+
+
+@st.composite
+def lps(draw):
+    """Random programs for lp_max: rational rows, right-hand sides of either
+    sign, equality rows and redundant equalities (rational combinations of
+    the others, which leave an artificial variable basic at zero after
+    phase 1 and so force the drive-out).  Degenerate inequality rows, such
+    as 0.x >= 0, make the drive-out pivot on a negative surplus entry."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[_coef] * n)
+    ineqs = draw(st.lists(st.tuples(vec, _coef), max_size=4))
+    eqs = draw(st.lists(st.tuples(vec, _coef), max_size=2))
+    for _ in range(draw(st.integers(0, 2)) if eqs else 0):
+        w = draw(st.tuples(*[_coef] * len(eqs)))
+        a = tuple(sum(wk * e[0][j] for wk, e in zip(w, eqs)) for j in range(n))
+        r = sum(wk * e[1] for wk, e in zip(w, eqs))
+        eqs.insert(draw(st.integers(0, len(eqs))), (a, r))
+    return n, draw(vec), ineqs, eqs
+
+
+def _solve_recording_pivots(module, pivot_name, solve, lp):
+    """solve(*lp), and the (row, column, entry) of every pivot it made."""
+    pivots = []
+    pivot = getattr(module, pivot_name)
+
+    def recording(tab, basis, row, col, *rest):
+        pivots.append((row, col, tab[row][col]))
+        return pivot(tab, basis, row, col, *rest)
+
+    setattr(module, pivot_name, recording)
+    try:
+        return solve(*lp), pivots
+    finally:
+        setattr(module, pivot_name, pivot)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(lps())
+def test_matches_rational_reference(lp):
+    # Same pivots, hence the same vertex: outputs stay byte-identical.
+    r, pivots = _solve_recording_pivots(simplex, "_pivot", lp_max, lp)
+    ref, ref_pivots = _solve_recording_pivots(oracles, "_reference_pivot", reference_lp_max, lp)
+    assert (r.status, r.value, r.point) == ref
+    assert [p[:2] for p in pivots] == [p[:2] for p in ref_pivots]
+
+
+def test_drive_out_on_negative_pivot():
+    # x - y == 0 stated twice, the second time negated: phase 1 ends at
+    # once with both artificial variables basic at zero, and the drive-out
+    # pivots on the bottom row's leading -1/2 (-1 once scaled by 2).
+    lp = (2, (1, -1), [], [((QQ(1, 2), QQ(-1, 2)), 0), ((QQ(-1, 2), QQ(1, 2)), 0)])
+    r, pivots = _solve_recording_pivots(simplex, "_pivot", lp_max, lp)
+    assert pivots == [(1, 0, -1)]
+    assert (r.status, r.value, r.point) == reference_lp_max(*lp)
+    assert r.value == 0 and r.point == (0, 0)
