@@ -8,11 +8,12 @@ revised-simplex updates.
 The tableau holds Python ints only (fraction-free pivoting after Bareiss,
 as in Avis's lrs).  With B the current basis of the integer system
 M = [A | I | b], it stores T = d * B^-1 M with d = |det B|, and the
-reduced-cost row likewise as d times its rational value.  A pivot on T[r][s]
-maps every other row to (T[r][s] * T[i] - T[i][s] * T[r]) / d, a division
-that is always exact because every entry is, up to sign, a minor of M; then
-d <- T[r][s].  Entries therefore stay as small as the minors of the input,
-and no rational is formed until a solution is read off as T[i][-1] / d.
+reduced-cost row likewise as d times its rational value.  A pivot is the
+shared elimination step :func:`.kernel.bareiss_pivot`, which maps every
+other row to (T[r][s] * T[i] - T[i][s] * T[r]) / d, exactly, and returns
+the new d = T[r][s].  Entries therefore stay as small as the minors of the
+input, and no rational is formed until a solution is read off as
+T[i][-1] / d.
 
 All rows are scaled by one common denominator.  That multiplies the
 phase-1 objective (the sum of the artificial variables) by a single
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .kernel import QQ
+from .kernel import QQ, bareiss_pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -118,7 +119,8 @@ def _simplex_standard(rows, rhs, cost, ncols):
                 del tab[i]
                 del basis[i]
             else:
-                d = _pivot(tab, basis, i, pivot_col, d)
+                d = bareiss_pivot(tab, i, pivot_col, d)
+                basis[i] = pivot_col
                 if d < 0:
                     d = -d
                     for k, row in enumerate(tab):
@@ -140,9 +142,9 @@ def _optimize(tab, basis, cost, d):
 
     Returns the new d and d times the optimal value, or None for the value
     when the program is unbounded.  The reduced-cost row z (with -value in
-    the last slot), scaled by d like the tableau, is updated by the same
-    fraction-free row operations.  Basic columns have z == 0 exactly, so the
-    first column with z > 0 is Bland's entering variable.
+    the last slot), scaled by d like the tableau, rides along as an extra
+    last row through every pivot.  Basic columns have z == 0 exactly, so
+    the first column with z > 0 is Bland's entering variable.
     """
     m = len(tab)
     z = [d * c for c in cost] + [0]
@@ -150,10 +152,12 @@ def _optimize(tab, basis, cost, d):
         cb = cost[b]
         if cb != 0:
             z = [a - cb * x for a, x in zip(z, tab[i])]
+    tab.append(z)
     ncols = len(cost)
     while True:
         entering = next((j for j in range(ncols) if z[j] > 0), -1)
         if entering < 0:
+            tab.pop()
             return d, -z[-1]
         # Bland's ratio test: least b_i / a_i over a_i > 0, compared by
         # cross-multiplication (both scaled by the same d > 0).
@@ -173,28 +177,8 @@ def _optimize(tab, basis, cost, d):
                 if better:
                     best_b, best_a, leaving = b, a, i
         if leaving < 0:
+            tab.pop()
             return d, None
-        f = z[entering]
-        pr = tab[leaving]
-        new_d = _pivot(tab, basis, leaving, entering, d)
-        z = [(new_d * a - f * x) // d for a, x in zip(z, pr)]
-        d = new_d
-
-
-def _pivot(tab, basis, row, col, d):
-    """Fraction-free pivot on tab[row][col]; returns the new d (the pivot)."""
-    pr = tab[row]
-    pv = pr[col]
-    for i in range(len(tab)):
-        if i != row:
-            ri = tab[i]
-            f = ri[col]
-            if f == 0:
-                if pv != d:
-                    tab[i] = [pv * a // d for a in ri]
-            elif d == 1:
-                tab[i] = [pv * a - f * b for a, b in zip(ri, pr)]
-            else:
-                tab[i] = [(pv * a - f * b) // d for a, b in zip(ri, pr)]
-    basis[row] = col
-    return pv
+        d = bareiss_pivot(tab, leaving, entering, d)
+        basis[leaving] = entering
+        z = tab[m]

@@ -141,6 +141,29 @@ def _load(name, kinds):
     return obj
 
 
+def _load_cycle(name):
+    """A cycle document that is a valid, balanced complex; else exit 1."""
+    cycle = _load(name, {"cycle"})
+    problems = _cycle_problems(cycle)
+    if problems:
+        raise CliError(f"{name!r}: " + "; ".join(problems), EXIT_MATH)
+    return cycle
+
+
+def _cycle_problems(cycle):
+    """Why a cycle is not a valid, balanced complex; empty when it is."""
+    diagnostics = validate_complex(cycle.complex)
+    if not diagnostics.valid:
+        return [f"invalid complex: {problem}" for problem in diagnostics.problems]
+    report = is_balanced(cycle.complex)
+    if report.balanced:
+        return []
+    witness = report.witness
+    return ["unbalanced at ridge with interior point "
+            f"({', '.join(str(x) for x in witness.interior_point)}); "
+            f"defect {tuple(int(x) for x in report.defect)}"]
+
+
 def _write(obj, args):
     text = obj if isinstance(obj, str) else serialize_document(obj)
     out = getattr(args, "output", None)
@@ -155,26 +178,18 @@ def _write(obj, args):
 
 
 def _cmd_validate(args):
-    cycle = _load(args.cycle, {"cycle"})
-    diagnostics = validate_complex(cycle.complex)
-    if not diagnostics.valid:
-        for problem in diagnostics.problems:
-            print(f"invalid complex: {problem}")
+    problems = _cycle_problems(_load(args.cycle, {"cycle"}))
+    for problem in problems:
+        print(problem)
+    if problems:
         return EXIT_MATH
-    report = is_balanced(cycle.complex)
-    if report.balanced:
-        print("balanced")
-        return EXIT_OK
-    witness = report.witness
-    print("unbalanced at ridge with interior point "
-          f"({', '.join(str(x) for x in witness.interior_point)}); "
-          f"defect {tuple(int(x) for x in report.defect)}")
-    return EXIT_MATH
+    print("balanced")
+    return EXIT_OK
 
 
 def _cmd_divisor(args):
     phi = _load(args.function, {"function"})
-    cycle = _load(args.cycle, {"cycle"})
+    cycle = _load_cycle(args.cycle)
     _write(divisor_chain([phi], cycle), args)
     return EXIT_OK
 
@@ -184,7 +199,7 @@ def _cmd_chain(args):
         raise CliError("chain needs at least one function and a cycle")
     *funcs, cycle_name = args.inputs
     functions = [_load(f, {"function"}) for f in funcs]
-    cycle = _load(cycle_name, {"cycle"})
+    cycle = _load_cycle(cycle_name)
     if len(functions) > cycle.dim:
         raise CliError("more functions than the cycle dimension", EXIT_MATH)
     _write(divisor_chain(functions, cycle), args)
@@ -192,8 +207,8 @@ def _cmd_chain(args):
 
 
 def _cmd_intersect(args):
-    a = _load(args.first, {"cycle"})
-    b = _load(args.second, {"cycle"})
+    a = _load_cycle(args.first)
+    b = _load_cycle(args.second)
     if a.ambient_dim != b.ambient_dim:
         raise CliError("cycles live in different ambient spaces", EXIT_MATH)
     _write(stable_intersect(a, b), args)
@@ -202,7 +217,7 @@ def _cmd_intersect(args):
 
 def _cmd_pushforward(args):
     m = _load(args.map, {"map"})
-    cycle = _load(args.cycle, {"cycle"})
+    cycle = _load_cycle(args.cycle)
     if m.source_dim != cycle.ambient_dim:
         raise CliError("map width does not match the cycle ambient space", EXIT_MATH)
     f = Morphism(m, cycle, rn_cycle(m.target_dim))
@@ -218,14 +233,14 @@ def _cmd_pullback(args):
 
 
 def _cmd_degree(args):
-    cycle = _load(args.cycle, {"cycle"})
+    cycle = _load_cycle(args.cycle)
     print(degree(cycle))
     return EXIT_OK
 
 
 def _cmd_bezout(args):
-    a = _load(args.first, {"cycle"})
-    b = _load(args.second, {"cycle"})
+    a = _load_cycle(args.first)
+    b = _load_cycle(args.second)
     if a.dim + b.dim != a.ambient_dim:
         raise CliError("cycles do not have complementary dimensions", EXIT_MATH)
     report = bezout_check(a, b)

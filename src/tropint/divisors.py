@@ -228,11 +228,24 @@ def linearize_on(phi, cycle: Cycle):
 
 def weil_divisor_complex(phi, cycle: Cycle) -> WeightedComplex:
     """The full codimension-one skeleton with divisor weights, zeros kept."""
+    cx, _, ridges = _ridge_weights(phi, cycle)
+    return WeightedComplex(cx.ambient_dim, cx.dim - 1,
+                           [ridge for ridge, _, _ in ridges],
+                           [weight for _, weight, _ in ridges])
+
+
+def _ridge_weights(phi, cycle: Cycle):
+    """Linearize the function on the cycle and weigh every ridge.
+
+    Returns the linearized complex, the affine form of the function on each
+    of its cells, and per ridge the triple (ridge, divisor weight, form on
+    the first adjacent cell).
+    """
     base = cycle.reduce()
     cx, (forms,) = linearize_many([phi], base.complex)
     cx = _with_canonical_cells(cx)
     n = cx.ambient_dim
-    ridge_cells, ridge_weights = [], []
+    out = []
     for ridge, idxs in cx.ridges():
         s = (0,) * n
         acc = 0
@@ -241,11 +254,9 @@ def weil_divisor_complex(phi, cycle: Cycle) -> WeightedComplex:
             w = cx.weights[i]
             s = vec_add(s, vec_scale(w, v))
             acc += w * dot(forms[i].linear, v)
-        tau_form = forms[idxs[0]]
-        acc -= dot(tau_form.linear, s)
-        ridge_cells.append(ridge)
-        ridge_weights.append(acc)
-    return WeightedComplex(n, cx.dim - 1, ridge_cells, ridge_weights)
+        form = forms[idxs[0]]
+        out.append((ridge, acc - dot(form.linear, s), form))
+    return cx, forms, out
 
 
 def _with_canonical_cells(cx: WeightedComplex) -> WeightedComplex:
@@ -282,28 +293,16 @@ def graph_fan(phi, cycle: Cycle) -> Cycle:
     weighted like the divisor.  Projecting the downward cells back recovers
     the Weil divisor.
     """
-    base = cycle.reduce()
-    cx, (forms,) = linearize_many([phi], base.complex)
-    cx = _with_canonical_cells(cx)
-    n = cx.ambient_dim
+    cx, forms, ridges = _ridge_weights(phi, cycle)
     cells, weights = [], []
     for cell, w, form in zip(cx.cells, cx.weights, forms):
         cells.append(_lift_to_graph(cell, form))
         weights.append(w)
-    for ridge, idxs in cx.ridges():
-        s = (0,) * n
-        acc = 0
-        for i in idxs:
-            v = normal_vector(cx.cells[i], ridge).representative
-            w = cx.weights[i]
-            s = vec_add(s, vec_scale(w, v))
-            acc += w * dot(forms[i].linear, v)
-        form = forms[idxs[0]]
-        acc -= dot(form.linear, s)
-        if acc != 0:
+    for ridge, weight, form in ridges:
+        if weight != 0:
             cells.append(_downward_cell(ridge, form))
-            weights.append(acc)
-    out = WeightedComplex(n + 1, cx.dim, cells, weights)
+            weights.append(weight)
+    out = WeightedComplex(cx.ambient_dim + 1, cx.dim, cells, weights)
     return Cycle(out, check=False)
 
 

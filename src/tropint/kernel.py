@@ -5,6 +5,18 @@ to exact linear algebra over Q and over Z.  Vectors are plain tuples,
 matrices are tuples of row tuples; all scalars are either Python ints or
 rationals of type ``QQ``.
 
+All elimination over Q goes through one routine, :func:`echelon`:
+fraction-free Gauss-Jordan elimination after Bareiss (Math. Comp. 22,
+1968) on integer rows.  With M the input matrix (rows reordered and
+negated as pivoting goes) and B its block of pivot rows and pivot
+columns, the working matrix is T = det(B) * B^-1 M on the pivot rows and
+det(B) times the Schur complement below them, so every entry is a minor
+of M and each step, :func:`bareiss_pivot`, divides exactly by the
+previous pivot.  The invariant: every pivot row has its pivot entry equal
+to the last pivot d = det(B), so the pivot rows of T divided by d are the
+reduced row echelon form.  The exact simplex in :mod:`._simplex` pivots
+with the same step.
+
 ``QQ`` is ``gmpy2.mpq`` when available (considerably faster) and falls back
 to ``fractions.Fraction``.  Both are exact, hashable and normalized to
 lowest terms with positive denominator.
@@ -13,7 +25,7 @@ lowest terms with positive denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as QQ
@@ -45,10 +57,6 @@ def dot(a, b):
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(c, a):
@@ -100,31 +108,64 @@ def transpose(m):
     return tuple(zip(*m))
 
 
-def mat_rank(rows) -> int:
-    """Rank of a matrix with int/rational entries, by Gaussian elimination."""
-    work = [[QQ(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
+def bareiss_pivot(rows, r, col, d):
+    """Fraction-free pivot on rows[r][col], in place; returns the new d.
+
+    ``d`` is the previous pivot (1 at the start).  Every other row becomes
+    (pv * row - row[col] * rows[r]) / d, a division that is exact because
+    the entries before and after are minors of the original matrix.
+    """
+    pr = rows[r]
+    pv = pr[col]
+    for i in range(len(rows)):
+        if i != r:
+            ri = rows[i]
+            f = ri[col]
+            if f == 0:
+                if pv != d:
+                    rows[i] = [pv * a // d for a in ri]
+            elif d == 1:
+                rows[i] = [pv * a - f * b for a, b in zip(ri, pr)]
+            else:
+                rows[i] = [(pv * a - f * b) // d for a, b in zip(ri, pr)]
+    return pv
+
+
+def echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of an int/rational matrix.
+
+    Returns ``(T, pivots, d)``: integer rows ``T``, the pivot columns in
+    order and the last pivot ``d`` (1 when there is none).  ``T[k] / d``
+    for ``k < len(pivots)`` are the rows of the reduced row echelon form,
+    and the rows after them are zero.  Each input row is first cleared of
+    denominators, which does not change the echelon form.  A row swap
+    negates the row moved down, so for an integer square matrix of full
+    rank ``d`` is its determinant.
+    """
+    work = []
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (s // x.denominator) for x in row])
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    d = 1
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
+        r = len(pivots)
+        if r == len(work):
             break
-    return rank
+        p = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], [-x for x in work[r]]
+        d = bareiss_pivot(work, r, col, d)
+        pivots.append(col)
+    return work, pivots, d
+
+
+def mat_rank(rows) -> int:
+    """Rank of a matrix with int/rational entries."""
+    return len(echelon(rows)[1])
 
 
 def solve_rational(rows, rhs):
@@ -133,61 +174,28 @@ def solve_rational(rows, rhs):
     ``rows`` is a list of coefficient rows; the system may be under- or
     overdetermined.  Free variables are set to zero.
     """
-    m = [[QQ(x) for x in row] + [QQ(r)] for row, r in zip(rows, rhs)]
-    if not m:
+    if not rows:
         return ()
     ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [a / pv for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(m)):
-        if m[i][ncols] != 0:
-            return None
+    t, pivots, d = echelon([(*row, r) for row, r in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [QQ(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
+    for row, col in zip(t, pivots):
+        x[col] = QQ(row[ncols], d)
     return tuple(x)
 
 
-def mat_det(rows):
-    """Exact determinant of a square int/rational matrix."""
-    n = len(rows)
-    work = [[QQ(x) for x in row] for row in rows]
-    det = QQ(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return QQ(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for i in range(col + 1, n):
-            if work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return det
+def mat_det(rows) -> int:
+    """Exact determinant of a square integer matrix.
+
+    Integer entries only: :func:`echelon` clears each row of denominators,
+    which would scale the determinant of a rational matrix.
+    """
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise ValueError("mat_det takes an integer matrix")
+    _, pivots, d = echelon(rows)
+    return d if len(pivots) == len(rows) else 0
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

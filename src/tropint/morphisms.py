@@ -40,7 +40,6 @@ from .polyhedra import (
     cell_contains_cell,
     collect_hyperplanes,
     form_from_rational,
-    linear_image_cell,
     refine_cell,
     sign_vector,
 )
@@ -82,8 +81,9 @@ class Morphism:
     """An integer linear map between the supports of two cycles.
 
     Construction verifies that the image of the source support lies inside
-    the target support; for a complete target (all of R^m) the check is
-    immediate.
+    the target support, that is, that the source support lies inside the
+    union of the preimages of the target cells; for a complete target (all
+    of R^m) the check is immediate.
     """
 
     __slots__ = ("map", "source", "target")
@@ -97,9 +97,9 @@ class Morphism:
         self.source = source
         self.target = target
         if not _support_is_complete(target):
-            images = [linear_image_cell(map.matrix, cell)
-                      for cell in source.reduce().complex.cells]
-            if not _cells_inside_support(images, target.complex):
+            preimages = [preimage_cell(map.matrix, cell) for cell in target.complex.cells]
+            if not _cells_inside_support(source.reduce().complex.cells,
+                                         [pre for pre in preimages if pre is not None]):
                 raise ValueError("image of the source support leaves the target support")
 
 
@@ -107,9 +107,12 @@ def _support_is_complete(cycle: Cycle) -> bool:
     return any(not cell.ineqs and not cell.eqs for cell in cycle.complex.cells)
 
 
-def _cells_inside_support(cells, complex: WeightedComplex) -> bool:
-    """Whether each given cell lies inside the union of the complex cells."""
-    targets = complex.cells
+def _cells_inside_support(cells, targets) -> bool:
+    """Whether each given cell lies inside the union of the target cells.
+
+    Each cell is refined along every hyperplane of the targets, so a piece
+    meeting a target in its relative interior lies inside that target.
+    """
     forms = collect_hyperplanes(targets)
     for cell in cells:
         for piece in refine_cell(cell, forms):
@@ -145,6 +148,19 @@ def image_cell(matrix, cell: Cell) -> Cell | None:
     return Cell(m, tuple(ineqs), eqs, len(basis), tuple(QQ(x) for x in q), lattice)
 
 
+def _compose(form: AffineForm, matrix) -> AffineForm:
+    """The form x -> form(matrix @ x)."""
+    return AffineForm(tuple(dot(form.linear, col) for col in zip(*matrix)), form.constant)
+
+
+def preimage_cell(matrix, cell: Cell) -> Cell | None:
+    """Preimage of a cell under an integer linear map, or None when empty."""
+    return Cell.try_from_constraints(
+        len(matrix[0]),
+        [_compose(g, matrix) for g in cell.ineqs],
+        [_compose(g, matrix) for g in cell.eqs])
+
+
 def push_forward(f: Morphism, cycle: Cycle | None = None, validate: bool = True) -> Cycle:
     """Push a subcycle of the source along the morphism.
 
@@ -156,7 +172,7 @@ def push_forward(f: Morphism, cycle: Cycle | None = None, validate: bool = True)
     if cycle is not None and cycle is not f.source and validate:
         if src.ambient_dim != f.source.ambient_dim:
             raise ValueError("subcycle lives in the wrong ambient space")
-        if not _cells_inside_support(src.reduce().complex.cells, f.source.complex):
+        if not _cells_inside_support(src.reduce().complex.cells, f.source.complex.cells):
             raise ValueError("cycle is not supported inside the morphism source")
     red = src.reduce()
     m = f.map.target_dim
@@ -198,22 +214,13 @@ def pull_back(f, phi) -> CartierDivisor:
     """
     matrix = f.map.matrix if isinstance(f, Morphism) else f.matrix
     rep = pl_rep(phi)
-    cols = tuple(zip(*matrix))
-
-    def compose_form(form):
-        return AffineForm(tuple(dot(form.linear, col) for col in cols), form.constant)
-
     if isinstance(rep, TropicalPolynomial):
-        return CartierDivisor(TropicalPolynomial(tuple(compose_form(t) for t in rep.terms)))
-    n = len(cols)
+        return CartierDivisor(TropicalPolynomial(tuple(_compose(t, matrix) for t in rep.terms)))
     pieces = []
     for dom, form in rep.pieces:
-        pre = Cell.try_from_constraints(
-            n,
-            [compose_form(g) for g in dom.ineqs],
-            [compose_form(g) for g in dom.eqs])
+        pre = preimage_cell(matrix, dom)
         if pre is not None:
-            pieces.append((pre, compose_form(form)))
+            pieces.append((pre, _compose(form, matrix)))
     if not pieces:
         raise ValueError("pull-back has empty domain")
     return CartierDivisor(PiecewisePL(tuple(pieces)))

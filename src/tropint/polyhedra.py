@@ -17,6 +17,7 @@ from .kernel import (
     QQ,
     LatticeBasis,
     dot,
+    echelon,
     kernel_lattice,
     rat_parts,
     vec_gcd,
@@ -263,21 +264,37 @@ class Cell:
         return self._canonical
 
     def _canonicalize(self):
-        eq_rows = _rref_affine([(f.linear, f.constant) for f in self.eqs], self.ambient_dim)
-        canon_eqs = tuple(form_from_rational(lin, c) for lin, c in eq_rows)
+        n = self.ambient_dim
+        # The pivot rows of t are d times the reduced row echelon form of
+        # the equalities, which is unique for the affine hull.  Negated
+        # along with d when d < 0, they are positive multiples of it.
+        t, pivots, d = echelon([f.linear + (f.constant,) for f in self.eqs])
+        sign = -1 if d < 0 else 1
+        d, eq_rows = sign * d, [[sign * x for x in row] for row in t[:len(pivots)]]
+        canon_eqs = tuple(AffineForm(row[:n], row[n]).scaled_primitive() for row in eq_rows)
         reduced = {}
         for g in self.ineqs:
-            h = _reduce_mod_rows(g, eq_rows)
+            # d times the coset representative of g modulo the equalities.
+            row = [d * x for x in g.linear + (g.constant,)]
+            for col, e in zip(pivots, eq_rows):
+                f = g.linear[col]
+                if f:
+                    row = [a - f * b for a, b in zip(row, e)]
+            if any(row[:n]):
+                h = AffineForm(row[:n], row[n]).scaled_primitive()
+            else:
+                # Constant on the hull; there is no gcd to divide d out by.
+                h = AffineForm(row[:n], row[n] / d)
             reduced.setdefault(h.sort_key(), h)
         candidates = [reduced[k] for k in sorted(reduced)]
         kept = list(candidates)
         for g in candidates:
             others = [h for h in kept if h is not g]
-            if _min_capped(self.ambient_dim, g, others, list(canon_eqs)) >= 0:
+            if _max_capped(n, g.negated(), others, canon_eqs) <= 0:
                 kept.remove(g)
         canon_ineqs = tuple(sorted(kept, key=AffineForm.sort_key))
         return (
-            self.ambient_dim,
+            n,
             self.dim,
             tuple(f.sort_key() for f in canon_eqs),
             tuple(f.sort_key() for f in canon_ineqs),
@@ -314,6 +331,41 @@ def _require_optimal(res, what):
         raise RuntimeError(f"{what} is {res.status}; it is feasible and bounded by construction")
 
 
+def _slack_lp(n, plain, slack, eqs=(), hull=None):
+    """Maximize t <= 1 subject to plain forms >= 0, slack forms >= t and
+    eqs == 0, over Q^n or, given a cell of Q^n as ``hull``, over its affine
+    hull.
+
+    On the hull the unknowns are the coordinates y of x = p + sum y_j b_j,
+    with p the interior point and b the direction basis of the cell; Q^n is
+    the case p = 0 with the unit basis, whose rows are the forms themselves.
+    The rows are the plain forms, the slack forms, the cap and the
+    equalities, in this order.  The result carries t as its value and x as
+    its point.
+    """
+    if hull is None:
+        k = n
+
+        def row(f, t):
+            return f.linear + (t,), -f.constant
+    else:
+        p, basis = hull.interior_point, hull.direction_lattice.vectors
+        k = len(basis)
+
+        def row(f, t):
+            return tuple(f.eval_direction(b) for b in basis) + (t,), -f.value_at(p)
+
+    ineqs = [row(f, 0) for f in plain] + [row(f, -1) for f in slack]
+    ineqs.append(((0,) * k + (-1,), -1))
+    res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, eqs=[row(f, 0) for f in eqs])
+    if res.status == OPTIMAL:
+        y = res.point[:k]
+        if hull is not None:
+            y = tuple(pi + sum(yj * b[i] for yj, b in zip(y, basis)) for i, pi in enumerate(p))
+        res.point = y
+    return res
+
+
 def _relint_lp(n, ineqs, eqs):
     """Point with all inequalities at slack >= t0 for the best t0 <= 1.
 
@@ -321,59 +373,31 @@ def _relint_lp(n, ineqs, eqs):
     that no inequality is an implied equality and the point is relatively
     interior.
     """
-    lp_ineqs = []
-    for f in ineqs:
-        lp_ineqs.append((tuple(f.linear) + (-1,), -f.constant))
-    lp_ineqs.append(((0,) * n + (-1,), -1))  # t0 <= 1
-    lp_eqs = [(tuple(f.linear) + (0,), -f.constant) for f in eqs]
-    obj = (0,) * n + (1,)
-    res = lp_max(n + 1, obj, ineqs=lp_ineqs, eqs=lp_eqs)
+    res = _slack_lp(n, (), ineqs, eqs)
     if res.status == INFEASIBLE or (res.status == OPTIMAL and res.value < 0):
         # A negative best slack means the relaxed system only meets the
         # constraints short of their boundaries: the cell is empty.
         return None, None
     _require_optimal(res, "relative-interior LP")
-    return res.point[:n], res.value
+    return res.point, res.value
 
 
-def _max_capped(n, form, ineqs, eqs, cap=1):
-    """min(max(form), cap) over the system, via an auxiliary variable.
+def _max_capped(n, form, ineqs, eqs):
+    """min(max(form), 1) over the system, via an auxiliary variable.
 
     Always feasible and bounded when the base system is feasible, which
     keeps the probe robust even when the form exceeds the cap everywhere.
     """
-    lp_ineqs = [(tuple(f.linear) + (0,), -f.constant) for f in ineqs]
-    lp_ineqs.append((tuple(form.linear) + (-1,), -form.constant))
-    lp_ineqs.append(((0,) * n + (-1,), -cap))
-    lp_eqs = [(tuple(f.linear) + (0,), -f.constant) for f in eqs]
-    res = lp_max(n + 1, (0,) * n + (1,), ineqs=lp_ineqs, eqs=lp_eqs)
+    res = _slack_lp(n, ineqs, (form,), eqs)
     _require_optimal(res, "capped maximum LP")
     return res.value
 
 
-def _min_capped(n, form, ineqs, eqs, cap=-1):
-    """min(form) over the system, with the objective capped below."""
-    return -_max_capped(n, form.negated(), ineqs, eqs, cap=-cap)
-
-
 def strict_point(cell, form) -> tuple | None:
     """A point of the cell with form > 0, or None if form <= 0 on the cell."""
-    p = cell.interior_point
-    basis = cell.direction_lattice.vectors
-    d = len(basis)
-    lp_ineqs = []
-    for f in cell.ineqs:
-        lp_ineqs.append((tuple(f.eval_direction(b) for b in basis) + (0,), -f.value_at(p)))
-    fc = tuple(form.eval_direction(b) for b in basis)
-    lp_ineqs.append((fc + (-1,), -form.value_at(p)))
-    lp_ineqs.append(((0,) * d + (-1,), -1))
-    res = lp_max(d + 1, (0,) * d + (1,), ineqs=lp_ineqs)
+    res = _slack_lp(cell.ambient_dim, cell.ineqs, (form,), hull=cell)
     _require_optimal(res, "strict-point LP")
-    if res.value <= 0:
-        return None
-    t = res.point[:d]
-    return tuple(QQ(pi) + sum(QQ(tj) * QQ(b[i]) for tj, b in zip(t, basis))
-                 for i, pi in enumerate(p))
+    return res.point if res.value > 0 else None
 
 
 def form_nonnegative_on(cell, form) -> bool:
@@ -407,20 +431,10 @@ def _split_piece(cell, form) -> Cell | None:
     form are simultaneously strict, so the piece inherits the cell's affine
     hull, dimension and direction lattice unchanged.
     """
-    p = cell.interior_point
-    basis = cell.direction_lattice.vectors
-    d = len(basis)
-    lp_ineqs = []
-    for f in list(cell.ineqs) + [form]:
-        lp_ineqs.append((tuple(f.eval_direction(b) for b in basis) + (-1,), -f.value_at(p)))
-    lp_ineqs.append(((0,) * d + (-1,), -1))
-    res = lp_max(d + 1, (0,) * d + (1,), ineqs=lp_ineqs)
+    res = _slack_lp(cell.ambient_dim, (), cell.ineqs + (form,), hull=cell)
     if res.status == INFEASIBLE or res.value <= 0:
         return None
-    t = res.point[:d]
-    witness = tuple(QQ(pi) + sum(QQ(tj) * QQ(b[i]) for tj, b in zip(t, basis))
-                    for i, pi in enumerate(p))
-    return cell._replace_geometry(ineqs=cell.ineqs + (form,), interior_point=witness)
+    return cell._replace_geometry(ineqs=cell.ineqs + (form,), interior_point=res.point)
 
 
 # -- operations on cells --------------------------------------------------
@@ -533,67 +547,6 @@ def sign_vector(cell: Cell, forms) -> tuple:
     return tuple(out)
 
 
-def linear_image_cell(matrix, cell: Cell) -> Cell:
-    """Image of a cell under an integer linear map, via variable elimination.
-
-    Works for maps that drop dimension on the cell; the injective case in
-    the push-forward has a cheaper dedicated path.
-    """
-    m = len(matrix)
-    n = cell.ambient_dim
-    # Lift to {(y, x) : x in cell, y = M x} and eliminate the x block.
-    ineqs = [((0,) * m + tuple(f.linear), f.constant) for f in cell.ineqs]
-    eqs = [((0,) * m + tuple(f.linear), f.constant) for f in cell.eqs]
-    for i in range(m):
-        row = [0] * m
-        row[i] = 1
-        eqs.append((tuple(row) + tuple(-x for x in matrix[i]), QQ(0)))
-    ineqs, eqs = _eliminate_last(m + n, n, ineqs, eqs)
-    return Cell.from_constraints(
-        m,
-        [form_from_rational(lin, c) for lin, c in ineqs],
-        [form_from_rational(lin, c) for lin, c in eqs])
-
-
-def _eliminate_last(nvars, count, ineqs, eqs):
-    """Fourier-Motzkin elimination of the trailing `count` variables."""
-    for j in range(nvars - 1, nvars - count - 1, -1):
-        pivot = next((e for e in eqs if e[0][j] != 0), None)
-        if pivot is not None:
-            eqs = [_subst(e, pivot, j) for e in eqs if e is not pivot]
-            ineqs = [_subst(f, pivot, j) for f in ineqs]
-        else:
-            pos = [f for f in ineqs if f[0][j] > 0]
-            neg = [f for f in ineqs if f[0][j] < 0]
-            zero = [f for f in ineqs if f[0][j] == 0]
-            combos = []
-            for fp in pos:
-                for fn in neg:
-                    lin = tuple(QQ(a) * -fn[0][j] + QQ(b) * fp[0][j]
-                                for a, b in zip(fp[0], fn[0]))
-                    combos.append((lin, QQ(fp[1]) * -fn[0][j] + QQ(fn[1]) * fp[0][j]))
-            ineqs = zero + combos
-        seen = {}
-        for lin, c in ineqs:
-            key = (tuple(lin), rat_parts(c))
-            seen.setdefault(key, (lin, c))
-        ineqs = list(seen.values())
-    trim = nvars - count
-    return ([(lin[:trim], c) for lin, c in ineqs],
-            [(lin[:trim], c) for lin, c in eqs])
-
-
-def _subst(constraint, pivot, j):
-    """Eliminate variable j from a constraint using an equality pivot."""
-    lin, c = constraint
-    plin, pc = pivot
-    if lin[j] == 0:
-        return (tuple(QQ(a) for a in lin), QQ(c))
-    factor = QQ(lin[j]) / QQ(plin[j])
-    return (tuple(QQ(a) - factor * QQ(b) for a, b in zip(lin, plin)),
-            QQ(c) - factor * QQ(pc))
-
-
 # -- generator-style constructors ------------------------------------------
 
 
@@ -658,45 +611,3 @@ def segment_cell(p, q) -> Cell:
              AffineForm(tuple(-x for x in d), dot(d, q)))
     mid = tuple((a + b) / 2 for a, b in zip(p, q))
     return Cell(n, ineqs, eqs, 1, mid, subspace_lattice([d], n))
-
-
-# -- canonical reduction helpers -------------------------------------------
-
-
-def _rref_affine(rows, n):
-    """Reduced row echelon form of affine equality rows (a, c) ~ a.x + c = 0.
-
-    Unique for the affine subspace they cut out; rows are returned with
-    rational entries, pivots first.
-    """
-    work = [[QQ(x) for x in lin] + [QQ(c)] for lin, c in rows]
-    rank = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [a / pv for a in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return [(tuple(row[:n]), row[n]) for row in work[:rank]]
-
-
-def _reduce_mod_rows(form: AffineForm, eq_rows) -> AffineForm:
-    """Canonical coset representative of a form modulo the equality rows."""
-    lin = [QQ(a) for a in form.linear]
-    c = QQ(form.constant)
-    for rlin, rc in eq_rows:
-        piv = next((i for i, a in enumerate(rlin) if a != 0), None)
-        if piv is None or lin[piv] == 0:
-            continue
-        f = lin[piv] / QQ(rlin[piv])
-        lin = [a - f * QQ(b) for a, b in zip(lin, rlin)]
-        c = c - f * rc
-    return form_from_rational(lin, c).scaled_primitive()

@@ -1,7 +1,8 @@
 """Independent brute-force oracles shared by the test modules."""
 
-from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
-from tropint.kernel import QQ, solve_rational
+from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
+from tropint.kernel import QQ, rat_parts, solve_rational
+from tropint.polyhedra import Cell, form_from_rational
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -117,7 +118,8 @@ def _reference_simplex(rows, rhs, cost, ncols):
                 del tab[i]
                 del basis[i]
             else:
-                _reference_pivot(tab, basis, i, pivot_col)
+                _reference_pivot(tab, i, pivot_col)
+                basis[i] = pivot_col
     for row in tab:
         del row[ncols:ncols + m]
 
@@ -167,14 +169,15 @@ def _reference_optimize(tab, basis, cost, total):
             return None
         in_basis[basis[leaving]] = 0
         in_basis[entering] = 1
-        _reference_pivot(tab, basis, leaving, entering)
+        _reference_pivot(tab, leaving, entering)
+        basis[leaving] = entering
         f = z[entering]
         if f != 0:
             pr = tab[leaving]
             z = [a - f * x for a, x in zip(z, pr)]
 
 
-def _reference_pivot(tab, basis, row, col):
+def _reference_pivot(tab, row, col):
     pv = tab[row][col]
     if pv != 1:
         tab[row] = [x / pv for x in tab[row]]
@@ -184,4 +187,223 @@ def _reference_pivot(tab, basis, row, col):
             f = tab[i][col]
             if f != 0:
                 tab[i] = [a - f * b for a, b in zip(tab[i], pr)]
-    basis[row] = col
+
+
+# -- rational Gauss elimination ----------------------------------------------
+# References for the fraction-free routines of tropint.kernel: Gauss-Jordan
+# elimination on Fractions, with pivots scaled to one.
+
+
+def reference_mat_rank(rows):
+    """Rank of a matrix with int/rational entries."""
+    work = [[QQ(x) for x in row] for row in rows]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(work)):
+            if work[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col] / pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+def reference_solve_rational(rows, rhs):
+    """One rational solution x of rows @ x = rhs with free variables zero,
+    or None if the system is inconsistent."""
+    m = [[QQ(x) for x in row] + [QQ(r)] for row, r in zip(rows, rhs)]
+    if not m:
+        return ()
+    ncols = len(rows[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(m)):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        m[rank] = [a / pv for a in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, len(m)):
+        if m[i][ncols] != 0:
+            return None
+    x = [QQ(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncols]
+    return tuple(x)
+
+
+def reference_mat_det(rows):
+    """Exact determinant of a square int/rational matrix."""
+    n = len(rows)
+    work = [[QQ(x) for x in row] for row in rows]
+    det = QQ(1)
+    for col in range(n):
+        pivot = None
+        for i in range(col, n):
+            if work[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return QQ(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        pv = work[col][col]
+        det *= pv
+        for i in range(col + 1, n):
+            if work[i][col] != 0:
+                f = work[i][col] / pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
+    return det
+
+
+def rational_rref(rows, n):
+    """Reduced row echelon form of affine equality rows (a, c) ~ a.x + c = 0.
+
+    Unique for the affine subspace they cut out; rows are returned with
+    rational entries, pivots first.
+    """
+    work = [[QQ(x) for x in lin] + [QQ(c)] for lin, c in rows]
+    rank = 0
+    pivots = []
+    for col in range(n):
+        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        pv = work[rank][col]
+        work[rank] = [a / pv for a in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return [(tuple(row[:n]), row[n]) for row in work[:rank]]
+
+
+def rational_coset_representative(form, eq_rows):
+    """Canonical coset representative of a form modulo the equality rows."""
+    lin = [QQ(a) for a in form.linear]
+    c = QQ(form.constant)
+    for rlin, rc in eq_rows:
+        piv = next((i for i, a in enumerate(rlin) if a != 0), None)
+        if piv is None or lin[piv] == 0:
+            continue
+        f = lin[piv] / QQ(rlin[piv])
+        lin = [a - f * QQ(b) for a, b in zip(lin, rlin)]
+        c = c - f * rc
+    return form_from_rational(lin, c).scaled_primitive()
+
+
+def reference_canonical_key(cell):
+    """Cell.canonical_key computed with rational elimination.
+
+    An inequality is dropped as redundant when the others and the
+    equalities bound it below by zero, decided by an uncapped LP.
+    """
+    n = cell.ambient_dim
+    eq_rows = rational_rref([(f.linear, f.constant) for f in cell.eqs], n)
+    canon_eqs = [form_from_rational(lin, c) for lin, c in eq_rows]
+    reduced = {}
+    for g in cell.ineqs:
+        h = rational_coset_representative(g, eq_rows)
+        reduced.setdefault(h.sort_key(), h)
+    kept = [reduced[k] for k in sorted(reduced)]
+    for g in list(kept):
+        others = [h for h in kept if h is not g]
+        res = lp_max(n, tuple(-a for a in g.linear),
+                     ineqs=[(h.linear, -h.constant) for h in others],
+                     eqs=[(e.linear, -e.constant) for e in canon_eqs])
+        if res.status == OPTIMAL and g.constant - res.value >= 0:
+            kept.remove(g)
+    return (n, cell.dim,
+            tuple(f.sort_key() for f in canon_eqs),
+            tuple(sorted(f.sort_key() for f in kept)))
+
+
+# -- Fourier-Motzkin projection ----------------------------------------------
+
+
+def linear_image_cell(matrix, cell):
+    """Image of a cell under an integer linear map, via variable elimination.
+
+    Works for maps that drop dimension on the cell as well as injective ones.
+    """
+    m = len(matrix)
+    n = cell.ambient_dim
+    # Lift to {(y, x) : x in cell, y = M x} and eliminate the x block.
+    ineqs = [((0,) * m + tuple(f.linear), f.constant) for f in cell.ineqs]
+    eqs = [((0,) * m + tuple(f.linear), f.constant) for f in cell.eqs]
+    for i in range(m):
+        row = [0] * m
+        row[i] = 1
+        eqs.append((tuple(row) + tuple(-x for x in matrix[i]), QQ(0)))
+    ineqs, eqs = _eliminate_last(m + n, n, ineqs, eqs)
+    return Cell.from_constraints(
+        m,
+        [form_from_rational(lin, c) for lin, c in ineqs],
+        [form_from_rational(lin, c) for lin, c in eqs])
+
+
+def _eliminate_last(nvars, count, ineqs, eqs):
+    """Fourier-Motzkin elimination of the trailing `count` variables."""
+    for j in range(nvars - 1, nvars - count - 1, -1):
+        pivot = next((e for e in eqs if e[0][j] != 0), None)
+        if pivot is not None:
+            eqs = [_subst(e, pivot, j) for e in eqs if e is not pivot]
+            ineqs = [_subst(f, pivot, j) for f in ineqs]
+        else:
+            pos = [f for f in ineqs if f[0][j] > 0]
+            neg = [f for f in ineqs if f[0][j] < 0]
+            zero = [f for f in ineqs if f[0][j] == 0]
+            combos = []
+            for fp in pos:
+                for fn in neg:
+                    lin = tuple(QQ(a) * -fn[0][j] + QQ(b) * fp[0][j]
+                                for a, b in zip(fp[0], fn[0]))
+                    combos.append((lin, QQ(fp[1]) * -fn[0][j] + QQ(fn[1]) * fp[0][j]))
+            ineqs = zero + combos
+        seen = {}
+        for lin, c in ineqs:
+            key = (tuple(lin), rat_parts(c))
+            seen.setdefault(key, (lin, c))
+        ineqs = list(seen.values())
+    trim = nvars - count
+    return ([(lin[:trim], c) for lin, c in ineqs],
+            [(lin[:trim], c) for lin, c in eqs])
+
+
+def _subst(constraint, pivot, j):
+    """Eliminate variable j from a constraint using an equality pivot."""
+    lin, c = constraint
+    plin, pc = pivot
+    if lin[j] == 0:
+        return (tuple(QQ(a) for a in lin), QQ(c))
+    factor = QQ(lin[j]) / QQ(plin[j])
+    return (tuple(QQ(a) - factor * QQ(b) for a, b in zip(lin, plin)),
+            QQ(c) - factor * QQ(pc))

@@ -179,8 +179,9 @@ def test_graph_fan_of_max_x_zero():
 
 def test_graph_fan_matches_divisor_weights():
     # Downward walls of the graph project cell by cell onto the divisor.
+    from oracles import linear_image_cell
+
     from tropint.cycles import validate_complex
-    from tropint.polyhedra import linear_image_cell
 
     h = hyperplane_polynomial(2)
     g = graph_fan(h, rn_cycle(2))

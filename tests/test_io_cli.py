@@ -125,6 +125,30 @@ def test_cli_validate_rejects_overlapping_cells(capsys, tmp_path):
     assert "invalid complex: maximal cells 0 and 1 overlap in dimension 1" in out
 
 
+def test_cli_math_commands_reject_invalid_cycles(capsys, tmp_path):
+    ray = tmp_path / "ray.json"
+    ray.write_text(json.dumps({
+        "kind": "cycle", "ambient_dim": 2, "dim": 1,
+        "cells": [{"ineqs": [[1, 0, 0]], "eqs": [[0, 1, 0]], "weight": 1}],
+    }))
+    assert main(["degree", str(ray)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unbalanced at ridge" in captured.err
+    assert main(["intersect", str(ray), "Lnk:2:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unbalanced at ridge" in captured.err
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(json.dumps({
+        "kind": "cycle", "ambient_dim": 2, "dim": 1,
+        "cells": [{"ineqs": [], "eqs": [[0, 1, 0]], "weight": 1},
+                  {"ineqs": [[1, 0, 0]], "eqs": [[0, 1, 0]], "weight": 1},
+                  {"ineqs": [[-1, 0, 0]], "eqs": [[0, 1, 0]], "weight": 1}],
+    }))
+    assert main(["degree", str(overlap)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid complex" in captured.err
+
+
 def test_cli_chain_rigid_example(capsys, tmp_path):
     out = tmp_path / "second.json"
     code = main(["chain", "rigid-function", "rigid-function", "rigid-surface",

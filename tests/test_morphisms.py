@@ -1,4 +1,5 @@
 import pytest
+from oracles import linear_image_cell
 
 from tropint.cycles import (
     Cycle,
@@ -37,7 +38,6 @@ from tropint.polyhedra import (
     AffineForm,
     Cell,
     cone_from_rays,
-    linear_image_cell,
     point_cell,
     segment_cell,
 )

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import linear_image_cell
 
 from tropint.kernel import QQ, hnf_basis
 from tropint.polyhedra import (
@@ -12,7 +13,6 @@ from tropint.polyhedra import (
     collect_hyperplanes,
     cone_from_rays,
     intersect,
-    linear_image_cell,
     point_cell,
     product_cell,
     ray_cell,
