@@ -14,7 +14,6 @@ from .cycles import (
     WeightedComplex,
     add,
     cartesian_product,
-    common_refinement,
     cycles_equal,
     is_balanced,
     negate,
@@ -69,7 +68,6 @@ from .polyhedra import (
     intersect,
     point_cell,
     ray_cell,
-    refine_by_arrangement,
     segment_cell,
 )
 from .render import render_svg

@@ -66,18 +66,27 @@ class WeightedComplex:
                                [c for c, _ in kept], [w for _, w in kept])
 
     def ridges(self):
-        """Codimension-one cells with the indices of their adjacent facets."""
+        """Codimension-one cells with the indices of their adjacent facets.
+
+        Faces are matched by their affine hulls and then by a relative
+        interior point, which presumes that maximal cells meet in faces
+        (see :func:`validate_complex`): two faces with one hull then meet in
+        a face of both, which holds a relative-interior point of the first
+        only if the two are equal.  Ridges come in order of first appearance.
+        """
         if self._ridges is None:
-            table = {}
+            buckets, ridges = {}, []
             for idx, cell in enumerate(self.cells):
                 for face in cell.faces_of_codim_one():
-                    entry = table.get(face.canonical_key)
-                    if entry is None:
-                        table[face.canonical_key] = (face, [idx])
+                    bucket = buckets.setdefault(face.hull_key, [])
+                    for ridge, idxs in bucket:
+                        if ridge.contains_point(face.interior_point):
+                            idxs.append(idx)
+                            break
                     else:
-                        entry[1].append(idx)
-            self._ridges = tuple((face, tuple(idxs))
-                                 for _, (face, idxs) in sorted(table.items()))
+                        bucket.append((face, [idx]))
+                        ridges.append(bucket[-1])
+            self._ridges = tuple((face, tuple(idxs)) for face, idxs in ridges)
         return self._ridges
 
     def __repr__(self):
@@ -236,7 +245,8 @@ def is_balanced(c: WeightedComplex) -> BalanceReport:
 
     The weighted sum of normal representatives must lie in the linear span
     of the ridge; membership is an exact rank comparison, so no choice of
-    representatives matters.
+    representatives matters.  Maximal cells must meet in faces (see
+    :func:`validate_complex`), or the ridges are not matched up correctly.
     """
     reduced = c.nonzero_part()
     n = c.ambient_dim
@@ -275,18 +285,6 @@ def refine_complex(c: WeightedComplex, forms) -> WeightedComplex:
     items = sorted(out.items())
     return WeightedComplex(c.ambient_dim, c.dim,
                            [p for _, (p, _) in items], [w for _, (_, w) in items])
-
-
-def common_refinement(a: WeightedComplex, b: WeightedComplex):
-    """Refine both complexes along the union of their defining forms.
-
-    Cells of the results coincide over the common support, which reduces
-    sums and equality tests to weight comparisons piece by piece.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    forms = collect_hyperplanes(a.cells + b.cells)
-    return refine_complex(a, forms), refine_complex(b, forms)
 
 
 def _merged_weights(a: WeightedComplex, b: WeightedComplex):

@@ -34,7 +34,9 @@ from .kernel import (
 from .polyhedra import (
     AffineForm,
     Cell,
+    _split_piece,
     collect_hyperplanes,
+    form_vanishes_on,
     hyperplane_form,
     intersect,
     refine_cell,
@@ -173,17 +175,25 @@ def _split_one(cell: Cell, phi):
     overlapping domain covers.
     """
     f = pl_rep(phi)
-    n = cell.ambient_dim
     if isinstance(f, TropicalPolynomial):
         terms = f.terms
         out = []
         for i, term in enumerate(terms):
-            diffs = tuple(
-                AffineForm(tuple(a - b for a, b in zip(term.linear, other.linear)),
-                           term.constant - other.constant)
-                for j, other in enumerate(terms) if j != i)
-            region = Cell.try_from_constraints(n, cell.ineqs + diffs, cell.eqs)
-            if region is None or region.dim != cell.dim:
+            diffs = [AffineForm(tuple(a - b for a, b in zip(term.linear, other.linear)),
+                                term.constant - other.constant)
+                     for j, other in enumerate(terms) if j != i]
+            if any(not any(d.linear) and d.constant < 0 for d in diffs):
+                continue  # another term is larger everywhere
+            # Differences that vanish on the cell hold with equality on all of
+            # the region; the others must be strict somewhere in it.
+            strict, vanishing = {}, {}
+            for d in diffs:
+                if any(d.linear):
+                    d = d.scaled_primitive()
+                    side = vanishing if form_vanishes_on(cell, d) else strict
+                    side.setdefault(d.sort_key(), d)
+            region = _split_piece(cell, tuple(strict.values()), tuple(vanishing.values()))
+            if region is None:
                 continue
             values = [t.value_at(region.interior_point) for t in terms]
             if values.index(max(values)) != i:

@@ -97,11 +97,13 @@ class Cell:
     """A nonempty rational polyhedron with cached geometry.
 
     Instances are immutable; build them through :meth:`try_from_constraints`
-    or :meth:`from_constraints`.  The stored inequality list may contain
-    redundant members: after construction every listed inequality is strict
-    on the relative interior, which is all the predicates here rely on.
-    The fully irredundant canonical system is computed lazily for
-    :attr:`canonical_key`.
+    or :meth:`from_constraints`.  Construction leaves no implied equality
+    among the inequalities, so every listed inequality is strict on the
+    relative interior, which is all the predicates here rely on.  The list
+    may still hold redundant members.  :meth:`canonical_cell` drops them,
+    lazily and at one LP per inequality; in the irredundant system it
+    leaves, every inequality cuts out its own facet, which is what
+    :meth:`faces_of_codim_one` relies on.
     """
 
     __slots__ = (
@@ -132,30 +134,28 @@ class Cell:
         then caches dimension, a relative interior point and the saturated
         lattice of the direction space.
         """
-        cin, ceq = [], []
-        seen = set()
+        ceq, eq_keys = [], set()
+        for f in eqs:
+            h = hyperplane_form(f)
+            if h is None:
+                if f.constant != 0:
+                    return None
+                continue
+            if h.sort_key() not in eq_keys:
+                eq_keys.add(h.sort_key())
+                ceq.append(h)
+        cin, seen = [], set()
         for f in ineqs:
             f = f.scaled_primitive()
             if all(a == 0 for a in f.linear):
                 if f.constant < 0:
                     return None
                 continue
-            if f.sort_key() not in seen:
+            # An inequality on the hyperplane of a listed equality is implied
+            # by it and needs no probe.
+            if f.sort_key() not in seen and hyperplane_form(f).sort_key() not in eq_keys:
                 seen.add(f.sort_key())
                 cin.append(f)
-        seen = set()
-        for f in eqs:
-            f = f.scaled_primitive()
-            lead = next((a for a in f.linear if a != 0), 0)
-            if lead == 0:
-                if f.constant != 0:
-                    return None
-                continue
-            if lead < 0:
-                f = f.negated().scaled_primitive()
-            if f.sort_key() not in seen:
-                seen.add(f.sort_key())
-                ceq.append(f)
 
         point, slack = _relint_lp(ambient_dim, cin, ceq)
         if point is None:
@@ -175,8 +175,14 @@ class Cell:
             if point is None or slack <= 0:
                 raise RuntimeError("relative-interior LP found no strict point "
                                    "after moving implied equalities")
-        lattice = LatticeBasis(ambient_dim, kernel_lattice([f.linear for f in ceq], ambient_dim))
-        return cls(ambient_dim, cin, ceq, lattice.rank, point, lattice)
+        return cls._at_point(ambient_dim, cin, ceq, point)
+
+    @classmethod
+    def _at_point(cls, ambient_dim, ineqs, eqs, point) -> "Cell":
+        """The cell of a system with no implied equality, given a point where
+        every inequality is strict."""
+        lattice = LatticeBasis(ambient_dim, kernel_lattice([f.linear for f in eqs], ambient_dim))
+        return cls(ambient_dim, ineqs, eqs, lattice.rank, point, lattice)
 
     @classmethod
     def from_constraints(cls, ambient_dim, ineqs=(), eqs=()) -> "Cell":
@@ -216,15 +222,24 @@ class Cell:
     # -- derived geometry -------------------------------------------------
 
     def faces_of_codim_one(self) -> tuple:
-        """All faces of dimension dim - 1, deduplicated."""
+        """All faces of dimension dim - 1, in the order of the canonical
+        inequalities that cut them out.
+
+        Each canonical inequality g defines its own facet, on which g = 0 is
+        the only new equality and every other inequality is strict
+        somewhere, so one relative-interior LP builds it.
+        """
         if self._faces is None:
-            found = {}
-            for g in self.ineqs:
-                face = Cell.try_from_constraints(
-                    self.ambient_dim, self.ineqs, self.eqs + (g,))
-                if face is not None and face.dim == self.dim - 1:
-                    found.setdefault(face.canonical_key, face)
-            self._faces = tuple(found[k] for k in sorted(found))
+            cell = self.canonical_cell()
+            faces = []
+            for i, g in enumerate(cell.ineqs):
+                ineqs = cell.ineqs[:i] + cell.ineqs[i + 1:]
+                eqs = cell.eqs + (hyperplane_form(g),)
+                point, slack = _relint_lp(self.ambient_dim, ineqs, eqs)
+                if point is None or slack <= 0:
+                    raise RuntimeError("a canonical inequality cuts out no facet")
+                faces.append(Cell._at_point(self.ambient_dim, ineqs, eqs, point))
+            self._faces = tuple(faces)
         return self._faces
 
     def recession_cone(self) -> "Cell":
@@ -263,15 +278,28 @@ class Cell:
             self._canonical = self._canonicalize()
         return self._canonical
 
-    def _canonicalize(self):
+    @property
+    def hull_key(self):
+        """Hashable key equal for two cells of R^n iff their affine hulls
+        are equal; read from the equalities alone, with no LP."""
+        return tuple(f.sort_key() for f in self._hull()[0])
+
+    def _hull(self):
+        """Canonical equalities of the affine hull, with the pivot columns,
+        scale d > 0 and pivot rows that reduce forms modulo them."""
         n = self.ambient_dim
         # The pivot rows of t are d times the reduced row echelon form of
         # the equalities, which is unique for the affine hull.  Negated
         # along with d when d < 0, they are positive multiples of it.
         t, pivots, d = echelon([f.linear + (f.constant,) for f in self.eqs])
         sign = -1 if d < 0 else 1
-        d, eq_rows = sign * d, [[sign * x for x in row] for row in t[:len(pivots)]]
-        canon_eqs = tuple(AffineForm(row[:n], row[n]).scaled_primitive() for row in eq_rows)
+        d, rows = sign * d, [[sign * x for x in row] for row in t[:len(pivots)]]
+        eqs = tuple(AffineForm(row[:n], row[n]).scaled_primitive() for row in rows)
+        return eqs, pivots, d, rows
+
+    def _canonicalize(self):
+        n = self.ambient_dim
+        canon_eqs, pivots, d, eq_rows = self._hull()
         reduced = {}
         for g in self.ineqs:
             # d times the coset representative of g modulo the equalities.
@@ -424,17 +452,20 @@ def cell_contains_cell(outer: Cell, inner: Cell) -> bool:
     return True
 
 
-def _split_piece(cell, form) -> Cell | None:
-    """The piece cell & {form >= 0} if it has the same dimension, else None.
+def _split_piece(cell, forms, eqs=()) -> Cell | None:
+    """The piece of the cell where all forms are >= 0 if it has the cell's
+    dimension, else None.
 
-    The LP certifies a point where every inequality of the cell and the new
-    form are simultaneously strict, so the piece inherits the cell's affine
-    hull, dimension and direction lattice unchanged.
+    The LP certifies a point where every inequality of the cell and every
+    new form are simultaneously strict, so the piece inherits the cell's
+    affine hull, dimension and direction lattice unchanged.  ``eqs`` are
+    forms that vanish on the cell; they join the piece's equalities.
     """
-    res = _slack_lp(cell.ambient_dim, (), cell.ineqs + (form,), hull=cell)
+    res = _slack_lp(cell.ambient_dim, (), cell.ineqs + forms, hull=cell)
     if res.status == INFEASIBLE or res.value <= 0:
         return None
-    return cell._replace_geometry(ineqs=cell.ineqs + (form,), interior_point=res.point)
+    return cell._replace_geometry(ineqs=cell.ineqs + forms, eqs=cell.eqs + eqs,
+                                  interior_point=res.point)
 
 
 # -- operations on cells --------------------------------------------------
@@ -501,35 +532,19 @@ def refine_cell(cell: Cell, forms) -> list:
             val = f.value_at(c.interior_point)
             if val > 0:
                 pos = c._replace_geometry(ineqs=c.ineqs + (f,))
-                neg = _split_piece(c, f.negated())
+                neg = _split_piece(c, (f.negated(),))
             elif val < 0:
-                pos = _split_piece(c, f)
+                pos = _split_piece(c, (f,))
                 neg = c._replace_geometry(ineqs=c.ineqs + (f.negated(),))
             else:
-                pos = _split_piece(c, f)
-                neg = _split_piece(c, f.negated())
+                pos = _split_piece(c, (f,))
+                neg = _split_piece(c, (f.negated(),))
             if pos is not None:
                 out.append(pos)
             if neg is not None:
                 out.append(neg)
         pieces = out
     return pieces
-
-
-def refine_by_arrangement(cells, forms) -> list:
-    """Refine several cells by a common hyperplane arrangement.
-
-    Equal pieces arising from overlapping input cells are deduplicated by
-    their canonical constraint systems, so the arrangement may be any set
-    of hyperplanes.  (The internal callers that key pieces by sign vectors
-    instead always extend the arrangement by all defining forms of the
-    inputs first, which makes the cheaper key faithful.)
-    """
-    out = {}
-    for cell in cells:
-        for piece in refine_cell(cell, forms):
-            out.setdefault(piece.canonical_key, piece)
-    return [out[k] for k in sorted(out)]
 
 
 def sign_vector(cell: Cell, forms) -> tuple:

@@ -1,8 +1,15 @@
 """Independent brute-force oracles shared by the test modules."""
 
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
+from tropint.cycles import refine_complex
 from tropint.kernel import QQ, rat_parts, solve_rational
-from tropint.polyhedra import Cell, form_from_rational
+from tropint.polyhedra import (
+    AffineForm,
+    Cell,
+    collect_hyperplanes,
+    form_from_rational,
+    refine_cell,
+)
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -344,6 +351,81 @@ def reference_canonical_key(cell):
     return (n, cell.dim,
             tuple(f.sort_key() for f in canon_eqs),
             tuple(sorted(f.sort_key() for f in kept)))
+
+
+# -- faces, ridges and linearity regions by general construction -------------
+
+
+def reference_faces_of_codim_one(cell):
+    """Faces of dimension dim - 1, each built from all of the cell's
+    constraints plus one inequality as an equality, with implied equalities
+    found by probing, deduplicated and sorted by canonical key."""
+    found = {}
+    for g in cell.ineqs:
+        face = Cell.try_from_constraints(cell.ambient_dim, cell.ineqs, cell.eqs + (g,))
+        if face is not None and face.dim == cell.dim - 1:
+            found.setdefault(face.canonical_key, face)
+    return tuple(found[k] for k in sorted(found))
+
+
+def reference_ridges(cx):
+    """Ridges of a weighted complex matched by canonical key: a dict from
+    the key of each ridge to the indices of its adjacent maximal cells."""
+    table = {}
+    for idx, cell in enumerate(cx.cells):
+        for face in reference_faces_of_codim_one(cell):
+            table.setdefault(face.canonical_key, []).append(idx)
+    return {k: tuple(v) for k, v in table.items()}
+
+
+def reference_linearity_regions(cell, terms):
+    """(region, term index) for each term of a max-polynomial that is
+    maximal on a part of the cell of full dimension, each region built as a
+    new cell from the cell's constraints and the term differences; ties go
+    to the lowest index."""
+    n = cell.ambient_dim
+    out = []
+    for i, term in enumerate(terms):
+        diffs = tuple(
+            AffineForm(tuple(a - b for a, b in zip(term.linear, other.linear)),
+                       term.constant - other.constant)
+            for j, other in enumerate(terms) if j != i)
+        region = Cell.try_from_constraints(n, cell.ineqs + diffs, cell.eqs)
+        if region is None or region.dim != cell.dim:
+            continue
+        values = [t.value_at(region.interior_point) for t in terms]
+        if values.index(max(values)) != i:
+            continue
+        out.append((region, i))
+    return out
+
+
+# -- refinement by an arrangement -------------------------------------------
+
+
+def refine_by_arrangement(cells, forms):
+    """Refine several cells by a common hyperplane arrangement.
+
+    Equal pieces arising from overlapping input cells are deduplicated by
+    their canonical constraint systems, so the arrangement may be any set
+    of hyperplanes.
+    """
+    out = {}
+    for cell in cells:
+        for piece in refine_cell(cell, forms):
+            out.setdefault(piece.canonical_key, piece)
+    return [out[k] for k in sorted(out)]
+
+
+def common_refinement(a, b):
+    """Refine two weighted complexes along the union of their defining forms.
+
+    Cells of the results coincide over the common support.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    forms = collect_hyperplanes(a.cells + b.cells)
+    return refine_complex(a, forms), refine_complex(b, forms)
 
 
 # -- Fourier-Motzkin projection ----------------------------------------------

@@ -1,11 +1,11 @@
 import pytest
+from oracles import common_refinement
 
 from tropint.cycles import (
     Cycle,
     WeightedComplex,
     add,
     cartesian_product,
-    common_refinement,
     cycles_equal,
     is_balanced,
     negate,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropint
 from tropint.cli import main
 from tropint.cycles import cycles_equal, rn_cycle, standard_skeleton
 from tropint.divisors import divisors_equal, pl_value, weil_divisor
@@ -238,20 +243,24 @@ def test_render_svg(tmp_path):
         render_svg(rn_cycle(2))
 
 
-def test_cli_output_bytes_deterministic_across_processes():
-    import subprocess
-    import sys
+def _child_env():
+    """This environment with the directory tropint was imported from put
+    first on the child's PYTHONPATH, so a child process imports the same
+    tropint whether or not it is installed."""
+    src = str(Path(tropint.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
+
+def test_cli_output_bytes_deterministic_across_processes():
     cmd = [sys.executable, "-m", "tropint.cli", "intersect", "Lnk:2:1", "conic-curve"]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    first = subprocess.run(cmd, capture_output=True, check=True, env=_child_env()).stdout
+    second = subprocess.run(cmd, capture_output=True, check=True, env=_child_env()).stdout
     assert first == second and first.startswith(b"{")
 
 
 def test_fraction_fallback_without_gmpy2():
-    import subprocess
-    import sys
-
     script = (
         "import sys; sys.modules['gmpy2'] = None\n"
         "from fractions import Fraction\n"
@@ -264,7 +273,8 @@ def test_fraction_fallback_without_gmpy2():
         "assert degree(stable_intersect(line, line)) == 1\n"
         "print('fallback-ok')\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                         env=_child_env())
     assert b"fallback-ok" in out.stdout
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import linear_image_cell
+from oracles import linear_image_cell, refine_by_arrangement
 
 from tropint.kernel import QQ, hnf_basis
 from tropint.polyhedra import (
@@ -16,7 +16,6 @@ from tropint.polyhedra import (
     point_cell,
     product_cell,
     ray_cell,
-    refine_by_arrangement,
     refine_cell,
     segment_cell,
     sign_vector,
