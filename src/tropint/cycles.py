@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .kernel import QQ, vec_add, vec_scale
+from .kernel import QQ, least_positive_vector, vec_add, vec_scale
 from .polyhedra import (
     Cell,
     cell_contains_cell,
@@ -96,7 +96,9 @@ class WeightedComplex:
 
 @dataclass(frozen=True)
 class NormalVector:
-    """Primitive normal representative of a facet relative to a ridge."""
+    """Lattice normal of a facet relative to a ridge: ``representative``
+    generates the facet lattice modulo the ridge lattice and points into the
+    facet; :func:`normal_vector` says which representative it is."""
 
     facet: Cell
     ridge: Cell
@@ -219,25 +221,26 @@ def _minimal_face_through(cell: Cell, p) -> Cell:
 def normal_vector(facet: Cell, ridge: Cell) -> NormalVector:
     """Lattice normal of a facet relative to a codimension-one face.
 
-    The representative generates the facet lattice modulo the ridge lattice
-    and points from the ridge into the facet: a form vanishing on the ridge
-    and nonnegative on the facet is positive on it.
+    A facet inequality g tight on the ridge that vanishes on its directions
+    but not on the facet's cuts the ridge lattice out of the facet lattice,
+    so the representative is the facet lattice vector on which g takes its
+    least positive value (:func:`~tropint.kernel.least_positive_vector`).
+    Another such g changes it by a ridge lattice vector only.
     """
-    from .kernel import quotient_generator
-
-    if ridge.dim != facet.dim - 1 or not facet.contains_point(ridge.interior_point):
-        raise ValueError("ridge is not a codimension-one face of the facet")
-    u = quotient_generator(ridge.direction_lattice, facet.direction_lattice)
     p = ridge.interior_point
-    for f in facet.ineqs:
-        if f.value_at(p) == 0:
-            pairing = f.eval_direction(u)
-            if pairing == 0:
-                continue
-            if pairing < 0:
-                u = tuple(-x for x in u)
-            return NormalVector(facet, ridge, u)
-    raise ValueError("no facet inequality is tight on the ridge")
+    values = [f.value_at(p) for f in facet.ineqs]
+    directions = ridge.direction_lattice.vectors
+    if (ridge.dim != facet.dim - 1 or any(v < 0 for v in values)
+            or any(f.value_at(p) != 0 for f in facet.eqs)
+            or any(f.eval_direction(b) != 0 for f in facet.eqs for b in directions)):
+        raise ValueError("ridge is not a codimension-one face of the facet")
+    basis = facet.direction_lattice.vectors
+    for g, v in zip(facet.ineqs, values):
+        if v == 0 and all(g.eval_direction(b) == 0 for b in directions):
+            pairing = [g.eval_direction(b) for b in basis]
+            if any(pairing):
+                return NormalVector(facet, ridge, least_positive_vector(basis, pairing))
+    raise ValueError("no facet inequality cuts the ridge out of the facet")
 
 
 def is_balanced(c: WeightedComplex) -> BalanceReport:
@@ -263,30 +266,6 @@ def is_balanced(c: WeightedComplex) -> BalanceReport:
 # -- refinement, sums, equality ---------------------------------------------
 
 
-def refine_complex(c: WeightedComplex, forms) -> WeightedComplex:
-    """Refine every maximal cell along a hyperplane arrangement.
-
-    The arrangement is extended by all defining forms of the complex, which
-    keeps the output a complex and makes sign vectors over it identify
-    pieces; weights are inherited from the original cells.
-    """
-    extended = {h.sort_key(): h for h in collect_hyperplanes(c.cells)}
-    for h in forms:
-        extended.setdefault(h.sort_key(), h)
-    arrangement = tuple(extended[k] for k in sorted(extended))
-    out = {}
-    for cell, w in zip(c.cells, c.weights):
-        for piece in refine_cell(cell, arrangement):
-            key = sign_vector(piece, arrangement)
-            if key in out:
-                raise ValueError("refinement produced a duplicate piece; "
-                                 "input cells overlap in full dimension")
-            out[key] = (piece, w)
-    items = sorted(out.items())
-    return WeightedComplex(c.ambient_dim, c.dim,
-                           [p for _, (p, _) in items], [w for _, (_, w) in items])
-
-
 def _merged_weights(a: WeightedComplex, b: WeightedComplex):
     """Common-refinement pieces with the weight each side assigns to them."""
     forms = collect_hyperplanes(a.cells + b.cells)
@@ -302,12 +281,12 @@ def _merged_weights(a: WeightedComplex, b: WeightedComplex):
 
 def add(a: Cycle, b: Cycle) -> Cycle:
     """Sum of cycles: refine to a common complex and add weights."""
+    if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
+        raise ValueError("cannot add cycles of different dimension")
     if a.is_empty:
         return b.reduce()
     if b.is_empty:
         return a.reduce()
-    if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
-        raise ValueError("cannot add cycles of different dimension")
     merged = _merged_weights(a.complex, b.complex)
     cells, weights = [], []
     for piece, wa, wb in merged:
@@ -332,11 +311,11 @@ def scale(a: Cycle, m: int) -> Cycle:
 
 def cycles_equal(a: Cycle, b: Cycle) -> bool:
     """Equality up to refinement: the difference has empty nonzero part."""
+    if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
+        return False
     ra, rb = a.reduce(), b.reduce()
     if ra.is_empty or rb.is_empty:
         return ra.is_empty and rb.is_empty
-    if ra.ambient_dim != rb.ambient_dim or ra.dim != rb.dim:
-        return False
     return all(wa == wb for _, wa, wb in _merged_weights(ra.complex, rb.complex))
 
 

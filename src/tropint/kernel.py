@@ -445,47 +445,36 @@ class LatticeBasis:
         return mat_rank(list(self.vectors) + [v]) == self.rank
 
 
+def least_positive_vector(basis, values) -> IntVector:
+    """The vector sum y_i b_i of the lattice with basis (b_i) on which a
+    covector with integer values a_i on the b_i, not all zero, takes its
+    least positive value gcd(a); y is :func:`integer_solve`'s solution."""
+    g = gcd(*values)
+    if g == 0:
+        raise ValueError("the covector vanishes on the lattice")
+    return mat_vec(transpose(basis), integer_solve([values], (g,)))
+
+
 def quotient_generator(sub: LatticeBasis, sup: LatticeBasis) -> IntVector:
     """A vector of ``sup`` generating the rank-one quotient ``sup/sub``.
 
     Requires ``sub`` to be a corank-one sublattice of ``sup`` with
     torsion-free quotient (always the case for saturated lattices of nested
-    subspaces).  The result is unique up to sign and up to adding elements
-    of ``sub``.
+    subspaces).  The result is :func:`least_positive_vector` for the first
+    basis covector of the annihilator of ``sub`` that does not vanish on
+    ``sup``; any generator is unique up to sign and elements of ``sub``.
     """
     if sup.rank != sub.rank + 1:
         raise ValueError(f"rank mismatch: sub rank {sub.rank}, super rank {sup.rank}")
-    r = sup.rank
-    coords = []
-    for v in sub.vectors:
-        c = sup.coordinates(v)
-        if c is None:
-            raise ValueError("sub is not contained in super")
-        coords.append(c)
-    if r == 1:
-        return sup.vectors[0]
-    # A primitive covector w on Z^r vanishing on the coordinate lattice of
-    # sub; the quotient is torsion-free iff those coordinates are saturated.
-    sat = kernel_lattice(kernel_lattice(coords, r), r)
-    if hnf_basis(coords) != sat:
-        raise ValueError("torsion in quotient: sublattice is not saturated")
-    w = kernel_lattice(coords, r)
-    if len(w) != 1:
-        raise RuntimeError(f"expected a rank-1 annihilator of the sublattice, got rank {len(w)}")
-    w = primitive_part(w[0])
-    u_coord = _solve_unimodular(w)
-    out = [0] * sup.ambient_dim
-    for c, b in zip(u_coord, sup.vectors):
-        out = [a + c * x for a, x in zip(out, b)]
-    return tuple(out)
-
-
-def _solve_unimodular(w):
-    """Integer u with w . u = 1, for a primitive integer covector w."""
-    sol = integer_solve([list(w)], (1,))
-    if sol is None:
-        raise ValueError("covector is not primitive")
-    return sol
+    n = sup.ambient_dim
+    for w in kernel_lattice(sub.vectors, n):
+        values = [dot(w, b) for b in sup.vectors]
+        if any(values):
+            break
+    u = least_positive_vector(sup.vectors, values)
+    if LatticeBasis(n, sub.vectors + (u,)) != sup:
+        raise ValueError("torsion in the quotient, or sub is not contained in super")
+    return u
 
 
 def lattice_index(matrix, source: LatticeBasis, target: LatticeBasis) -> int:

@@ -1,14 +1,23 @@
 """Independent brute-force oracles shared by the test modules."""
 
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
-from tropint.cycles import refine_complex
-from tropint.kernel import QQ, rat_parts, solve_rational
+from tropint.cycles import WeightedComplex
+from tropint.kernel import (
+    QQ,
+    hnf_basis,
+    integer_solve,
+    kernel_lattice,
+    primitive_part,
+    rat_parts,
+    solve_rational,
+)
 from tropint.polyhedra import (
     AffineForm,
     Cell,
     collect_hyperplanes,
     form_from_rational,
     refine_cell,
+    sign_vector,
 )
 
 _ZERO = QQ(0)
@@ -403,6 +412,30 @@ def reference_linearity_regions(cell, terms):
 # -- refinement by an arrangement -------------------------------------------
 
 
+def refine_complex(c: WeightedComplex, forms) -> WeightedComplex:
+    """Refine every maximal cell along a hyperplane arrangement.
+
+    The arrangement is extended by all defining forms of the complex, which
+    keeps the output a complex and makes sign vectors over it identify
+    pieces; weights are inherited from the original cells.
+    """
+    extended = {h.sort_key(): h for h in collect_hyperplanes(c.cells)}
+    for h in forms:
+        extended.setdefault(h.sort_key(), h)
+    arrangement = tuple(extended[k] for k in sorted(extended))
+    out = {}
+    for cell, w in zip(c.cells, c.weights):
+        for piece in refine_cell(cell, arrangement):
+            key = sign_vector(piece, arrangement)
+            if key in out:
+                raise ValueError("refinement produced a duplicate piece; "
+                                 "input cells overlap in full dimension")
+            out[key] = (piece, w)
+    items = sorted(out.items())
+    return WeightedComplex(c.ambient_dim, c.dim,
+                           [p for _, (p, _) in items], [w for _, (_, w) in items])
+
+
 def refine_by_arrangement(cells, forms):
     """Refine several cells by a common hyperplane arrangement.
 
@@ -489,3 +522,46 @@ def _subst(constraint, pivot, j):
     factor = QQ(lin[j]) / QQ(plin[j])
     return (tuple(QQ(a) - factor * QQ(b) for a, b in zip(lin, plin)),
             QQ(c) - factor * QQ(pc))
+
+
+# -- lattice normals through coordinates in the facet lattice ----------------
+
+
+def reference_quotient_generator(sub, sup):
+    """A generator of sup/sub from the coordinates of sub in a basis of sup:
+    a saturation test (the kernel of the kernel), the primitive covector on
+    Z^r vanishing on those coordinates and an integer solution of w . u = 1."""
+    if sup.rank != sub.rank + 1:
+        raise ValueError(f"rank mismatch: sub rank {sub.rank}, super rank {sup.rank}")
+    r = sup.rank
+    coords = []
+    for v in sub.vectors:
+        c = sup.coordinates(v)
+        if c is None:
+            raise ValueError("sub is not contained in super")
+        coords.append(c)
+    if r == 1:
+        return sup.vectors[0]
+    if hnf_basis(coords) != kernel_lattice(kernel_lattice(coords, r), r):
+        raise ValueError("torsion in quotient: sublattice is not saturated")
+    (w,) = kernel_lattice(coords, r)
+    u_coord = integer_solve([list(primitive_part(w))], (1,))
+    out = [0] * sup.ambient_dim
+    for c, b in zip(u_coord, sup.vectors):
+        out = [a + c * x for a, x in zip(out, b)]
+    return tuple(out)
+
+
+def reference_normal_vector(facet, ridge):
+    """The lattice normal as a generator of the facet lattice modulo the
+    ridge lattice, turned to the side where a tight facet inequality that
+    does not vanish on it is positive."""
+    if ridge.dim != facet.dim - 1 or not facet.contains_point(ridge.interior_point):
+        raise ValueError("ridge is not a codimension-one face of the facet")
+    u = reference_quotient_generator(ridge.direction_lattice, facet.direction_lattice)
+    for f in facet.ineqs:
+        if f.value_at(ridge.interior_point) == 0:
+            pairing = f.eval_direction(u)
+            if pairing != 0:
+                return tuple(-x for x in u) if pairing < 0 else u
+    raise ValueError("no facet inequality is tight on the ridge")

@@ -8,7 +8,7 @@ run with `pytest tests/test_acceptance.py -v -s` to see them.
 import random
 from contextlib import contextmanager
 
-from oracles import count_lattice_points_in_parallelepiped
+from oracles import count_lattice_points_in_parallelepiped, refine_complex
 
 from tropint.cycles import (
     Cycle,
@@ -269,7 +269,6 @@ def test_criterion_9_property_suites():
             assert cycles_equal(lhs, rhs)
 
         # Refinement invariance of the divisor on five refined inputs.
-        from tropint.cycles import refine_complex
         from tropint.polyhedra import collect_hyperplanes
 
         cases = [

@@ -1,5 +1,5 @@
 import pytest
-from oracles import common_refinement
+from oracles import common_refinement, refine_complex
 
 from tropint.cycles import (
     Cycle,
@@ -10,7 +10,6 @@ from tropint.cycles import (
     is_balanced,
     negate,
     normal_vector,
-    refine_complex,
     rn_cycle,
     scale,
     standard_skeleton,
@@ -192,6 +191,22 @@ def test_add_group_axioms():
             assert cycles_equal(add(a, b), add(b, a))
     a, b, c = library[0], library[1], library[3]
     assert cycles_equal(add(add(a, b), c), add(a, add(b, c)))
+
+
+def test_add_and_equality_check_dimensions_when_a_summand_is_empty():
+    surface = standard_skeleton(3, 2)
+    zero = scale(standard_skeleton(2, 1), 0)
+    for empty in (Cycle.empty(2, 1), Cycle.empty(3, 1), Cycle.empty(2, 2), zero):
+        with pytest.raises(ValueError, match="different dimension"):
+            add(empty, surface)
+        with pytest.raises(ValueError, match="different dimension"):
+            add(surface, empty)
+        assert not cycles_equal(empty, surface) and not cycles_equal(surface, empty)
+    assert not cycles_equal(Cycle.empty(2, 1), Cycle.empty(3, 2))
+    assert not cycles_equal(Cycle.empty(2, 1), Cycle.empty(2, 0))
+    assert not cycles_equal(Cycle(complex_of(1, [(ray(1), 0)]), check=False), Cycle.empty(2, 1))
+    assert cycles_equal(zero, Cycle.empty(2, 1))
+    assert cycles_equal(add(Cycle.empty(3, 2), surface), surface)
 
 
 def test_add_same_support_doubles_weights():

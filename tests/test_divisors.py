@@ -105,7 +105,7 @@ def test_affine_divisor_is_zero():
 
 
 def test_divisor_respects_refinement():
-    from tropint.cycles import refine_complex
+    from oracles import refine_complex
     from tropint.polyhedra import collect_hyperplanes
 
     h = hyperplane_polynomial(2)
