@@ -95,11 +95,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def mat_vec(m, v):
     return tuple(dot(row, v) for row in m)
 
@@ -247,11 +242,32 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def hnf_basis(rows) -> tuple[IntVector, ...]:
-    """Nonzero rows of the HNF: the canonical basis of the row lattice."""
+    """Nonzero rows of the HNF: the canonical basis of the row lattice.
+
+    Rows already in that form come back as they are, with no elimination.
+    """
     if not rows:
         return ()
+    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    if _is_hnf_basis(rows):
+        return rows
     h, _ = hermite_normal_form(rows)
     return tuple(row for row in h if any(x != 0 for x in row))
+
+
+def _is_hnf_basis(rows) -> bool:
+    """Whether integer rows are the nonzero rows of a Hermite normal form:
+    positive leading entries in strictly increasing columns, and every entry
+    above a leading entry in ``[0, leading entry)``."""
+    last = -1
+    for i, row in enumerate(rows):
+        col = next((j for j, x in enumerate(row) if x != 0), None)
+        if col is None or col <= last or row[col] < 0:
+            return False
+        if any(not 0 <= above[col] < row[col] for above in rows[:i]):
+            return False
+        last = col
+    return True
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

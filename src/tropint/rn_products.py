@@ -6,6 +6,15 @@ then pushed forward along the first projection:
 
     C . D := project( psi_1 ... psi_n . (C x D) ).
 
+The computation stays local to the diagonal Delta.  A Weil divisor's
+weight at a ridge depends only on the cells containing that ridge, so a
+cell of psi_k ... psi_1 . (C x D) that meets Delta takes its weight from
+cells of the previous stage that meet Delta too.  Only the product cells
+sigma x tau with sigma and tau meeting are therefore built; the weights
+of every cell meeting Delta come out as on the full product.  The
+truncation leaves boundary junk on cells that never meet Delta, which the
+last stage drops by one test of an interior point against x = y.
+
 Degrees, Bezout verification, P^n-genericity and the degree-zero property
 of bounded functions on curves are all built on this product.
 """
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 
 from .cycles import (
     Cycle,
-    cartesian_product,
+    WeightedComplex,
     cycles_equal,
     rn_cycle,
     standard_skeleton,
@@ -31,7 +40,14 @@ from .divisors import (
 )
 from .library import diagonal_line, projection_map
 from .morphisms import Morphism, push_forward
-from .polyhedra import AffineForm, cell_contains_cell, collect_hyperplanes, refine_cell
+from .polyhedra import (
+    AffineForm,
+    _relint_lp,
+    cell_contains_cell,
+    collect_hyperplanes,
+    product_cell,
+    refine_cell,
+)
 
 
 def diagonal_divisors(n: int) -> list:
@@ -48,6 +64,9 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     """Intersection product of cycles in the same R^n.
 
     Empty in dimensions below zero (complementary defect); always balanced.
+    Only the product cells sigma x tau with sigma meeting tau enter the
+    diagonal divisors, and only the final cells on the diagonal are pushed
+    forward; the module docstring says why the result is the full product's.
     """
     if c.ambient_dim != d.ambient_dim:
         raise ValueError("cycles live in different ambient spaces")
@@ -55,12 +74,43 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     k, l = c.dim, d.dim
     if c.is_empty or d.is_empty or k + l < n:
         return Cycle.empty(n, k + l - n)
-    product = cartesian_product(c, d)
-    cut = divisor_chain(diagonal_divisors(n), product)
+    a, b = c.reduce().complex, d.reduce().complex
+    cells, weights = [], []
+    for sigma, ws in zip(a.cells, a.weights):
+        for tau, wt in zip(b.cells, b.weights):
+            if _cells_meet(sigma, tau):
+                cells.append(product_cell(sigma, tau))
+                weights.append(ws * wt)
+    local = Cycle(WeightedComplex(2 * n, k + l, cells, weights), check=False)
+    cut = _on_diagonal(divisor_chain(diagonal_divisors(n), local))
     if cut.is_empty:
         return Cycle.empty(n, k + l - n)
     pi = Morphism(projection_map(n), cut, rn_cycle(n))
     return push_forward(pi)
+
+
+def _cells_meet(sigma, tau) -> bool:
+    """Whether two closed cells of one R^n meet; two cones meet at the
+    origin, anything else takes one feasibility LP."""
+    forms = sigma.ineqs + sigma.eqs + tau.ineqs + tau.eqs
+    if all(f.constant == 0 for f in forms):
+        return True
+    point, _ = _relint_lp(sigma.ambient_dim, sigma.ineqs + tau.ineqs, sigma.eqs + tau.eqs)
+    return point is not None
+
+
+def _on_diagonal(cut: Cycle) -> Cycle:
+    """The cells of a cycle in R^n x R^n whose interior point has x = y.
+
+    On a cut of the truncated product a cell with nonzero weight either
+    lies in the diagonal or misses it, so the interior point decides.
+    """
+    n = cut.ambient_dim // 2
+    kept = [(cell, w) for cell, w in zip(cut.complex.cells, cut.complex.weights)
+            if cell.interior_point[:n] == cell.interior_point[n:]]
+    return Cycle(WeightedComplex(cut.ambient_dim, cut.dim,
+                                 [cell for cell, _ in kept], [w for _, w in kept]),
+                 check=False)
 
 
 def diagonal_cycle(n: int) -> Cycle:

@@ -1,9 +1,11 @@
 """Independent brute-force oracles shared by the test modules."""
 
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
-from tropint.cycles import WeightedComplex
+from tropint.cycles import Cycle, WeightedComplex, cartesian_product, rn_cycle
+from tropint.divisors import divisor_chain
 from tropint.kernel import (
     QQ,
+    dot,
     hnf_basis,
     integer_solve,
     kernel_lattice,
@@ -11,6 +13,8 @@ from tropint.kernel import (
     rat_parts,
     solve_rational,
 )
+from tropint.library import projection_map
+from tropint.morphisms import Morphism, push_forward
 from tropint.polyhedra import (
     AffineForm,
     Cell,
@@ -19,6 +23,7 @@ from tropint.polyhedra import (
     refine_cell,
     sign_vector,
 )
+from tropint.rn_products import diagonal_divisors
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -61,6 +66,11 @@ def count_lattice_points_in_parallelepiped(rows):
         if all(0 <= QQ(c) < 1 for c in sol):
             count += 1
     return count
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def reference_lp_max(n, objective, ineqs=(), eqs=()):
@@ -565,3 +575,16 @@ def reference_normal_vector(facet, ridge):
             if pairing != 0:
                 return tuple(-x for x in u) if pairing < 0 else u
     raise ValueError("no facet inequality is tight on the ridge")
+
+
+def reference_stable_intersect(c, d):
+    """Stable intersection through the full product: all n diagonal
+    divisors on every cell of C x D, then the first projection."""
+    n = c.ambient_dim
+    k, l = c.dim, d.dim
+    if c.is_empty or d.is_empty or k + l < n:
+        return Cycle.empty(n, k + l - n)
+    cut = divisor_chain(diagonal_divisors(n), cartesian_product(c, d))
+    if cut.is_empty:
+        return Cycle.empty(n, k + l - n)
+    return push_forward(Morphism(projection_map(n), cut, rn_cycle(n)))

@@ -8,6 +8,9 @@ probing and compare faces by canonical key, so both must give the same
 sets.
 """
 
+import importlib
+import pkgutil
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -16,7 +19,8 @@ from oracles import (
     reference_ridges,
 )
 
-import tropint.polyhedra as polyhedra
+import tropint
+import tropint._simplex as simplex
 from tropint.cycles import cartesian_product, rn_cycle
 from tropint.divisors import TropicalPolynomial, _split_one, linearize_many, weil_divisor
 from tropint.polyhedra import AffineForm, Cell, collect_hyperplanes, hyperplane_form
@@ -87,14 +91,18 @@ def test_faces_match_reference(system):
 
 
 def _count_lps(monkeypatch):
+    """Count ``lp_max`` calls, rebound in every tropint module that holds it."""
     calls = []
-    real = polyhedra.lp_max
+    real = simplex.lp_max
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(polyhedra, "lp_max", counting)
+    for info in pkgutil.iter_modules(tropint.__path__):
+        module = importlib.import_module(f"tropint.{info.name}")
+        if getattr(module, "lp_max", None) is real:
+            monkeypatch.setattr(module, "lp_max", counting)
     return calls
 
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import count_lattice_points_in_parallelepiped
+from oracles import count_lattice_points_in_parallelepiped, mat_mul
 
 from tropint.kernel import (
     QQ,
@@ -15,7 +17,6 @@ from tropint.kernel import (
     kernel_lattice,
     lattice_index,
     mat_det,
-    mat_mul,
     mat_rank,
     mat_vec,
     primitive_part,
@@ -63,6 +64,57 @@ def test_hnf_row_span_preserved():
             assert integer_solve(list(zip(*rows)), v) is not None
         for v in rows:
             assert integer_solve(list(zip(*h)), v) is not None
+
+
+@st.composite
+def hnf_shaped(draw):
+    """Rows of Hermite normal form shape: positive leading entries in
+    strictly increasing columns, entries above them in [0, leading)."""
+    ncols = draw(st.integers(1, 4))
+    cols = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+    rows = []
+    for col in cols:
+        pivot = draw(st.integers(1, 4))
+        # Earlier rows were drawn freely in this column; bring them into range.
+        for above in rows:
+            above[col] = draw(st.integers(0, pivot - 1))
+        rows.append([0] * col + [pivot] + [draw(st.integers(-4, 4))
+                                           for _ in range(ncols - col - 1)])
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hnf_shaped(), st.sampled_from(("hnf", "above", "negative", "zero", "dependent",
+                                      "random")), st.data())
+def test_hnf_basis_matches_full_elimination(shape, kind, data):
+    rows, cols = shape
+    ncols = len(rows[0])
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if kind == "above" and i > 0:
+        rows[data.draw(st.integers(0, i - 1))][cols[i]] = rows[i][cols[i]]
+    elif kind == "negative":
+        rows[i] = [-x for x in rows[i]]
+    elif kind == "zero":
+        rows.insert(i, [0] * ncols)
+    elif kind == "dependent":
+        k = data.draw(st.integers(-2, 2))
+        rows.append([a + k * b for a, b in zip(rows[i], rows[-1])])
+    elif kind == "random":
+        rows = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=ncols,
+                                           max_size=ncols), min_size=1, max_size=4))
+    h, _ = hermite_normal_form(rows)
+    assert hnf_basis(rows) == tuple(row for row in h if any(row))
+
+
+def test_hnf_basis_of_an_hnf_basis_runs_no_elimination(monkeypatch):
+    import tropint.kernel as kernel
+
+    def fail(m):
+        raise AssertionError("hermite_normal_form called on an HNF basis")
+
+    monkeypatch.setattr(kernel, "hermite_normal_form", fail)
+    assert hnf_basis([(2, 1, 5), (0, 3, -1)]) == ((2, 1, 5), (0, 3, -1))
+    assert hnf_basis(identity_matrix(3)) == identity_matrix(3)
 
 
 def test_smith_examples():
