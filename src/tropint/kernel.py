@@ -17,20 +17,16 @@ to the last pivot d = det(B), so the pivot rows of T divided by d are the
 reduced row echelon form.  The exact simplex in :mod:`._simplex` pivots
 with the same step.
 
-``QQ`` is ``gmpy2.mpq`` when available (considerably faster) and falls back
-to ``fractions.Fraction``.  Both are exact, hashable and normalized to
-lowest terms with positive denominator.
+``QQ`` is ``fractions.Fraction``: exact, hashable and normalized to lowest
+terms with positive denominator.  Integer entries are taken as they are and
+never truncated: :func:`int_vector` rejects a non-integer one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction as QQ
 from math import gcd, lcm
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a normal install requirement
-    from fractions import Fraction as QQ
 
 IntVector = tuple  # tuple of ints
 RatVector = tuple  # tuple of QQ / int
@@ -46,6 +42,23 @@ def rat_parts(x) -> tuple[int, int]:
     """(numerator, denominator) of a rational or int, as plain ints."""
     q = QQ(x)
     return int(q.numerator), int(q.denominator)
+
+
+def int_vector(v) -> IntVector:
+    """The entries of v as a tuple of ints.
+
+    Ints pass as they are; any other number passes only if it is an integer
+    (a rational with denominator 1), else ValueError.
+    """
+    out = []
+    for x in v:
+        if type(x) is not int:
+            q = QQ(x)
+            if q.denominator != 1:
+                raise ValueError(f"non-integer entry {x}")
+            x = q.numerator
+        out.append(x)
+    return tuple(out)
 
 
 def dot(a, b):
@@ -201,7 +214,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     to ``[0, pivot)``.  The rows of ``H`` generate the same lattice as the
     rows of ``m``.
     """
-    h = [[int(x) for x in row] for row in m]
+    h = [list(int_vector(row)) for row in m]
     nrows = len(h)
     ncols = len(h[0]) if nrows else 0
     u = [list(row) for row in identity_matrix(nrows)]
@@ -248,7 +261,7 @@ def hnf_basis(rows) -> tuple[IntVector, ...]:
     """
     if not rows:
         return ()
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    rows = tuple(int_vector(row) for row in rows)
     if _is_hnf_basis(rows):
         return rows
     h, _ = hermite_normal_form(rows)
@@ -275,7 +288,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     ``S`` is diagonal with nonnegative entries satisfying d_1 | d_2 | ... .
     """
-    s = [[int(x) for x in row] for row in m]
+    s = [list(int_vector(row)) for row in m]
     nrows = len(s)
     ncols = len(s[0]) if nrows else 0
     u = [list(row) for row in identity_matrix(nrows)]

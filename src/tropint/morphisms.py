@@ -27,6 +27,7 @@ from .divisors import (
 from .kernel import (
     QQ,
     dot,
+    int_vector,
     kernel_lattice,
     lattice_index,
     mat_rank,
@@ -52,8 +53,7 @@ class IntegerLinearMap:
     matrix: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix))
+        object.__setattr__(self, "matrix", tuple(int_vector(row) for row in self.matrix))
 
     @property
     def target_dim(self):

@@ -18,6 +18,7 @@ from .kernel import (
     LatticeBasis,
     dot,
     echelon,
+    int_vector,
     kernel_lattice,
     rat_parts,
     vec_gcd,
@@ -40,7 +41,7 @@ class AffineForm:
     constant: object  # exact rational
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", tuple(int(x) for x in self.linear))
+        object.__setattr__(self, "linear", int_vector(self.linear))
         object.__setattr__(self, "constant", QQ(self.constant))
 
     def value_at(self, point):
@@ -101,15 +102,16 @@ class Cell:
     among the inequalities, so every listed inequality is strict on the
     relative interior, which is all the predicates here rely on.  The list
     may still hold redundant members.  :meth:`canonical_cell` drops them,
-    lazily and at one LP per inequality; in the irredundant system it
-    leaves, every inequality cuts out its own facet, which is what
-    :meth:`faces_of_codim_one` relies on.
+    lazily and at one LP per inequality g: "g = 0, the others >= t".  The
+    LP keeps g exactly when t > 0, and its point then lies in the relative
+    interior of g's facet, so :meth:`faces_of_codim_one` builds the facets
+    from those points with no LP.
     """
 
     __slots__ = (
         "ambient_dim", "ineqs", "eqs", "dim", "interior_point",
-        "direction_lattice", "_canonical", "_canonical_cell", "_faces",
-        "_recession",
+        "direction_lattice", "_canonical", "_facet_points", "_canonical_cell",
+        "_faces", "_recession",
     )
 
     def __init__(self, ambient_dim, ineqs, eqs, dim, interior_point, direction_lattice):
@@ -120,6 +122,7 @@ class Cell:
         self.interior_point = tuple(QQ(x) for x in interior_point)
         self.direction_lattice = direction_lattice
         self._canonical = None
+        self._facet_points = None
         self._canonical_cell = None
         self._faces = None
         self._recession = None
@@ -226,20 +229,15 @@ class Cell:
         inequalities that cut them out.
 
         Each canonical inequality g defines its own facet, on which g = 0 is
-        the only new equality and every other inequality is strict
-        somewhere, so one relative-interior LP builds it.
+        the only new equality; canonicalization left a point of its relative
+        interior, so no LP is needed here.
         """
         if self._faces is None:
             cell = self.canonical_cell()
-            faces = []
-            for i, g in enumerate(cell.ineqs):
-                ineqs = cell.ineqs[:i] + cell.ineqs[i + 1:]
-                eqs = cell.eqs + (hyperplane_form(g),)
-                point, slack = _relint_lp(self.ambient_dim, ineqs, eqs)
-                if point is None or slack <= 0:
-                    raise RuntimeError("a canonical inequality cuts out no facet")
-                faces.append(Cell._at_point(self.ambient_dim, ineqs, eqs, point))
-            self._faces = tuple(faces)
+            self._faces = tuple(
+                Cell._at_point(self.ambient_dim, cell.ineqs[:i] + cell.ineqs[i + 1:],
+                               cell.eqs + (hyperplane_form(g),), point)
+                for i, (g, point) in enumerate(zip(cell.ineqs, cell._facet_points)))
         return self._faces
 
     def recession_cone(self) -> "Cell":
@@ -275,7 +273,7 @@ class Cell:
     def canonical_key(self):
         """Hashable key equal for two cells iff they are the same set."""
         if self._canonical is None:
-            self._canonical = self._canonicalize()
+            self._canonical, self._facet_points = self._canonicalize()
         return self._canonical
 
     @property
@@ -315,18 +313,19 @@ class Cell:
                 h = AffineForm(row[:n], row[n] / d)
             reduced.setdefault(h.sort_key(), h)
         candidates = [reduced[k] for k in sorted(reduced)]
-        kept = list(candidates)
+        kept, points = list(candidates), []
         for g in candidates:
-            others = [h for h in kept if h is not g]
-            if _max_capped(n, g.negated(), others, canon_eqs) <= 0:
+            # No other candidate is a positive multiple of g on the hull, so
+            # the others are strict somewhere on g = 0 exactly when g cuts out
+            # a facet; a g constant on the hull makes g = 0 infeasible.
+            point, slack = _relint_lp(n, [h for h in kept if h is not g], canon_eqs + (g,))
+            if point is None or slack <= 0:
                 kept.remove(g)
-        canon_ineqs = tuple(sorted(kept, key=AffineForm.sort_key))
-        return (
-            n,
-            self.dim,
-            tuple(f.sort_key() for f in canon_eqs),
-            tuple(f.sort_key() for f in canon_ineqs),
-        )
+            else:
+                points.append(point)
+        key = (n, self.dim, tuple(f.sort_key() for f in canon_eqs),
+               tuple(f.sort_key() for f in kept))
+        return key, tuple(points)
 
     def canonical_cell(self) -> "Cell":
         """The same set with irredundant, canonically reduced constraints."""
@@ -336,7 +335,7 @@ class Cell:
                 ineqs=tuple(AffineForm(lin, QQ(p, q)) for lin, (p, q) in in_keys),
                 eqs=tuple(AffineForm(lin, QQ(p, q)) for lin, (p, q) in eq_keys),
             )
-            cell._canonical = self._canonical
+            cell._canonical, cell._facet_points = self._canonical, self._facet_points
             cell._canonical_cell = cell
             self._canonical_cell = cell
         return self._canonical_cell

@@ -1,7 +1,7 @@
 """Faces, ridges and linearity regions against their general constructions.
 
-The library builds facets from the canonical system with one LP each,
-matches ridges by affine hull and a relative-interior point, and cuts
+The library builds facets from the points canonicalization leaves, with no
+LP, matches ridges by affine hull and a relative-interior point, and cuts
 linearity regions on the hull of the cell.  The oracles build every face
 and region as a new cell from all constraints, find implied equalities by
 probing and compare faces by canonical key, so both must give the same
@@ -82,12 +82,16 @@ def test_faces_match_reference(system):
     cell = Cell.try_from_constraints(3, ineqs, eqs)
     assert cell is not None
     faces = cell.faces_of_codim_one()
-    assert _keys(faces) == _keys(reference_faces_of_codim_one(cell))
+    reference = {f.canonical_key: f for f in reference_faces_of_codim_one(cell)}
+    assert _keys(faces) == sorted(reference)
     assert len(faces) == len(set(f.canonical_key for f in faces))
     for face in faces:
         assert face.dim == cell.dim - 1
         assert face.relative_interior_contains(face.interior_point)
         assert cell.contains_point(face.interior_point)
+        # The reference face lists every constraint of the cell, so a point
+        # handed on from the boundary of the facet fails here.
+        assert reference[face.canonical_key].relative_interior_contains(face.interior_point)
 
 
 def _count_lps(monkeypatch):
@@ -106,17 +110,19 @@ def _count_lps(monkeypatch):
     return calls
 
 
-def test_one_lp_per_face_of_a_canonical_cell(monkeypatch):
+def test_one_lp_per_inequality_and_none_per_face(monkeypatch):
     cube = Cell.from_constraints(3, [AffineForm(v, 1) for v in (
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
         + [AffineForm((1, 1, 0), 5)])  # redundant
-    canon = cube.canonical_cell()
     calls = _count_lps(monkeypatch)
-    faces = canon.faces_of_codim_one()
-    assert len(faces) == 6 and len(calls) == 6
+    canon = cube.canonical_cell()
+    assert len(calls) == 7  # one per distinct reduced inequality
+    faces = cube.faces_of_codim_one()
+    assert len(faces) == 6 and len(calls) == 7
     # In the canonical order, each face lists g = 0 once, among the equalities.
     for g, face in zip(canon.ineqs, faces):
         assert g not in face.ineqs and face.eqs == (hyperplane_form(g),)
+        assert face.relative_interior_contains(face.interior_point)
 
 
 def test_inequality_on_a_listed_equality_needs_no_probe(monkeypatch):

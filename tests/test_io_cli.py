@@ -260,22 +260,23 @@ def test_cli_output_bytes_deterministic_across_processes():
     assert first == second and first.startswith(b"{")
 
 
-def test_fraction_fallback_without_gmpy2():
+def test_tropint_never_imports_gmpy2():
     script = (
-        "import sys; sys.modules['gmpy2'] = None\n"
+        "import sys\n"
         "from fractions import Fraction\n"
-        "import tropint.kernel as k\n"
-        "assert k.QQ is Fraction\n"
-        "from tropint.cycles import standard_skeleton, cycles_equal, is_balanced\n"
+        "import tropint\n"
+        "assert tropint.QQ is Fraction\n"
+        "from tropint.cycles import standard_skeleton, is_balanced\n"
         "from tropint.rn_products import stable_intersect, degree\n"
         "line = standard_skeleton(2, 1)\n"
         "assert is_balanced(line.complex).balanced\n"
         "assert degree(stable_intersect(line, line)) == 1\n"
-        "print('fallback-ok')\n"
+        "assert 'gmpy2' not in sys.modules\n"
+        "print('fraction-only')\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
                          env=_child_env())
-    assert b"fallback-ok" in out.stdout
+    assert b"fraction-only" in out.stdout
 
 
 def test_example_documents_roundtrip_all():

@@ -117,6 +117,18 @@ def test_hnf_basis_of_an_hnf_basis_runs_no_elimination(monkeypatch):
     assert hnf_basis(identity_matrix(3)) == identity_matrix(3)
 
 
+def test_non_integer_entries_are_rejected_not_truncated():
+    half = QQ(1, 2)
+    with pytest.raises(ValueError):
+        LatticeBasis(2, ((half, 1),))
+    for elimination in (hnf_basis, hermite_normal_form, smith_normal_form):
+        with pytest.raises(ValueError):
+            elimination([(half, 1)])
+    # Integers written as rationals pass, as plain ints.
+    basis = LatticeBasis(2, ((QQ(2), 1),))
+    assert basis.vectors == ((2, 1),) and type(basis.vectors[0][0]) is int
+
+
 def test_smith_examples():
     s, u, v = smith_normal_form(((2, 0), (0, 2)))
     assert s == ((2, 0), (0, 2))

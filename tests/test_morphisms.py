@@ -133,6 +133,12 @@ def test_pushforward_functoriality():
     assert cycles_equal(via_composite, via_steps)
 
 
+def test_integer_linear_map_rejects_non_integer_entries():
+    with pytest.raises(ValueError):
+        IntegerLinearMap(((QQ(3, 2), 1),))
+    assert IntegerLinearMap(((QQ(3, 1), 1),)).matrix == ((3, 1),)
+
+
 def test_morphism_validation():
     line = standard_skeleton(2, 1)
     with pytest.raises(ValueError, match="leaves the target"):

@@ -49,6 +49,13 @@ def test_canonicalize_simplicial_cone_r3():
     assert c.same_set(via_rays)
 
 
+def test_affine_form_rejects_a_non_integer_linear_part():
+    with pytest.raises(ValueError):
+        AffineForm((QQ(1, 2), 1), 0)
+    f = AffineForm((QQ(4, 2), 1), QQ(1, 2))
+    assert f.linear == (2, 1) and type(f.linear[0]) is int
+
+
 def test_empty_cell():
     assert Cell.try_from_constraints(1, [AffineForm((1,), -1), AffineForm((-1,), 0)]) is None
     with pytest.raises(EmptyCellError):
