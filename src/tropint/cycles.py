@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .kernel import QQ, least_positive_vector, vec_add, vec_scale
+from .kernel import QQ, int_vector, least_positive_vector, vec_add, vec_scale
 from .polyhedra import (
     Cell,
     cell_contains_cell,
@@ -39,7 +39,7 @@ class WeightedComplex:
         self.ambient_dim = ambient_dim
         self.dim = dim
         self.cells = tuple(cells)
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = int_vector(weights)
         if len(self.cells) != len(self.weights):
             raise ValueError("one weight per maximal cell required")
         self._ridges = None
@@ -66,7 +66,10 @@ class WeightedComplex:
                                [c for c, _ in kept], [w for _, w in kept])
 
     def ridges(self):
-        """Codimension-one cells with the indices of their adjacent facets.
+        """Codimension-one cells with the indices of their adjacent facets
+        and the lattice normal of each facet: the vector of the facet lattice
+        on which the inequality that cut the face out of the canonical cell
+        (see :meth:`Cell.faces_of_codim_one`) is least positive.
 
         Faces are matched by their affine hulls and then by a relative
         interior point, which presumes that maximal cells meet in faces
@@ -77,16 +80,20 @@ class WeightedComplex:
         if self._ridges is None:
             buckets, ridges = {}, []
             for idx, cell in enumerate(self.cells):
-                for face in cell.faces_of_codim_one():
+                basis = cell.direction_lattice.vectors
+                for face, g in zip(cell.faces_of_codim_one(), cell.canonical_cell().ineqs):
+                    u = least_positive_vector(basis, [g.eval_direction(b) for b in basis])
                     bucket = buckets.setdefault(face.hull_key, [])
-                    for ridge, idxs in bucket:
+                    for ridge, idxs, normals in bucket:
                         if ridge.contains_point(face.interior_point):
                             idxs.append(idx)
+                            normals.append(u)
                             break
                     else:
-                        bucket.append((face, [idx]))
+                        bucket.append((face, [idx], [u]))
                         ridges.append(bucket[-1])
-            self._ridges = tuple((face, tuple(idxs)) for face, idxs in ridges)
+            self._ridges = tuple((face, tuple(idxs), tuple(normals))
+                                 for face, idxs, normals in ridges)
         return self._ridges
 
     def __repr__(self):
@@ -225,7 +232,9 @@ def normal_vector(facet: Cell, ridge: Cell) -> NormalVector:
     but not on the facet's cuts the ridge lattice out of the facet lattice,
     so the representative is the facet lattice vector on which g takes its
     least positive value (:func:`~tropint.kernel.least_positive_vector`).
-    Another such g changes it by a ridge lattice vector only.
+    Another such g changes it by a ridge lattice vector only.  This is the
+    validated entry point for any pair; the library's own loops read the
+    normals :meth:`WeightedComplex.ridges` carries.
     """
     p = ridge.interior_point
     values = [f.value_at(p) for f in facet.ineqs]
@@ -246,17 +255,16 @@ def normal_vector(facet: Cell, ridge: Cell) -> NormalVector:
 def is_balanced(c: WeightedComplex) -> BalanceReport:
     """Check the balancing condition at every ridge of the nonzero part.
 
-    The weighted sum of normal representatives must lie in the linear span
-    of the ridge; membership is an exact rank comparison, so no choice of
-    representatives matters.  Maximal cells must meet in faces (see
+    The weighted sum of the normals the ridges carry must lie in the linear
+    span of the ridge; membership is an exact rank comparison, so no choice
+    of representatives matters.  Maximal cells must meet in faces (see
     :func:`validate_complex`), or the ridges are not matched up correctly.
     """
     reduced = c.nonzero_part()
     n = c.ambient_dim
-    for ridge, idxs in reduced.ridges():
+    for ridge, idxs, normals in reduced.ridges():
         s = (0,) * n
-        for i in idxs:
-            v = normal_vector(reduced.cells[i], ridge).representative
+        for i, v in zip(idxs, normals):
             s = vec_add(s, vec_scale(reduced.weights[i], v))
         if not ridge.direction_lattice.spans_vector(s):
             return BalanceReport(False, ridge, s)

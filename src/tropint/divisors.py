@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import Cycle, WeightedComplex, normal_vector
+from .cycles import Cycle, WeightedComplex
 from .kernel import (
     QQ,
     LatticeBasis,
@@ -249,34 +249,23 @@ def _ridge_weights(phi, cycle: Cycle):
 
     Returns the linearized complex, the affine form of the function on each
     of its cells, and per ridge the triple (ridge, divisor weight, form on
-    the first adjacent cell).
+    the first adjacent cell).  The normals are those
+    :meth:`~tropint.cycles.WeightedComplex.ridges` carries.
     """
     base = cycle.reduce()
     cx, (forms,) = linearize_many([phi], base.complex)
-    cx = _with_canonical_cells(cx)
     n = cx.ambient_dim
     out = []
-    for ridge, idxs in cx.ridges():
+    for ridge, idxs, normals in cx.ridges():
         s = (0,) * n
         acc = 0
-        for i in idxs:
-            v = normal_vector(cx.cells[i], ridge).representative
+        for i, v in zip(idxs, normals):
             w = cx.weights[i]
             s = vec_add(s, vec_scale(w, v))
             acc += w * dot(forms[i].linear, v)
         form = forms[idxs[0]]
         out.append((ridge, acc - dot(form.linear, s), form))
     return cx, forms, out
-
-
-def _with_canonical_cells(cx: WeightedComplex) -> WeightedComplex:
-    """Trim inherited redundant constraints before face enumeration.
-
-    Cells accumulate constraints through products and refinements; pruning
-    to the facet-defining system once keeps the per-ridge work small.
-    """
-    return WeightedComplex(cx.ambient_dim, cx.dim,
-                           [c.canonical_cell() for c in cx.cells], cx.weights)
 
 
 def weil_divisor(phi, cycle: Cycle) -> Cycle:

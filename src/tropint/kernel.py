@@ -79,7 +79,7 @@ def vec_scale(c, a):
 def vec_gcd(v) -> int:
     g = 0
     for x in v:
-        g = gcd(g, abs(int(x)))
+        g = gcd(g, abs(x))
     return g
 
 
@@ -89,10 +89,11 @@ def primitive_part(v: IntVector) -> IntVector:
     The result generates the same ray as ``v`` and has coprime coordinates.
     Raises on the zero vector, which spans no ray.
     """
+    v = int_vector(v)
     g = vec_gcd(v)
     if g == 0:
         raise ValueError("no primitive part of zero")
-    return tuple(int(x) // g for x in v)
+    return tuple(x // g for x in v)
 
 
 def clear_denominators(v) -> IntVector:

@@ -572,7 +572,7 @@ def cone_from_rays(rays, ambient_dim) -> Cell:
     """
     from .kernel import solve_rational, subspace_lattice
 
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = tuple(int_vector(r) for r in rays)
     if not rays:
         return point_cell((0,) * ambient_dim)
     lattice = subspace_lattice(rays, ambient_dim)
@@ -603,7 +603,7 @@ def ray_cell(base, direction) -> Cell:
     from .kernel import subspace_lattice
 
     base = tuple(QQ(x) for x in base)
-    d = tuple(int(x) for x in direction)
+    d = int_vector(direction)
     n = len(base)
     eqs = tuple(AffineForm(a, -dot(a, base)) for a in kernel_lattice([d], n))
     ineq = AffineForm(d, -dot(d, base))

@@ -82,6 +82,13 @@ def test_nonzero_part():
     assert again.cells == reduced.cells
 
 
+def test_weighted_complex_rejects_non_integer_weights():
+    with pytest.raises(ValueError):
+        WeightedComplex(2, 1, [ray_cell((0, 0), (1, 0))], [QQ(3, 2)])
+    cx = WeightedComplex(2, 1, [ray_cell((0, 0), (1, 0))], [QQ(4, 2)])
+    assert cx.weights == (2,) and type(cx.weights[0]) is int
+
+
 def test_normal_vector_ray_over_origin():
     nv = normal_vector(ray(-1, 0), point_cell((0, 0)))
     assert nv.representative == (-1, 0)

@@ -265,7 +265,7 @@ def test_divisor_weights_independent_of_normal_representative():
     # Recompute every ridge weight with normal representatives shifted by
     # ridge-lattice vectors; the formula must not notice.
     from tropint.cycles import normal_vector
-    from tropint.divisors import linearize_many, _with_canonical_cells
+    from tropint.divisors import linearize_many
     from tropint.kernel import dot, vec_add, vec_scale
 
     for phi, cyc in [
@@ -275,10 +275,11 @@ def test_divisor_weights_independent_of_normal_representative():
     ]:
         reference = weil_divisor_complex(phi, cyc)
         cx, (forms,) = linearize_many([phi], cyc.reduce().complex)
-        cx = _with_canonical_cells(cx)
+        cx = WeightedComplex(cx.ambient_dim, cx.dim,
+                             [c.canonical_cell() for c in cx.cells], cx.weights)
         n = cx.ambient_dim
         recomputed = {}
-        for ridge, idxs in cx.ridges():
+        for ridge, idxs, _ in cx.ridges():
             shift_pool = ridge.direction_lattice.vectors or ((0,) * n,)
             s = (0,) * n
             acc = 0

@@ -164,7 +164,7 @@ def _random_polynomial(draw, n, degree):
 
 def _assert_ridges_match(cx):
     ridges = cx.ridges()
-    got = {face.canonical_key: idxs for face, idxs in ridges}
+    got = {face.canonical_key: idxs for face, idxs, _ in ridges}
     assert len(got) == len(ridges)
     assert got == reference_ridges(cx)
 

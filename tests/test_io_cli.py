@@ -260,6 +260,19 @@ def test_cli_output_bytes_deterministic_across_processes():
     assert first == second and first.startswith(b"{")
 
 
+def test_cli_rejects_unbalanced_cycle_under_python_O(tmp_path):
+    # Optimized mode strips assert statements; the checks must still run.
+    ray = tmp_path / "ray.json"
+    ray.write_text(json.dumps({
+        "kind": "cycle", "ambient_dim": 2, "dim": 1,
+        "cells": [{"ineqs": [[1, 0, 0]], "eqs": [[0, 1, 0]], "weight": 1}],
+    }))
+    for command in ("validate", "degree"):
+        cmd = [sys.executable, "-O", "-m", "tropint.cli", command, str(ray)]
+        done = subprocess.run(cmd, capture_output=True, env=_child_env())
+        assert done.returncode == 1, (command, done.stdout, done.stderr)
+
+
 def test_tropint_never_imports_gmpy2():
     script = (
         "import sys\n"

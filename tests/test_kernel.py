@@ -23,6 +23,7 @@ from tropint.kernel import (
     quotient_generator,
     smith_normal_form,
     subspace_lattice,
+    vec_gcd,
 )
 
 
@@ -115,6 +116,15 @@ def test_hnf_basis_of_an_hnf_basis_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(kernel, "hermite_normal_form", fail)
     assert hnf_basis([(2, 1, 5), (0, 3, -1)]) == ((2, 1, 5), (0, 3, -1))
     assert hnf_basis(identity_matrix(3)) == identity_matrix(3)
+
+
+def test_primitive_part_rejects_non_integer_entries():
+    with pytest.raises(ValueError):
+        primitive_part((QQ(1, 2), 1))
+    assert primitive_part((QQ(4), 6)) == (2, 3)
+    # vec_gcd takes ints only; it no longer truncates a rational to one.
+    with pytest.raises(TypeError):
+        vec_gcd((QQ(1, 2), 2))
 
 
 def test_non_integer_entries_are_rejected_not_truncated():

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from oracles import reference_normal_vector, reference_quotient_generator
 from test_faces import _random_polynomial, systems
 
-from tropint.cycles import cartesian_product, normal_vector, rn_cycle
+from tropint.cycles import cartesian_product, is_balanced, normal_vector, rn_cycle
 from tropint.divisors import linearize_many, weil_divisor
 from tropint.kernel import LatticeBasis, hnf_basis, mat_rank, quotient_generator, subspace_lattice
+from tropint.library import conic_curve
 from tropint.polyhedra import AffineForm, Cell, point_cell, ray_cell
 from tropint.rn_products import diagonal_divisors
 
@@ -32,7 +33,10 @@ def _cutting_inequalities(facet, ridge):
 
 
 def _assert_normal_matches_reference(facet, ridge):
-    u = normal_vector(facet, ridge).representative
+    _assert_is_reference_normal(facet, ridge, normal_vector(facet, ridge).representative)
+
+
+def _assert_is_reference_normal(facet, ridge, u):
     ref = reference_normal_vector(facet, ridge)
     assert ridge.direction_lattice.spans_vector(tuple(a - b for a, b in zip(u, ref)))
     assert hnf_basis(ridge.direction_lattice.vectors + (u,)) == facet.direction_lattice.vectors
@@ -54,9 +58,13 @@ def test_normals_of_faces_of_random_cells_match_reference(system):
 
 
 def _assert_ridge_normals_match_reference(cx):
-    for ridge, idxs in cx.ridges():
-        for i in idxs:
+    for ridge, idxs, normals in cx.ridges():
+        for i, u in zip(idxs, normals):
             _assert_normal_matches_reference(cx.cells[i], ridge)
+            # The normal a ridge carries is the one the validated entry point
+            # finds on the canonical cell, where one inequality cuts the ridge.
+            _assert_is_reference_normal(cx.cells[i], ridge, u)
+            assert u == normal_vector(cx.cells[i].canonical_cell(), ridge).representative
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -82,6 +90,30 @@ def test_normals_of_linearized_products_match_reference(data):
         _assert_ridge_normals_match_reference(cx)
         cut = weil_divisor(phi, cut)
         assume(not cut.is_empty)
+
+
+def _divisor_and_balance_run():
+    """The conic and one diagonal divisor step in R^4 on conic x conic,
+    built fresh, as canonical keys with weights, after checking balance."""
+    conic = conic_curve()
+    step = weil_divisor(diagonal_divisors(2)[-1], cartesian_product(conic, conic_curve()))
+    out = []
+    for cycle in (conic, step):
+        assert is_balanced(cycle.complex)
+        out.append(sorted(zip((c.canonical_key for c in cycle.complex.cells),
+                              cycle.complex.weights)))
+    return out
+
+
+def test_divisors_and_balancing_read_normals_from_ridges(monkeypatch):
+    expected = _divisor_and_balance_run()
+
+    def refuse(facet, ridge):
+        raise AssertionError("normal_vector called")
+
+    for module in ("tropint.cycles", "tropint.divisors"):
+        monkeypatch.setattr(f"{module}.normal_vector", refuse, raising=False)
+    assert _divisor_and_balance_run() == expected
 
 
 @st.composite

@@ -56,6 +56,19 @@ def test_affine_form_rejects_a_non_integer_linear_part():
     assert f.linear == (2, 1) and type(f.linear[0]) is int
 
 
+def test_ray_cell_rejects_a_non_integer_direction():
+    with pytest.raises(ValueError):
+        ray_cell((0, 0), (QQ(1, 2), 1))
+    ray = ray_cell((0, 0), (QQ(2), 1))
+    assert ray.same_set(ray_cell((0, 0), (2, 1))) and type(ray.ineqs[0].linear[0]) is int
+
+
+def test_cone_from_rays_rejects_a_non_integer_ray():
+    with pytest.raises(ValueError):
+        cone_from_rays([(QQ(3, 2), 1)], 2)
+    assert cone_from_rays([(QQ(3), 1)], 2).same_set(cone_from_rays([(3, 1)], 2))
+
+
 def test_empty_cell():
     assert Cell.try_from_constraints(1, [AffineForm((1,), -1), AffineForm((-1,), 0)]) is None
     with pytest.raises(EmptyCellError):
