@@ -38,7 +38,6 @@ from .kernel import (
 from .polyhedra import (
     AffineForm,
     Cell,
-    cell_contains_cell,
     collect_hyperplanes,
     form_from_rational,
     refine_cell,
@@ -110,13 +109,16 @@ def _support_is_complete(cycle: Cycle) -> bool:
 def _cells_inside_support(cells, targets) -> bool:
     """Whether each given cell lies inside the union of the target cells.
 
-    Each cell is refined along every hyperplane of the targets, so a piece
-    meeting a target in its relative interior lies inside that target.
+    Each cell is refined along every hyperplane of the targets.  A piece
+    then lies weakly on one side of each of them, so every constraint of a
+    target that holds at the piece's relative interior point holds on the
+    whole piece: the piece lies inside the target exactly when that point
+    does, and no LP is needed.
     """
     forms = collect_hyperplanes(targets)
     for cell in cells:
         for piece in refine_cell(cell, forms):
-            if not any(cell_contains_cell(t, piece) for t in targets):
+            if not any(t.contains_point(piece.interior_point) for t in targets):
                 return False
     return True
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ._simplex import INFEASIBLE, OPTIMAL, lp_max
+from ._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
 from .kernel import (
     QQ,
     LatticeBasis,
@@ -358,29 +358,34 @@ def _require_optimal(res, what):
         raise RuntimeError(f"{what} is {res.status}; it is feasible and bounded by construction")
 
 
+def _hull_row(f, hull):
+    """The form f >= 0 as a pair (a, r) meaning a . y >= r.
+
+    Over Q^n (``hull`` None) y is x and the row is the form itself; over the
+    affine hull of a cell, y are the coordinates of x = p + sum y_j b_j, with
+    p the interior point and b the direction basis of the cell, so a_j is
+    the linear part of f paired with b_j and r is -f(p).
+    """
+    if hull is None:
+        return f.linear, -f.constant
+    return (tuple(f.eval_direction(b) for b in hull.direction_lattice.vectors),
+            -f.value_at(hull.interior_point))
+
+
 def _slack_lp(n, plain, slack, eqs=(), hull=None):
     """Maximize t <= 1 subject to plain forms >= 0, slack forms >= t and
     eqs == 0, over Q^n or, given a cell of Q^n as ``hull``, over its affine
-    hull.
+    hull, in the coordinates of :func:`_hull_row`.
 
-    On the hull the unknowns are the coordinates y of x = p + sum y_j b_j,
-    with p the interior point and b the direction basis of the cell; Q^n is
-    the case p = 0 with the unit basis, whose rows are the forms themselves.
     The rows are the plain forms, the slack forms, the cap and the
     equalities, in this order.  The result carries t as its value and x as
     its point.
     """
-    if hull is None:
-        k = n
+    k = n if hull is None else len(hull.direction_lattice.vectors)
 
-        def row(f, t):
-            return f.linear + (t,), -f.constant
-    else:
-        p, basis = hull.interior_point, hull.direction_lattice.vectors
-        k = len(basis)
-
-        def row(f, t):
-            return tuple(f.eval_direction(b) for b in basis) + (t,), -f.value_at(p)
+    def row(f, t):
+        a, r = _hull_row(f, hull)
+        return a + (t,), r
 
     ineqs = [row(f, 0) for f in plain] + [row(f, -1) for f in slack]
     ineqs.append(((0,) * k + (-1,), -1))
@@ -388,6 +393,7 @@ def _slack_lp(n, plain, slack, eqs=(), hull=None):
     if res.status == OPTIMAL:
         y = res.point[:k]
         if hull is not None:
+            p, basis = hull.interior_point, hull.direction_lattice.vectors
             y = tuple(pi + sum(yj * b[i] for yj, b in zip(y, basis)) for i, pi in enumerate(p))
         res.point = y
     return res
@@ -515,33 +521,71 @@ def collect_hyperplanes(cells) -> tuple:
     return tuple(seen[k] for k in sorted(seen))
 
 
+def _hull_box(cell):
+    """Bounds (lo_j, hi_j) of each coordinate y_j of :func:`_hull_row` over
+    the cell, None on an unbounded side, by two LPs per coordinate."""
+    rows = [_hull_row(f, cell) for f in cell.ineqs]
+    k = len(cell.direction_lattice.vectors)
+    box = []
+    for j in range(k):
+        bounds = []
+        for sign in (-1, 1):
+            res = lp_max(k, tuple(sign if i == j else 0 for i in range(k)), ineqs=rows)
+            if res.status == UNBOUNDED:
+                bounds.append(None)
+            else:
+                _require_optimal(res, "hull-box LP")
+                bounds.append(sign * res.value)
+        box.append(tuple(bounds))
+    return box
+
+
+def _one_sided_on_box(f, cell, box) -> bool:
+    """Whether f >= 0 or f <= 0 holds on the whole box, by interval
+    arithmetic on f = f(p) + sum f(b_j) y_j."""
+    a, r = _hull_row(f, cell)
+    lo = hi = -r
+    for aj, (lo_j, hi_j) in zip(a, box):
+        if aj == 0:
+            continue
+        down, up = (lo_j, hi_j) if aj > 0 else (hi_j, lo_j)
+        lo = None if lo is None or down is None else lo + aj * down
+        hi = None if hi is None or up is None else hi + aj * up
+    return (lo is not None and lo >= 0) or (hi is not None and hi <= 0)
+
+
 def refine_cell(cell: Cell, forms) -> list:
     """Split a cell along every hyperplane {form = 0} of the arrangement.
 
     Returns the full-dimensional closed pieces; they tile the cell and each
     lies weakly on one side of every hyperplane of the arrangement.
+
+    Only the forms that take both signs on a box around the cell are
+    probed.  The box bounds each coordinate y_j of x = p + sum y_j b_j on the
+    cell's affine hull (p the interior point, b the direction basis), by two
+    LPs per coordinate.  A form whose interval over the box,
+    f(p) + sum f(b_j) [lo_j, hi_j], is >= 0 or <= 0 has one sign on the
+    box, hence on the cell and on every piece inside it, so skipping it is
+    exact; this also skips every form constant on the hull.  On a cell of
+    dimension one the box is the cell itself, and a point cell needs no LP.
+    A piece gains a form only when the form cuts it: if the other side of
+    the piece is empty, the piece stays as it was.
     """
+    forms = tuple(forms)
+    if not forms:
+        return [cell]
+    box = _hull_box(cell)
     pieces = [cell]
     for f in forms:
+        if _one_sided_on_box(f, cell, box):
+            continue
         out = []
         for c in pieces:
-            if form_vanishes_on(c, f):
-                out.append(c)
-                continue
             val = f.value_at(c.interior_point)
-            if val > 0:
-                pos = c._replace_geometry(ineqs=c.ineqs + (f,))
-                neg = _split_piece(c, (f.negated(),))
-            elif val < 0:
-                pos = _split_piece(c, (f,))
-                neg = c._replace_geometry(ineqs=c.ineqs + (f.negated(),))
-            else:
-                pos = _split_piece(c, (f,))
-                neg = _split_piece(c, (f.negated(),))
-            if pos is not None:
-                out.append(pos)
-            if neg is not None:
-                out.append(neg)
+            pos = c._replace_geometry(ineqs=c.ineqs + (f,)) if val > 0 else _split_piece(c, (f,))
+            neg = (c._replace_geometry(ineqs=c.ineqs + (f.negated(),)) if val < 0
+                   else _split_piece(c, (f.negated(),)))
+            out += [c] if pos is None or neg is None else [pos, neg]
         pieces = out
     return pieces
 

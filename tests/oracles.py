@@ -18,8 +18,11 @@ from tropint.morphisms import Morphism, push_forward
 from tropint.polyhedra import (
     AffineForm,
     Cell,
+    _split_piece,
+    cell_contains_cell,
     collect_hyperplanes,
     form_from_rational,
+    form_vanishes_on,
     refine_cell,
     sign_vector,
 )
@@ -420,6 +423,42 @@ def reference_linearity_regions(cell, terms):
 
 
 # -- refinement by an arrangement -------------------------------------------
+
+
+def reference_refine_cell(cell, forms):
+    """Refinement that probes every form not vanishing on a piece.
+
+    No box cull: each such form costs an LP per piece, and a form one-sided
+    on a piece is appended to it as a redundant inequality.
+    """
+    pieces = [cell]
+    for f in forms:
+        out = []
+        for c in pieces:
+            if form_vanishes_on(c, f):
+                out.append(c)
+                continue
+            val = f.value_at(c.interior_point)
+            if val > 0:
+                pos = c._replace_geometry(ineqs=c.ineqs + (f,))
+                neg = _split_piece(c, (f.negated(),))
+            elif val < 0:
+                pos = _split_piece(c, (f,))
+                neg = c._replace_geometry(ineqs=c.ineqs + (f.negated(),))
+            else:
+                pos = _split_piece(c, (f,))
+                neg = _split_piece(c, (f.negated(),))
+            out += [p for p in (pos, neg) if p is not None]
+        pieces = out
+    return pieces
+
+
+def reference_cells_inside_support(cells, targets):
+    """Whether each cell lies inside the union of the targets, deciding
+    piece-in-target containment by LPs constraint by constraint."""
+    forms = collect_hyperplanes(targets)
+    return all(any(cell_contains_cell(t, piece) for t in targets)
+               for cell in cells for piece in reference_refine_cell(cell, forms))
 
 
 def refine_complex(c: WeightedComplex, forms) -> WeightedComplex:

@@ -96,7 +96,7 @@ def test_junk_filter_drops_a_cell_off_the_diagonal():
 
 
 # LP solves of reference_stable_intersect, the full-product route, on these
-# inputs; stable_intersect takes 430, 50, 237 and 544.  The fans through the
+# inputs; stable_intersect takes 414, 50, 237 and 542.  The fans through the
 # origin gain nothing from locality: every pair of their cones meets.
 _FULL_PRODUCT_LPS = {"conic.conic": 853, "L31.(L32+v)": 335, "L31.L32": 237, "L32.L32": 544}
 

@@ -1,0 +1,185 @@
+"""Refinement with the hull-box cull against the probe-every-form reference.
+
+``refine_cell`` bounds the cell once in its hull coordinates and probes only
+the forms that take both signs on that box; the reference probes every form
+that does not vanish on a piece.  Both must give the same pieces, as sets
+and as sign vectors over the arrangement.
+"""
+
+from collections import Counter
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import reference_refine_cell
+from test_faces import _count_lps
+
+import tropint.polyhedra as polyhedra
+from tropint._simplex import OPTIMAL, lp_max
+from tropint.cycles import add, standard_skeleton, translate
+from tropint.kernel import QQ, dot, kernel_lattice, mat_rank
+from tropint.library import conic_curve
+from tropint.polyhedra import (
+    AffineForm,
+    Cell,
+    cone_from_rays,
+    form_vanishes_on,
+    point_cell,
+    ray_cell,
+    refine_cell,
+    segment_cell,
+    sign_vector,
+    strict_point,
+)
+
+_coef = st.integers(-2, 2)
+_const = st.builds(QQ, st.integers(-6, 6), st.sampled_from((1, 2)))
+
+
+def _vectors(n):
+    return st.tuples(*[_coef] * n).filter(any)
+
+
+_CELL_KINDS = tuple(
+    [(n, 0, "point") for n in (2, 3)]
+    + [(n, 1, kind) for n in (2, 3) for kind in ("segment", "ray", "line")]
+    + [(n, dim, kind) for n in (2, 3) for dim in range(2, n + 1)
+       for kind in ("bounded", "cone", "unbounded")])
+
+
+@st.composite
+def cells(draw, n, dim, kind):
+    """A cell of R^n of the given dimension: a point; a segment, ray or
+    line; or, from dimension two up, a bounded cell, a translated cone or a
+    cell cut out by a few random inequalities (mostly unbounded)."""
+    point = st.tuples(*[_const] * n)
+    if kind == "point":
+        return point_cell(draw(point))
+    if kind == "segment":
+        p, q = draw(point), draw(point)
+        assume(p != q)
+        return segment_cell(p, q)
+    if kind in ("ray", "line"):
+        base, d = draw(point), draw(_vectors(n))
+        if kind == "ray":
+            return ray_cell(base, d)
+        return Cell.from_constraints(n, (), [AffineForm(a, -dot(a, base))
+                                             for a in kernel_lattice([d], n)])
+    if kind == "cone":
+        rays = draw(st.lists(_vectors(n), min_size=dim, max_size=dim))
+        assume(mat_rank(rays) == dim)
+        return cone_from_rays(rays, n).translate(draw(point))
+    forms = st.builds(AffineForm, _vectors(n), _const)
+    eqs = [draw(forms) for _ in range(n - dim)]
+    ineqs = draw(st.lists(forms, max_size=3))
+    if kind == "bounded":
+        ineqs += [AffineForm(tuple(s if j == i else 0 for j in range(n)), 4)
+                  for i in range(n) for s in (1, -1)]
+    cell = Cell.try_from_constraints(n, ineqs, eqs)
+    assume(cell is not None)
+    return cell
+
+
+def _support_form(cell, a):
+    """a . x + c touching the cell from above 0 (at a vertex or along a
+    face), or None when a . x is unbounded below on the cell."""
+    n = cell.ambient_dim
+    res = lp_max(n, tuple(-x for x in a), ineqs=[(f.linear, -f.constant) for f in cell.ineqs],
+                 eqs=[(f.linear, -f.constant) for f in cell.eqs])
+    return AffineForm(a, res.value) if res.status == OPTIMAL else None
+
+
+@st.composite
+def arrangements(draw, cell):
+    """Forms that miss the cell, touch it, cross it (also through its
+    interior point), vanish on it or lie far out, with repeats."""
+    n = cell.ambient_dim
+    forms = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(_vectors(n))
+        kind = draw(st.sampled_from(("any", "through", "touch", "vanish", "far")))
+        if kind == "through":
+            f = AffineForm(a, -dot(a, cell.interior_point))
+        elif kind == "touch":
+            f = _support_form(cell, a) or AffineForm(a, draw(_const))
+        elif kind == "vanish" and cell.eqs:
+            g = draw(st.sampled_from(cell.eqs))
+            f = g if draw(st.booleans()) else g.negated()
+        elif kind == "far":
+            f = AffineForm(a, draw(st.sampled_from((-40, 40))))
+        else:
+            f = AffineForm(a, draw(_const))
+        forms.append(f)
+    forms += draw(st.lists(st.sampled_from(forms), max_size=2))
+    return forms
+
+
+def _crosses(cell, f):
+    """Whether f takes both signs on the cell."""
+    return strict_point(cell, f) is not None and strict_point(cell, f.negated()) is not None
+
+
+@pytest.mark.parametrize("n, dim, kind", _CELL_KINDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_refine_cell_matches_reference(n, dim, kind, data):
+    cell = data.draw(cells(n, dim, kind))
+    forms = data.draw(arrangements(cell))
+    probed = []
+    split = polyhedra._split_piece
+
+    def recording(c, fs, eqs=()):
+        probed.extend(fs)
+        return split(c, fs, eqs)
+
+    with mock.patch.object(polyhedra, "_split_piece", recording):
+        got = refine_cell(cell, forms)
+    want = reference_refine_cell(cell, forms)
+
+    def key(piece):
+        return piece.canonical_key, sign_vector(piece, forms)
+
+    assert Counter(map(key, got)) == Counter(map(key, want))
+    # A piece carries, beyond the cell's own inequalities, only forms that
+    # cut the cell.
+    for piece in got:
+        assert piece.ineqs[:len(cell.ineqs)] == cell.ineqs
+        assert all(_crosses(cell, g) for g in piece.ineqs[len(cell.ineqs):])
+    # No LP probes a form that vanishes on the cell; up to dimension one
+    # the box is the cell, so every probed form crosses it.
+    for f in probed:
+        assert _crosses(cell, f) if cell.dim <= 1 else not form_vanishes_on(cell, f)
+
+
+def test_segment_missed_by_every_line_takes_two_lps(monkeypatch):
+    seg = segment_cell((0, 0), (2, 1))
+    lines = [AffineForm((1, 0), -5), AffineForm((0, 1), 3), AffineForm((1, 1), -10),
+             AffineForm((1, -2), -4)]
+    calls = _count_lps(monkeypatch)
+    assert refine_cell(seg, lines) == [seg]
+    assert len(calls) == 2
+
+
+def test_point_cell_takes_no_lp(monkeypatch):
+    p = point_cell((1, QQ(1, 2), -3))
+    forms = [AffineForm((1, 0, 0), -1), AffineForm((0, 2, 1), 2), AffineForm((1, 1, 1), 0)]
+    calls = _count_lps(monkeypatch)
+    assert refine_cell(p, forms) == [p]
+    assert not calls
+
+
+# LP solves of add(conic, line) on fresh copies, measured with the cull;
+# refining along every form, as the reference does, took 140 and 240.
+_ADD_LPS = {"conic+line": 44, "conic+(line+v)": 62}
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("conic+line", (0, 0)),
+    ("conic+(line+v)", ("1/2", "1/3")),
+])
+def test_add_lp_budget(monkeypatch, name, shift):
+    c, d = translate(conic_curve(), (0, 0)), translate(standard_skeleton(2, 1), shift)
+    calls = _count_lps(monkeypatch)
+    add(c, d)
+    assert len(calls) <= _ADD_LPS[name]
