@@ -63,7 +63,6 @@ from .polyhedra import (
     AffineForm,
     Cell,
     EmptyCellError,
-    canonicalize,
     cone_from_rays,
     intersect,
     point_cell,

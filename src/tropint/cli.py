@@ -15,6 +15,7 @@ import sys
 from .cycles import Cycle, is_balanced, rn_cycle, validate_complex
 from .divisors import divisor_chain
 from .documents import DocumentError, parse_document, serialize_document
+from .kernel import QQ
 from .library import builtin_example, example_names
 from .morphisms import IntegerLinearMap, Morphism, pull_back, push_forward
 from .render import render_svg
@@ -268,8 +269,7 @@ def _cmd_render(args):
         bbox = tuple(part.strip() for part in args.bbox.split(","))
         if len(bbox) != 4:
             raise ValueError
-        from .kernel import rat
-        bbox = tuple(rat(v) for v in bbox)
+        bbox = tuple(QQ(v) for v in bbox)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"malformed bbox {args.bbox!r}; use x0,y0,x1,y1")
     svg = render_svg(cycle, bbox=bbox)

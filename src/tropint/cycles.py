@@ -274,17 +274,23 @@ def is_balanced(c: WeightedComplex) -> BalanceReport:
 # -- refinement, sums, equality ---------------------------------------------
 
 
-def _merged_weights(a: WeightedComplex, b: WeightedComplex):
-    """Common-refinement pieces with the weight each side assigns to them."""
-    forms = collect_hyperplanes(a.cells + b.cells)
+def _weighted_sum(ambient_dim, dim, entries) -> Cycle:
+    """Refine the cells of (cell, weight) pairs of one dimension to a common
+    complex and add the weights each piece receives.
+
+    Every cell is refined along the hyperplanes of all of them, so pieces
+    from different cells that share a sign vector over that arrangement are
+    the same set; the first such piece stands for them.  Pieces come in
+    sorted key order and zero sums are dropped.
+    """
+    forms = collect_hyperplanes([cell for cell, _ in entries])
     table = {}
-    for source, slot in ((a, 0), (b, 1)):
-        for cell, w in zip(source.cells, source.weights):
-            for piece in refine_cell(cell, forms):
-                key = sign_vector(piece, forms)
-                entry = table.setdefault(key, [piece, 0, 0])
-                entry[slot + 1] += w
-    return [tuple(v) for _, v in sorted(table.items())]
+    for cell, w in entries:
+        for piece in refine_cell(cell, forms):
+            table.setdefault(sign_vector(piece, forms), [piece, 0])[1] += w
+    kept = [table[key] for key in sorted(table) if table[key][1] != 0]
+    out = WeightedComplex(ambient_dim, dim, [p for p, _ in kept], [w for _, w in kept])
+    return Cycle(out, check=False)
 
 
 def add(a: Cycle, b: Cycle) -> Cycle:
@@ -295,13 +301,9 @@ def add(a: Cycle, b: Cycle) -> Cycle:
         return b.reduce()
     if b.is_empty:
         return a.reduce()
-    merged = _merged_weights(a.complex, b.complex)
-    cells, weights = [], []
-    for piece, wa, wb in merged:
-        if wa + wb != 0:
-            cells.append(piece)
-            weights.append(wa + wb)
-    return Cycle(WeightedComplex(a.ambient_dim, a.dim, cells, weights), check=False)
+    ca, cb = a.complex, b.complex
+    return _weighted_sum(a.ambient_dim, a.dim,
+                         list(zip(ca.cells + cb.cells, ca.weights + cb.weights)))
 
 
 def negate(a: Cycle) -> Cycle:
@@ -321,10 +323,7 @@ def cycles_equal(a: Cycle, b: Cycle) -> bool:
     """Equality up to refinement: the difference has empty nonzero part."""
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
-    ra, rb = a.reduce(), b.reduce()
-    if ra.is_empty or rb.is_empty:
-        return ra.is_empty and rb.is_empty
-    return all(wa == wb for _, wa, wb in _merged_weights(ra.complex, rb.complex))
+    return add(a.reduce(), negate(b)).is_empty
 
 
 # -- products, translations, standard cycles --------------------------------

@@ -101,6 +101,12 @@ def _int_from_json(value, path):
     return value
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise DocumentError(path, "expected an object")
+    return value
+
+
 def _int_vector(value, path, length=None):
     if not isinstance(value, list) or (length is not None and len(value) != length):
         raise DocumentError(path, f"expected a list of {length or 'integers'}")
@@ -128,6 +134,20 @@ def _parse_constraint(row, n, path):
     return AffineForm(linear, -bound)
 
 
+def _parse_cell(entry, n, path) -> Cell:
+    """The cell of an object's "ineqs" and "eqs" constraint rows in R^n."""
+    rows = {}
+    for key in ("ineqs", "eqs"):
+        raw = _object(entry, path).get(key, [])
+        if not isinstance(raw, list):
+            raise DocumentError(f"{path}.{key}", "expected a list of constraint rows")
+        rows[key] = [_parse_constraint(r, n, f"{path}.{key}[{j}]") for j, r in enumerate(raw)]
+    try:
+        return Cell.from_constraints(n, rows["ineqs"], rows["eqs"])
+    except ValueError as exc:
+        raise DocumentError(path, str(exc)) from None
+
+
 def _cycle_data(cycle):
     cx = cycle.complex if isinstance(cycle, Cycle) else cycle
     cells = []
@@ -145,6 +165,8 @@ def _cycle_data(cycle):
 
 def _parse_cycle(data) -> Cycle:
     n = _int_from_json(data.get("ambient_dim"), "$.ambient_dim")
+    if n < 0:
+        raise DocumentError("$.ambient_dim", f"expected a non-negative integer, got {n}")
     dim = _int_from_json(data.get("dim"), "$.dim")
     raw_cells = data.get("cells")
     if not isinstance(raw_cells, list):
@@ -152,16 +174,7 @@ def _parse_cycle(data) -> Cycle:
     cells, weights = [], []
     for i, entry in enumerate(raw_cells):
         path = f"$.cells[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentError(path, "expected an object")
-        ineqs = [_parse_constraint(r, n, f"{path}.ineqs[{j}]")
-                 for j, r in enumerate(entry.get("ineqs", []))]
-        eqs = [_parse_constraint(r, n, f"{path}.eqs[{j}]")
-               for j, r in enumerate(entry.get("eqs", []))]
-        try:
-            cell = Cell.from_constraints(n, ineqs, eqs)
-        except ValueError as exc:
-            raise DocumentError(path, str(exc)) from None
+        cell = _parse_cell(entry, n, path)
         if cell.dim != dim:
             raise DocumentError(path, f"cell has dimension {cell.dim}, complex declares {dim}")
         cells.append(cell)
@@ -205,8 +218,7 @@ def _parse_function(data) -> CartierDivisor:
         terms = []
         for i, t in enumerate(raw):
             path = f"$.terms[{i}]"
-            if not isinstance(t, dict):
-                raise DocumentError(path, "expected an object")
+            _object(t, path)
             linear = _int_vector(t.get("linear"), f"{path}.linear")
             constant = _rat_from_json(t.get("constant", 0), f"{path}.constant")
             terms.append(AffineForm(linear, constant))
@@ -220,17 +232,9 @@ def _parse_function(data) -> CartierDivisor:
         pieces = []
         for i, entry in enumerate(raw):
             path = f"$.pieces[{i}]"
-            linear = _int_vector(entry.get("linear"), f"{path}.linear")
-            n = len(linear)
+            linear = _int_vector(_object(entry, path).get("linear"), f"{path}.linear")
             constant = _rat_from_json(entry.get("constant", 0), f"{path}.constant")
-            ineqs = [_parse_constraint(r, n, f"{path}.ineqs[{j}]")
-                     for j, r in enumerate(entry.get("ineqs", []))]
-            eqs = [_parse_constraint(r, n, f"{path}.eqs[{j}]")
-                   for j, r in enumerate(entry.get("eqs", []))]
-            try:
-                cell = Cell.from_constraints(n, ineqs, eqs)
-            except ValueError as exc:
-                raise DocumentError(path, str(exc)) from None
+            cell = _parse_cell(entry, len(linear), path)
             pieces.append((cell, AffineForm(linear, constant)))
         try:
             return CartierDivisor(PiecewisePL(tuple(pieces)).check_continuity())

@@ -33,11 +33,6 @@ RatVector = tuple  # tuple of QQ / int
 IntMatrix = tuple  # tuple of int row tuples
 
 
-def rat(x) -> "QQ":
-    """Coerce an int, rational or 'p/q' string to an exact rational."""
-    return QQ(x)
-
-
 def rat_parts(x) -> tuple[int, int]:
     """(numerator, denominator) of a rational or int, as plain ints."""
     q = QQ(x)

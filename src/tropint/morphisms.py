@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import Cycle, WeightedComplex, cycles_equal
+from .cycles import Cycle, _weighted_sum, cycles_equal
 from .divisors import (
     CartierDivisor,
     PiecewisePL,
@@ -41,7 +41,6 @@ from .polyhedra import (
     collect_hyperplanes,
     form_from_rational,
     refine_cell,
-    sign_vector,
 )
 
 
@@ -163,48 +162,34 @@ def preimage_cell(matrix, cell: Cell) -> Cell | None:
         [_compose(g, matrix) for g in cell.eqs])
 
 
-def push_forward(f: Morphism, cycle: Cycle | None = None, validate: bool = True) -> Cycle:
+def push_forward(f: Morphism, cycle: Cycle | None = None) -> Cycle:
     """Push a subcycle of the source along the morphism.
 
-    Refines the collected image cells into a complex and applies the
-    lattice-index weight formula; the result is balanced whenever the input
-    is.
+    A given subcycle is checked to lie in the source support first.  The
+    result is balanced whenever the input is.
     """
-    src = f.source if cycle is None else cycle
-    if cycle is not None and cycle is not f.source and validate:
-        if src.ambient_dim != f.source.ambient_dim:
+    if cycle is None:
+        cycle = f.source
+    elif cycle is not f.source:
+        if cycle.ambient_dim != f.source.ambient_dim:
             raise ValueError("subcycle lives in the wrong ambient space")
-        if not _cells_inside_support(src.reduce().complex.cells, f.source.complex.cells):
+        if not _cells_inside_support(cycle.reduce().complex.cells, f.source.complex.cells):
             raise ValueError("cycle is not supported inside the morphism source")
-    red = src.reduce()
-    m = f.map.target_dim
-    if red.is_empty:
-        return Cycle.empty(m, red.dim)
+    return _push(f.map.matrix, cycle)
+
+
+def _push(matrix, cycle: Cycle) -> Cycle:
+    """The image cells of a cycle, each weighted by its source weight times
+    the lattice index, summed over a common refinement.  Every piece of an
+    image cell shares its direction lattice, so one index per cell serves."""
+    red = cycle.reduce()
     entries = []
-    for i, cell in enumerate(red.complex.cells):
-        img = image_cell(f.map.matrix, cell)
+    for cell, w in zip(red.complex.cells, red.complex.weights):
+        img = image_cell(matrix, cell)
         if img is not None:
-            entries.append((i, img))
-    if not entries:
-        return Cycle.empty(m, red.dim)
-    forms = collect_hyperplanes([img for _, img in entries])
-    table = {}
-    for i, img in entries:
-        w = red.complex.weights[i]
-        src_lattice = red.complex.cells[i].direction_lattice
-        for piece in refine_cell(img, forms):
-            key = sign_vector(piece, forms)
-            entry = table.setdefault(key, [piece, 0])
-            entry[1] += w * lattice_index(f.map.matrix, src_lattice,
-                                          piece.direction_lattice)
-    cells, weights = [], []
-    for key in sorted(table):
-        piece, w = table[key]
-        if w != 0:
-            cells.append(piece)
-            weights.append(w)
-    out = WeightedComplex(m, red.dim, cells, weights)
-    return Cycle(out, check=False)
+            index = lattice_index(matrix, cell.direction_lattice, img.direction_lattice)
+            entries.append((img, w * index))
+    return _weighted_sum(len(matrix), red.dim, entries)
 
 
 def pull_back(f, phi) -> CartierDivisor:
@@ -231,5 +216,7 @@ def pull_back(f, phi) -> CartierDivisor:
 def check_projection_formula(f: Morphism, cycle: Cycle, phi) -> bool:
     """Exact comparison of divisor-then-push against pull-then-divisor."""
     lhs = weil_divisor(phi, push_forward(f, cycle))
-    rhs = push_forward(f, weil_divisor(pull_back(f, phi), cycle), validate=False)
+    # The right-hand side is a divisor on the cycle the left-hand side has
+    # already checked against the source support.
+    rhs = _push(f.map.matrix, weil_divisor(pull_back(f, phi), cycle))
     return cycles_equal(lhs, rhs)

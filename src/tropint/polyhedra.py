@@ -476,11 +476,6 @@ def _split_piece(cell, forms, eqs=()) -> Cell | None:
 # -- operations on cells --------------------------------------------------
 
 
-def canonicalize(cell: Cell) -> Cell:
-    """Irredundant canonical description of the same point set."""
-    return cell.canonical_cell()
-
-
 def intersect(a: Cell, b: Cell) -> Cell | None:
     """Set intersection as a canonical cell, or None when empty."""
     if a.ambient_dim != b.ambient_dim:

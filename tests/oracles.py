@@ -9,12 +9,13 @@ from tropint.kernel import (
     hnf_basis,
     integer_solve,
     kernel_lattice,
+    lattice_index,
     primitive_part,
     rat_parts,
     solve_rational,
 )
 from tropint.library import projection_map
-from tropint.morphisms import Morphism, push_forward
+from tropint.morphisms import Morphism, image_cell, push_forward
 from tropint.polyhedra import (
     AffineForm,
     Cell,
@@ -508,6 +509,29 @@ def common_refinement(a, b):
         raise ValueError("ambient dimension mismatch")
     forms = collect_hyperplanes(a.cells + b.cells)
     return refine_complex(a, forms), refine_complex(b, forms)
+
+
+def reference_push_forward(matrix, cycle):
+    """Push-forward that weights every refinement piece by its own lattice
+    index: the images of the cells on which the map is injective, refined
+    along all their hyperplanes, pieces matched by sign vector, each adding
+    source weight * [piece lattice : image of source lattice]."""
+    red = cycle.reduce()
+    entries = []
+    for cell, w in zip(red.complex.cells, red.complex.weights):
+        img = image_cell(matrix, cell)
+        if img is not None:
+            entries.append((cell, w, img))
+    forms = collect_hyperplanes([img for _, _, img in entries])
+    table = {}
+    for cell, w, img in entries:
+        for piece in refine_cell(img, forms):
+            entry = table.setdefault(sign_vector(piece, forms), [piece, 0])
+            entry[1] += w * lattice_index(matrix, cell.direction_lattice,
+                                          piece.direction_lattice)
+    kept = [table[key] for key in sorted(table) if table[key][1] != 0]
+    out = WeightedComplex(len(matrix), red.dim, [p for p, _ in kept], [w for _, w in kept])
+    return Cycle(out, check=False)
 
 
 # -- Fourier-Motzkin projection ----------------------------------------------

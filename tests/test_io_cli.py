@@ -93,6 +93,35 @@ def test_parse_errors_carry_paths():
         parse_document('{"kind": "map", "matrix": [[1, 0], [1]]}')
 
 
+_MALFORMED = {
+    "piece-not-object": ({"kind": "function", "type": "piecewise", "pieces": [5]},
+                         r"\$\.pieces\[0\]: expected an object"),
+    "cell-ineqs-not-list": ({"kind": "cycle", "ambient_dim": 1, "dim": 1,
+                             "cells": [{"ineqs": 5, "eqs": [], "weight": 1}]},
+                            r"\$\.cells\[0\]\.ineqs: expected a list"),
+    "piece-ineqs-not-list": ({"kind": "function", "type": "piecewise",
+                              "pieces": [{"ineqs": 5, "linear": [1], "constant": 0}]},
+                             r"\$\.pieces\[0\]\.ineqs: expected a list"),
+    "negative-ambient-dim": ({"kind": "cycle", "ambient_dim": -1, "dim": 0,
+                              "cells": [{"ineqs": [], "eqs": [], "weight": 1}]},
+                             r"\$\.ambient_dim: expected a non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_document_is_a_parse_error(name, capsys, tmp_path):
+    # Each of these once escaped the parser as an AttributeError, TypeError
+    # or IndexError; a schema violation is exit 2 with the offending path.
+    data, message = _MALFORMED[name]
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(data))
+    doc = tmp_path / "malformed.json"
+    doc.write_text(json.dumps(data))
+    assert main(["validate", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected" in captured.err
+
+
 def test_serialization_is_deterministic():
     a = serialize_document(standard_skeleton(2, 1))
     b = serialize_document(standard_skeleton(2, 1))

@@ -206,8 +206,7 @@ def test_projection_formula_both_sides_origin():
     lhs = weil_divisor(max_x_zero(1), push_forward(pi))
     assert lhs.complex.weights == (1,)
     assert lhs.complex.cells[0].same_set(point_cell((0,)))
-    rhs = push_forward(pi, weil_divisor(pull_back(pi, max_x_zero(1)), diagonal_line(1)),
-                       validate=False)
+    rhs = push_forward(pi, weil_divisor(pull_back(pi, max_x_zero(1)), diagonal_line(1)))
     assert cycles_equal(lhs, rhs)
 
 

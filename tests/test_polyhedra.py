@@ -8,7 +8,6 @@ from tropint.polyhedra import (
     AffineForm,
     Cell,
     EmptyCellError,
-    canonicalize,
     cell_contains_cell,
     collect_hyperplanes,
     cone_from_rays,
@@ -212,7 +211,7 @@ def test_canonical_key_is_semantic():
     sq2 = mk(2, ge=[((2, 0), 0), ((-1, 0), 1), ((0, 3), 0), ((0, -1), 1),
                     ((1, 1), 0)])  # redundant extra constraint
     assert sq1.same_set(sq2)
-    assert canonicalize(sq2).ineqs == canonicalize(sq1).ineqs
+    assert sq2.canonical_cell().ineqs == sq1.canonical_cell().ineqs
     tri = mk(2, ge=[((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
     assert not sq1.same_set(tri)
 
