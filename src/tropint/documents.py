@@ -168,6 +168,9 @@ def _parse_cycle(data) -> Cycle:
     if n < 0:
         raise DocumentError("$.ambient_dim", f"expected a non-negative integer, got {n}")
     dim = _int_from_json(data.get("dim"), "$.dim")
+    # A negative dim is the empty cycle of a product k + l - n < 0.
+    if not -n <= dim <= n:
+        raise DocumentError("$.dim", f"expected a dimension from {-n} to {n}, got {dim}")
     raw_cells = data.get("cells")
     if not isinstance(raw_cells, list):
         raise DocumentError("$.cells", "expected a list of cells")

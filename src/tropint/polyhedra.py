@@ -3,8 +3,11 @@
 A :class:`Cell` is a nonempty rational polyhedron in R^n described by
 integer-linear inequalities and equalities, with its dimension, a relative
 interior point and the lattice of its direction space cached at
-construction.  All geometric predicates are decided exactly with the
-rational simplex; there is no vertex enumeration anywhere.
+construction.  All geometric predicates are decided exactly by one slack
+program, :func:`_slack_lp`: in closed form when its equalities leave at
+most one free variable, as for cells of dimension one or less and the
+facets of cells of dimension two, and by the rational simplex otherwise.
+There is no vertex enumeration anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
+from ._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_max
 from .kernel import (
     QQ,
     LatticeBasis,
@@ -102,10 +105,11 @@ class Cell:
     among the inequalities, so every listed inequality is strict on the
     relative interior, which is all the predicates here rely on.  The list
     may still hold redundant members.  :meth:`canonical_cell` drops them,
-    lazily and at one LP per inequality g: "g = 0, the others >= t".  The
-    LP keeps g exactly when t > 0, and its point then lies in the relative
+    lazily and at one slack program per inequality g: "g = 0, the others
+    >= t", an LP only on cells of dimension three or more.  The program
+    keeps g exactly when t > 0, and its point then lies in the relative
     interior of g's facet, so :meth:`faces_of_codim_one` builds the facets
-    from those points with no LP.
+    from those points with no further solve.
     """
 
     __slots__ = (
@@ -377,19 +381,19 @@ def _slack_lp(n, plain, slack, eqs=(), hull=None):
     eqs == 0, over Q^n or, given a cell of Q^n as ``hull``, over its affine
     hull, in the coordinates of :func:`_hull_row`.
 
-    The rows are the plain forms, the slack forms, the cap and the
-    equalities, in this order.  The result carries t as its value and x as
-    its point.
+    A program with at most one free variable once its equalities are
+    eliminated is solved in closed form by :func:`_slack_closed_form`; any
+    other goes to the simplex, with the rows the plain forms, the slack
+    forms, the cap and the equalities, in this order.  The result carries
+    t as its value and x as its point.
     """
     k = n if hull is None else len(hull.direction_lattice.vectors)
-
-    def row(f, t):
-        a, r = _hull_row(f, hull)
-        return a + (t,), r
-
-    ineqs = [row(f, 0) for f in plain] + [row(f, -1) for f in slack]
-    ineqs.append(((0,) * k + (-1,), -1))
-    res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, eqs=[row(f, 0) for f in eqs])
+    plain, slack, eqs = ([_hull_row(f, hull) for f in fs] for fs in (plain, slack, eqs))
+    res = _slack_closed_form(k, plain, slack, eqs) if k - len(eqs) <= 1 else None
+    if res is None:
+        ineqs = [(a + (0,), r) for a, r in plain] + [(a + (-1,), r) for a, r in slack]
+        ineqs.append(((0,) * k + (-1,), -1))
+        res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, eqs=[(a + (0,), r) for a, r in eqs])
     if res.status == OPTIMAL:
         y = res.point[:k]
         if hull is not None:
@@ -397,6 +401,90 @@ def _slack_lp(n, plain, slack, eqs=(), hull=None):
             y = tuple(pi + sum(yj * b[i] for yj, b in zip(y, basis)) for i, pi in enumerate(p))
         res.point = y
     return res
+
+
+def _interval(lines):
+    """The z with alpha z + gamma >= 0 for every (alpha, gamma), as (lo, hi)
+    with None on an unbounded side, or None when there is none.  The gammas
+    are rationals."""
+    lo = hi = None
+    for alpha, gamma in lines:
+        if alpha > 0:
+            b = -gamma / alpha
+            if lo is None or b > lo:
+                lo = b
+        elif alpha < 0:
+            b = -gamma / alpha
+            if hi is None or b < hi:
+                hi = b
+        elif gamma < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _slack_closed_form(k, plain, slack, eqs):
+    """The slack program of :func:`_slack_lp` on rows (a, r) over y in Q^k,
+    solved without the simplex; None when the equalities leave more than
+    one free variable.
+
+    Eliminating the equalities gives y = (c + z w) / d with d > 0, and w = 0
+    when no variable is free.  A row becomes the line d (a . y - r) = A z + G:
+    the plain rows bound z to an interval, and the slack rows with A = 0
+    fold into the cap d t <= min(d, G).  The lowest increasing line meets
+    the lowest decreasing one at max_u min_d z_ud, which maximizes the
+    concave minimum of the lines; with lines of one slope sign only, the
+    first z where all of them reach the cap does.  Clamped into the
+    interval, z maximizes t.
+    """
+    rows, pivots, d = echelon([a + (r,) for a, r in eqs])
+    if pivots and pivots[-1] == k:
+        return LPResult(INFEASIBLE)
+    free = [j for j in range(k) if j not in pivots]
+    if len(free) > 1:
+        return None
+    if d < 0:
+        d, rows = -d, [[-x for x in row] for row in rows]
+    c, w = [0] * k, [0] * k
+    for row, col in zip(rows, pivots):
+        c[col] = row[k]
+    if free:
+        j = free[0]
+        w[j] = d
+        for row, col in zip(rows, pivots):
+            w[col] = -row[j]
+
+    def line(a, r):
+        return dot(a, w), dot(a, c) - d * r
+
+    box = _interval([line(a, r) for a, r in plain])
+    if box is None:
+        return LPResult(INFEASIBLE)
+    cap, up, down = d, [], []
+    for a, r in slack:
+        A, G = line(a, r)
+        if A > 0:
+            up.append((A, G))
+        elif A < 0:
+            down.append((A, G))
+        elif G < cap:
+            cap = G
+    if up and down:
+        z = max(min((Gd - Gu) / (Au - Ad) for Ad, Gd in down) for Au, Gu in up)
+    elif up:
+        z = max((cap - G) / A for A, G in up)
+    elif down:
+        z = min((cap - G) / A for A, G in down)
+    else:
+        z = QQ(0)
+    lo, hi = box
+    if lo is not None and z < lo:
+        z = lo
+    if hi is not None and z > hi:
+        z = hi
+    value = min([cap] + [A * z + G for A, G in up + down])
+    return LPResult(OPTIMAL, QQ(value, d), tuple((ci + z * wi) / d for ci, wi in zip(c, w)))
 
 
 def _relint_lp(n, ineqs, eqs):
@@ -461,10 +549,10 @@ def _split_piece(cell, forms, eqs=()) -> Cell | None:
     """The piece of the cell where all forms are >= 0 if it has the cell's
     dimension, else None.
 
-    The LP certifies a point where every inequality of the cell and every
-    new form are simultaneously strict, so the piece inherits the cell's
-    affine hull, dimension and direction lattice unchanged.  ``eqs`` are
-    forms that vanish on the cell; they join the piece's equalities.
+    The slack program certifies a point where every inequality of the cell
+    and every new form are simultaneously strict, so the piece inherits the
+    cell's affine hull, dimension and direction lattice unchanged.  ``eqs``
+    are forms that vanish on the cell; they join the piece's equalities.
     """
     res = _slack_lp(cell.ambient_dim, (), cell.ineqs + forms, hull=cell)
     if res.status == INFEASIBLE or res.value <= 0:
@@ -518,9 +606,13 @@ def collect_hyperplanes(cells) -> tuple:
 
 def _hull_box(cell):
     """Bounds (lo_j, hi_j) of each coordinate y_j of :func:`_hull_row` over
-    the cell, None on an unbounded side, by two LPs per coordinate."""
+    the cell, None on an unbounded side.  On a cell of dimension one the box
+    is the interval its rows cut out; otherwise it takes two LPs per
+    coordinate."""
     rows = [_hull_row(f, cell) for f in cell.ineqs]
     k = len(cell.direction_lattice.vectors)
+    if k == 1:
+        return [_interval([(a[0], -r) for a, r in rows])]
     box = []
     for j in range(k):
         bounds = []
@@ -562,7 +654,9 @@ def refine_cell(cell: Cell, forms) -> list:
     f(p) + sum f(b_j) [lo_j, hi_j], is >= 0 or <= 0 has one sign on the
     box, hence on the cell and on every piece inside it, so skipping it is
     exact; this also skips every form constant on the hull.  On a cell of
-    dimension one the box is the cell itself, and a point cell needs no LP.
+    dimension one the box is the cell itself, read from its rows with no
+    LP, and each probe is a closed-form slack program; a point cell needs
+    neither.
     A piece gains a form only when the form cuts it: if the other side of
     the piece is empty, the piece stays as it was.
     """

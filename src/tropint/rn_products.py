@@ -91,7 +91,8 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
 
 def _cells_meet(sigma, tau) -> bool:
     """Whether two closed cells of one R^n meet; two cones meet at the
-    origin, anything else takes one feasibility LP."""
+    origin, anything else takes one feasibility program, solved in closed
+    form when the equalities of both leave at most one free variable."""
     forms = sigma.ineqs + sigma.eqs + tau.ineqs + tau.eqs
     if all(f.constant == 0 for f in forms):
         return True

@@ -1,0 +1,199 @@
+"""Closed-form slack programs against the simplex.
+
+``polyhedra._slack_lp`` solves every program whose equalities leave at most
+one free variable without the simplex.  On random programs of that shape,
+stated once over Q^n and once over the affine hull of a cell, it must give
+``lp_max``'s status and value, and its point must satisfy every row and
+attain the value.  The box of a cell of dimension one, read from its rows,
+must be the one two LPs per side give.  Sums, equality, push-forward and
+the projection formula of plane curves then run no LP at all.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_faces import _count_lps
+from test_weighted_sum import _split_edges
+
+import tropint.polyhedra as polyhedra
+from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
+from tropint.cycles import add, cycles_equal, negate, rn_cycle, standard_skeleton, translate
+from tropint.divisors import TropicalPolynomial
+from tropint.kernel import QQ, mat_rank
+from tropint.library import conic_curve
+from tropint.morphisms import IntegerLinearMap, Morphism, check_projection_formula, push_forward
+from tropint.polyhedra import AffineForm, Cell, point_cell, ray_cell, segment_cell
+
+# Zero-heavy coefficients make rows parallel, degenerate or constant.
+_coef = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+# Constants past the cap of 1 on either side make the cap bind.
+_const = st.builds(QQ, st.integers(-8, 8), st.sampled_from((1, 2, 3)))
+
+
+def _form(n):
+    return st.builds(AffineForm, st.tuples(*[_coef] * n), _const)
+
+
+@st.composite
+def programs(draw):
+    """(n, plain, slack, eqs) over Q^n, n <= 3, with at least n - 1
+    equalities: some repeated or scaled (so a variable may stay free after
+    all), some contradicting another, some constant rows."""
+    n = draw(st.integers(0, 3))
+    eqs = draw(st.lists(_form(n), min_size=max(0, n - 1), max_size=n))
+    if eqs and draw(st.booleans()):
+        e = draw(st.sampled_from(eqs))
+        kind = draw(st.sampled_from(("repeat", "scale", "shift")))
+        if kind == "repeat":
+            eqs.append(e)
+        elif kind == "scale":
+            eqs.append(AffineForm(tuple(-2 * a for a in e.linear), -2 * e.constant))
+        else:
+            eqs.append(AffineForm(e.linear, e.constant + 1))  # inconsistent
+    plain = draw(st.lists(_form(n), max_size=4))
+    slack = draw(st.lists(_form(n), max_size=4))
+    for rows in (plain, slack):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        # A constant row: 0 >= c, infeasible or vacuous as a plain row, a
+        # cap on t as a slack row.
+        draw(st.sampled_from((plain, slack))).append(AffineForm((0,) * n, draw(_const)))
+    if plain and draw(st.booleans()):
+        # The opposite side of a plain row, shifted: an empty interval for
+        # a negative shift, a single point for zero.
+        f = draw(st.sampled_from(plain))
+        plain.append(AffineForm(tuple(-a for a in f.linear),
+                                -f.constant + draw(st.sampled_from((-1, 0, 1)))))
+    return n, plain, slack, eqs
+
+
+def _reference(n, plain, slack, eqs):
+    """The slack program over Q^n, solved by the simplex."""
+    def row(f, t):
+        return f.linear + (t,), -f.constant
+
+    ineqs = [row(f, 0) for f in plain] + [row(f, -1) for f in slack]
+    ineqs.append(((0,) * n + (-1,), -1))
+    return lp_max(n + 1, (0,) * n + (1,), ineqs=ineqs, eqs=[row(f, 0) for f in eqs])
+
+
+def _spy():
+    """Record the simplex runs of ``polyhedra`` within a ``with`` block."""
+    return mock.patch.object(polyhedra, "lp_max", wraps=lp_max)
+
+
+def _check_point(res, plain, slack, eqs):
+    x = res.point
+    assert all(f.value_at(x) == 0 for f in eqs)
+    assert all(f.value_at(x) >= 0 for f in plain)
+    assert min([QQ(1)] + [f.value_at(x) for f in slack]) == res.value
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(programs())
+def test_closed_form_matches_simplex(program):
+    n, plain, slack, eqs = program
+    with _spy() as spy:
+        res = polyhedra._slack_lp(n, plain, slack, eqs)
+    rank = mat_rank([f.linear for f in eqs]) if eqs else 0
+    consistent = not eqs or mat_rank([f.linear + (f.constant,) for f in eqs]) == rank
+    # The simplex runs only when consistent equalities leave two variables
+    # free.
+    assert spy.call_count == (1 if consistent and n - rank > 1 else 0)
+    ref = _reference(n, plain, slack, eqs)
+    assert ref.status != UNBOUNDED
+    assert (res.status, res.value) == (ref.status, ref.value)
+    if res.status == OPTIMAL:
+        _check_point(res, plain, slack, eqs)
+
+
+_x = st.builds(QQ, st.integers(-4, 4), st.sampled_from((1, 2)))
+
+
+@st.composite
+def low_cells(draw):
+    """A point, segment, ray or line of R^2 or R^3."""
+    n = draw(st.integers(2, 3))
+    p = draw(st.tuples(*[_x] * n))
+    kind = draw(st.sampled_from(("point", "segment", "ray", "line")))
+    if kind == "point":
+        return point_cell(p)
+    d = draw(st.tuples(*[_coef] * n).filter(any))
+    if kind == "segment":
+        return segment_cell(p, tuple(a + b for a, b in zip(p, d)))
+    if kind == "ray":
+        return ray_cell(p, d)
+    return Cell.from_constraints(n, (), ray_cell(p, d).eqs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_on_a_hull_matches_simplex(data):
+    cell = data.draw(low_cells())
+    n = cell.ambient_dim
+    plain = list(cell.ineqs) + data.draw(st.lists(_form(n), max_size=2))
+    slack = data.draw(st.lists(_form(n), max_size=4))
+    with _spy() as spy:
+        res = polyhedra._slack_lp(n, plain, slack, hull=cell)
+    assert not spy.called
+    # Over the hull, that is over Q^n with the cell's equalities.
+    ref = _reference(n, plain, slack, cell.eqs)
+    assert (res.status, res.value) == (ref.status, ref.value)
+    if res.status == OPTIMAL:
+        _check_point(res, plain, slack, cell.eqs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(low_cells())
+def test_box_of_a_curve_cell_is_its_interval(cell):
+    rows = [polyhedra._hull_row(f, cell) for f in cell.ineqs]
+    want = []
+    for _ in range(cell.dim):
+        bounds = []
+        for sign in (-1, 1):
+            res = lp_max(1, (sign,), ineqs=rows)
+            assert res.status != INFEASIBLE
+            bounds.append(None if res.status == UNBOUNDED else sign * res.value)
+        want.append(tuple(bounds))
+    with _spy() as spy:
+        assert polyhedra._hull_box(cell) == want
+    assert not spy.called
+
+
+_CURVE_OPERATIONS = ("add", "add C -C", "equal refined", "equal moved", "push-forward",
+                     "projection formula")
+
+
+def _curve_step(name, conic, line):
+    """An operation kind of the curve-arith bench workload on a conic and a
+    line, with its inputs built beforehand."""
+    if name == "add":
+        return lambda: add(conic, line)
+    if name == "add C -C":
+        return lambda: add(conic, negate(conic))
+    if name == "equal refined":
+        split = _split_edges(line)
+        return lambda: cycles_equal(line, split)
+    if name == "equal moved":
+        moved = translate(line, (1, 0))
+        return lambda: cycles_equal(line, moved)
+    f = Morphism(IntegerLinearMap(((2, -1),)), conic, rn_cycle(1))
+    if name == "push-forward":
+        return lambda: push_forward(f)
+    phi = TropicalPolynomial((AffineForm((1,), QQ(-7, 2)), AffineForm((0,), 0),
+                              AffineForm((-1,), -5)))
+    return lambda: check_projection_formula(f, conic, phi)
+
+
+@pytest.mark.parametrize("name", _CURVE_OPERATIONS)
+def test_curve_arithmetic_takes_no_lp(monkeypatch, name):
+    # Fresh copies, whose cells carry no cached keys or faces.
+    conic = translate(conic_curve(), (0, 0))
+    line = translate(standard_skeleton(2, 1), (QQ(1, 2), QQ(1, 3)))
+    step = _curve_step(name, conic, line)
+    calls = _count_lps(monkeypatch)
+    step()
+    assert not calls

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_stable_intersect
-from test_faces import _count_lps, _random_polynomial
+from test_faces import _count_lps, _count_slack_solves, _random_polynomial
 
 from tropint.cycles import (
     Cycle,
@@ -75,14 +75,15 @@ def test_disjoint_cells_give_no_product_cell():
 
 
 def test_two_cones_meet_without_an_lp(monkeypatch):
-    calls = _count_lps(monkeypatch)
+    calls, solves = _count_lps(monkeypatch), _count_slack_solves(monkeypatch)
     a = cone_from_rays([(1, 0, 0)], 3)
     b = cone_from_rays([(0, 1, 0), (0, 0, 1)], 3)
     assert _cells_meet(a, b)
     assert _cells_meet(a, a)
-    assert not calls
+    assert not calls and not solves
+    # Three equalities in R^3 leave no free variable: one closed-form solve.
     assert _cells_meet(a.translate((0, 1, 1)), b)
-    assert len(calls) == 1
+    assert len(calls) == 0 and len(solves) == 1
 
 
 def test_junk_filter_drops_a_cell_off_the_diagonal():

@@ -21,6 +21,7 @@ from oracles import (
 
 import tropint
 import tropint._simplex as simplex
+import tropint.polyhedra as polyhedra
 from tropint.cycles import cartesian_product, rn_cycle
 from tropint.divisors import TropicalPolynomial, _split_one, linearize_many, weil_divisor
 from tropint.polyhedra import AffineForm, Cell, collect_hyperplanes, hyperplane_form
@@ -110,6 +111,19 @@ def _count_lps(monkeypatch):
     return calls
 
 
+def _count_slack_solves(monkeypatch):
+    """Count ``polyhedra._slack_lp`` solves, in closed form or by the simplex."""
+    calls = []
+    real = polyhedra._slack_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "_slack_lp", counting)
+    return calls
+
+
 def test_one_lp_per_inequality_and_none_per_face(monkeypatch):
     cube = Cell.from_constraints(3, [AffineForm(v, 1) for v in (
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
@@ -126,10 +140,11 @@ def test_one_lp_per_inequality_and_none_per_face(monkeypatch):
 
 
 def test_inequality_on_a_listed_equality_needs_no_probe(monkeypatch):
-    calls = _count_lps(monkeypatch)
+    calls, solves = _count_lps(monkeypatch), _count_slack_solves(monkeypatch)
     x, y = AffineForm((1, 0), 0), AffineForm((0, 1), 0)
     cell = Cell.try_from_constraints(2, [x, x.negated(), y], [AffineForm((-2, 0), 0)])
-    assert len(calls) == 1
+    # One relative-interior solve, in closed form: one variable is free.
+    assert len(calls) == 0 and len(solves) == 1
     assert cell.eqs == (x,) and cell.ineqs == (y,) and cell.dim == 1
 
 

@@ -19,6 +19,7 @@ from tropint.library import (
     sawtooth_function,
 )
 from tropint.render import render_svg
+from tropint.rn_products import stable_intersect
 
 
 def roundtrip(obj):
@@ -105,6 +106,10 @@ _MALFORMED = {
     "negative-ambient-dim": ({"kind": "cycle", "ambient_dim": -1, "dim": 0,
                               "cells": [{"ineqs": [], "eqs": [], "weight": 1}]},
                              r"\$\.ambient_dim: expected a non-negative"),
+    "empty-cycle-dim-too-large": ({"kind": "cycle", "ambient_dim": 2, "dim": 7, "cells": []},
+                                  r"\$\.dim: expected a dimension from -2 to 2, got 7"),
+    "empty-cycle-dim-too-small": ({"kind": "cycle", "ambient_dim": 2, "dim": -3, "cells": []},
+                                  r"\$\.dim: expected a dimension from -2 to 2, got -3"),
 }
 
 
@@ -120,6 +125,22 @@ def test_malformed_document_is_a_parse_error(name, capsys, tmp_path):
     assert main(["validate", str(doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "expected" in captured.err
+
+
+def test_empty_product_of_negative_dimension_roundtrips(tmp_path):
+    # A point and a line in R^3 meet stably in the empty cycle of dimension
+    # 0 + 1 - 3 = -2, which reads back as it was written.
+    point = parse_document(json.dumps({
+        "kind": "cycle", "ambient_dim": 3, "dim": 0,
+        "cells": [{"ineqs": [], "eqs": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                   "weight": 1}]})).payload
+    empty = stable_intersect(point, standard_skeleton(3, 1))
+    assert empty.is_empty and (empty.ambient_dim, empty.dim) == (3, -2)
+    back = roundtrip(empty)
+    assert back.is_empty and (back.ambient_dim, back.dim) == (3, -2)
+    doc = tmp_path / "empty.json"
+    doc.write_text(serialize_document(empty))
+    assert main(["validate", str(doc)]) == 0
 
 
 def test_serialization_is_deterministic():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import reference_refine_cell
-from test_faces import _count_lps
+from test_faces import _count_lps, _count_slack_solves
 
 import tropint.polyhedra as polyhedra
 from tropint._simplex import OPTIMAL, lp_max
@@ -152,13 +152,23 @@ def test_refine_cell_matches_reference(n, dim, kind, data):
         assert _crosses(cell, f) if cell.dim <= 1 else not form_vanishes_on(cell, f)
 
 
-def test_segment_missed_by_every_line_takes_two_lps(monkeypatch):
+def test_segment_missed_by_every_line_takes_no_lp(monkeypatch):
     seg = segment_cell((0, 0), (2, 1))
     lines = [AffineForm((1, 0), -5), AffineForm((0, 1), 3), AffineForm((1, 1), -10),
              AffineForm((1, -2), -4)]
-    calls = _count_lps(monkeypatch)
+    calls, solves = _count_lps(monkeypatch), _count_slack_solves(monkeypatch)
+    boxes = []
+    interval = polyhedra._interval
+
+    def recording(rows):
+        boxes.append(1)
+        return interval(rows)
+
+    monkeypatch.setattr(polyhedra, "_interval", recording)
     assert refine_cell(seg, lines) == [seg]
-    assert len(calls) == 2
+    # The box of a segment is the interval its rows cut out, read once; it
+    # culls every line, so nothing is solved.
+    assert len(calls) == 0 and len(solves) == 0 and len(boxes) == 1
 
 
 def test_point_cell_takes_no_lp(monkeypatch):
@@ -169,9 +179,10 @@ def test_point_cell_takes_no_lp(monkeypatch):
     assert not calls
 
 
-# LP solves of add(conic, line) on fresh copies, measured with the cull;
+# Slack solves of add(conic, line) on fresh copies, all in closed form, so
+# no LP; with the simplex on every program they were 44 and 62 LPs, and
 # refining along every form, as the reference does, took 140 and 240.
-_ADD_LPS = {"conic+line": 44, "conic+(line+v)": 62}
+_ADD_SOLVES = {"conic+line": 20, "conic+(line+v)": 38}
 
 
 @pytest.mark.parametrize("name, shift", [
@@ -180,6 +191,7 @@ _ADD_LPS = {"conic+line": 44, "conic+(line+v)": 62}
 ])
 def test_add_lp_budget(monkeypatch, name, shift):
     c, d = translate(conic_curve(), (0, 0)), translate(standard_skeleton(2, 1), shift)
-    calls = _count_lps(monkeypatch)
+    calls, solves = _count_lps(monkeypatch), _count_slack_solves(monkeypatch)
     add(c, d)
-    assert len(calls) <= _ADD_LPS[name]
+    assert len(calls) == 0
+    assert len(solves) == _ADD_SOLVES[name]
