@@ -16,7 +16,6 @@ from itertools import combinations
 from .kernel import QQ, int_vector, least_positive_vector, vec_add, vec_scale
 from .polyhedra import (
     Cell,
-    cell_contains_cell,
     collect_hyperplanes,
     cone_from_rays,
     intersect,
@@ -44,21 +43,9 @@ class WeightedComplex:
             raise ValueError("one weight per maximal cell required")
         self._ridges = None
 
-    @classmethod
-    def empty(cls, ambient_dim, dim) -> "WeightedComplex":
-        return cls(ambient_dim, dim)
-
     @property
     def is_empty(self) -> bool:
         return not self.cells
-
-    def weight_of(self, cell: Cell) -> int:
-        """Weight of the maximal cell equal (as a set) to the given one."""
-        key = cell.canonical_key
-        for c, w in zip(self.cells, self.weights):
-            if c.canonical_key == key:
-                return w
-        raise KeyError("cell is not a maximal cell of this complex")
 
     def nonzero_part(self) -> "WeightedComplex":
         kept = [(c, w) for c, w in zip(self.cells, self.weights) if w != 0]
@@ -150,7 +137,7 @@ class Cycle:
 
     @classmethod
     def empty(cls, ambient_dim, dim) -> "Cycle":
-        return cls(WeightedComplex.empty(ambient_dim, dim), check=False)
+        return cls(WeightedComplex(ambient_dim, dim), check=False)
 
     @property
     def ambient_dim(self):
@@ -252,6 +239,19 @@ def normal_vector(facet: Cell, ridge: Cell) -> NormalVector:
     raise ValueError("no facet inequality cuts the ridge out of the facet")
 
 
+def _weighted_normals(c: WeightedComplex):
+    """Per ridge of the complex, in the order of :meth:`WeightedComplex.ridges`:
+    the ridge, the indices of its facets, the normals those carry scaled by
+    the facet weights, and the sum of the scaled normals."""
+    n = c.ambient_dim
+    for ridge, idxs, normals in c.ridges():
+        scaled = tuple(vec_scale(c.weights[i], v) for i, v in zip(idxs, normals))
+        s = (0,) * n
+        for u in scaled:
+            s = vec_add(s, u)
+        yield ridge, idxs, scaled, s
+
+
 def is_balanced(c: WeightedComplex) -> BalanceReport:
     """Check the balancing condition at every ridge of the nonzero part.
 
@@ -260,12 +260,7 @@ def is_balanced(c: WeightedComplex) -> BalanceReport:
     of representatives matters.  Maximal cells must meet in faces (see
     :func:`validate_complex`), or the ridges are not matched up correctly.
     """
-    reduced = c.nonzero_part()
-    n = c.ambient_dim
-    for ridge, idxs, normals in reduced.ridges():
-        s = (0,) * n
-        for i, v in zip(idxs, normals):
-            s = vec_add(s, vec_scale(reduced.weights[i], v))
+    for ridge, _, _, s in _weighted_normals(c.nonzero_part()):
         if not ridge.direction_lattice.spans_vector(s):
             return BalanceReport(False, ridge, s)
     return BalanceReport(True)
@@ -378,20 +373,3 @@ def standard_skeleton(n: int, k: int) -> Cycle:
 def rn_cycle(n: int) -> Cycle:
     """The ambient space R^n as a cycle with weight one."""
     return Cycle(WeightedComplex(n, n, [Cell.full_space(n)], [1]), check=False)
-
-
-def star_fan(c: WeightedComplex, tau: Cell) -> WeightedComplex:
-    """Fan of tangent cones at a cell, recentered at its interior point.
-
-    Collects the maximal cells containing the cell and replaces each by the
-    cone of directions entering it; weights are inherited.
-    """
-    p = tau.interior_point
-    cones, weights = [], []
-    for cell, w in zip(c.cells, c.weights):
-        if cell.contains_point(p) and cell_contains_cell(cell, tau):
-            cones.append(cell.tangent_cone(p))
-            weights.append(w)
-    if not cones:
-        raise ValueError("cell does not belong to the complex")
-    return WeightedComplex(c.ambient_dim, c.dim, cones, weights)

@@ -21,23 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import Cycle, WeightedComplex
-from .kernel import (
-    QQ,
-    LatticeBasis,
-    clear_denominators,
-    dot,
-    integer_solve,
-    vec_add,
-    vec_scale,
-)
+from .cycles import Cycle, WeightedComplex, _weighted_normals
+from .kernel import LatticeBasis, dot
 from .polyhedra import (
     AffineForm,
     Cell,
     _split_piece,
     collect_hyperplanes,
     form_vanishes_on,
-    hyperplane_form,
     intersect,
     refine_cell,
     strict_point,
@@ -57,10 +48,6 @@ class TropicalPolynomial:
 
     def value(self, x):
         return max(t.value_at(x) for t in self.terms)
-
-    @property
-    def ambient_dim(self):
-        return len(self.terms[0].linear)
 
 
 @dataclass(frozen=True)
@@ -83,10 +70,6 @@ class PiecewisePL:
             if cell.contains_point(x):
                 return form.value_at(x)
         raise ValueError("point outside the domain of the piecewise function")
-
-    @property
-    def ambient_dim(self):
-        return self.pieces[0][0].ambient_dim
 
     def check_continuity(self):
         """Verify forms agree on pairwise intersections of domain cells."""
@@ -112,43 +95,12 @@ class CartierDivisor:
 
     rep: object  # TropicalPolynomial | PiecewisePL
 
-    @property
-    def ambient_dim(self):
-        return self.rep.ambient_dim
-
 
 def pl_rep(phi):
     return phi.rep if isinstance(phi, CartierDivisor) else phi
 
 
-def affine_function(linear, constant=0) -> TropicalPolynomial:
-    return TropicalPolynomial((AffineForm(linear, constant),))
-
-
-def pl_value(phi, x):
-    return pl_rep(phi).value(x)
-
-
 # -- linearization -----------------------------------------------------------
-
-
-def _function_hyperplanes(phi):
-    f = pl_rep(phi)
-    forms = {}
-    if isinstance(f, TropicalPolynomial):
-        terms = f.terms
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                d = AffineForm(
-                    tuple(a - b for a, b in zip(terms[i].linear, terms[j].linear)),
-                    terms[i].constant - terms[j].constant)
-                h = hyperplane_form(d)
-                if h is not None:
-                    forms.setdefault(h.sort_key(), h)
-    else:
-        for h in collect_hyperplanes([cell for cell, _ in f.pieces]):
-            forms.setdefault(h.sort_key(), h)
-    return forms
 
 
 def _form_on_cell(phi, cell: Cell) -> AffineForm:
@@ -227,12 +179,6 @@ def linearize_many(functions, complex: WeightedComplex):
     return out, per_function
 
 
-def linearize_on(phi, cycle: Cycle):
-    """Spec-level entry point for a single function on a cycle."""
-    cx, (forms,) = linearize_many([phi], cycle.complex)
-    return Cycle(cx, check=False), forms
-
-
 # -- Weil divisors -----------------------------------------------------------
 
 
@@ -254,15 +200,9 @@ def _ridge_weights(phi, cycle: Cycle):
     """
     base = cycle.reduce()
     cx, (forms,) = linearize_many([phi], base.complex)
-    n = cx.ambient_dim
     out = []
-    for ridge, idxs, normals in cx.ridges():
-        s = (0,) * n
-        acc = 0
-        for i, v in zip(idxs, normals):
-            w = cx.weights[i]
-            s = vec_add(s, vec_scale(w, v))
-            acc += w * dot(forms[i].linear, v)
+    for ridge, idxs, scaled, s in _weighted_normals(cx):
+        acc = sum(dot(forms[i].linear, u) for i, u in zip(idxs, scaled))
         form = forms[idxs[0]]
         out.append((ridge, acc - dot(form.linear, s), form))
     return cx, forms, out
@@ -328,7 +268,7 @@ def _downward_cell(ridge: Cell, form: AffineForm) -> Cell:
     return Cell(n + 1, ineqs, eqs, ridge.dim + 1, p, LatticeBasis(n + 1, basis))
 
 
-# -- boundedness and divisor equality ----------------------------------------
+# -- boundedness ---------------------------------------------------------------
 
 
 def is_bounded_on(phi, cycle: Cycle) -> bool:
@@ -347,96 +287,3 @@ def is_bounded_on(phi, cycle: Cycle) -> bool:
         if strict_point(rec, lam) is not None or strict_point(rec, lam.negated()) is not None:
             return False
     return True
-
-
-def divisors_equal(a, b, cycle: Cycle) -> bool:
-    """Equality in the Cartier group: the difference is globally affine.
-
-    Builds the integer linear system expressing that one integer covector
-    matches the per-cell differences on all cells and their positions, and
-    decides solvability exactly.
-    """
-    base = cycle.reduce()
-    if base.is_empty:
-        return True
-    cx, (fa, fb) = linearize_many([a, b], base.complex)
-    n = cx.ambient_dim
-    diffs = [
-        (tuple(x - y for x, y in zip(pa.linear, pb.linear)), pa.constant - pb.constant)
-        for pa, pb in zip(fa, fb)
-    ]
-    rows, rhs = [], []
-    for cell, (dlam, _) in zip(cx.cells, diffs):
-        for bvec in cell.direction_lattice.vectors:
-            rows.append(bvec)
-            rhs.append(dot(dlam, bvec))
-    p0 = cx.cells[0].interior_point
-    v0 = dot(diffs[0][0], p0) + diffs[0][1]
-    for cell, (dlam, dc) in list(zip(cx.cells, diffs))[1:]:
-        p = cell.interior_point
-        coeffs = tuple(QQ(x) - QQ(y) for x, y in zip(p, p0))
-        target = dot(dlam, p) + dc - v0
-        scaled = clear_denominators(coeffs + (target,))
-        rows.append(scaled[:n])
-        rhs.append(scaled[n])
-    sol = integer_solve(rows, rhs) if rows else ()
-    return sol is not None
-
-
-# -- pointwise arithmetic ------------------------------------------------------
-
-
-def pl_add(a, b):
-    """Pointwise sum of piecewise-linear functions.
-
-    The sum of two max-polynomials is the max-polynomial of pairwise term
-    sums; mixed cases fall back to a piecewise representation over
-    intersections of the two domains.
-    """
-    fa, fb = pl_rep(a), pl_rep(b)
-    if isinstance(fa, TropicalPolynomial) and isinstance(fb, TropicalPolynomial):
-        terms = []
-        for s in fa.terms:
-            for t in fb.terms:
-                terms.append(AffineForm(vec_add(s.linear, t.linear), s.constant + t.constant))
-        return TropicalPolynomial(tuple(terms))
-    pieces = []
-    for ca, pa in _pieces_of(fa):
-        for cb, pb in _pieces_of(fb):
-            common = intersect(ca, cb)
-            if common is not None:
-                pieces.append((common, AffineForm(vec_add(pa.linear, pb.linear),
-                                                  pa.constant + pb.constant)))
-    return PiecewisePL(tuple(pieces))
-
-
-def pl_negate(a):
-    f = pl_rep(a)
-    if isinstance(f, TropicalPolynomial) and len(f.terms) == 1:
-        t = f.terms[0]
-        return TropicalPolynomial((AffineForm(tuple(-x for x in t.linear), -t.constant),))
-    return PiecewisePL(tuple(
-        (cell, AffineForm(tuple(-x for x in form.linear), -form.constant))
-        for cell, form in _pieces_of(f)))
-
-
-def pl_scale(a, m: int):
-    f = pl_rep(a)
-    if m < 0:
-        return pl_negate(pl_scale(f, -m))
-    if isinstance(f, TropicalPolynomial):
-        return TropicalPolynomial(tuple(
-            AffineForm(vec_scale(m, t.linear), m * t.constant) for t in f.terms))
-    return PiecewisePL(tuple(
-        (cell, AffineForm(vec_scale(m, form.linear), m * form.constant))
-        for cell, form in f.pieces))
-
-
-def _pieces_of(f):
-    """An affine cell cover of the domain of the function."""
-    if isinstance(f, PiecewisePL):
-        return f.pieces
-    n = f.ambient_dim
-    space = Cell.full_space(n)
-    forms = tuple(h for _, h in sorted(_function_hyperplanes(f).items()))
-    return tuple((piece, _form_on_cell(f, piece)) for piece in refine_cell(space, forms))

@@ -78,25 +78,9 @@ def vec_gcd(v) -> int:
     return g
 
 
-def primitive_part(v: IntVector) -> IntVector:
-    """Divide an integer vector by the gcd of its coordinates.
-
-    The result generates the same ray as ``v`` and has coprime coordinates.
-    Raises on the zero vector, which spans no ray.
-    """
-    v = int_vector(v)
-    g = vec_gcd(v)
-    if g == 0:
-        raise ValueError("no primitive part of zero")
-    return tuple(x // g for x in v)
-
-
 def clear_denominators(v) -> IntVector:
     """Scale a rational vector by the positive lcm of denominators."""
-    m = 1
-    for x in v:
-        d = int(QQ(x).denominator)
-        m = m * d // gcd(m, d)
+    m = lcm(*(QQ(x).denominator for x in v))
     return tuple(int(QQ(x) * m) for x in v)
 
 
@@ -441,10 +425,6 @@ class LatticeBasis:
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-    def contains(self, v) -> bool:
-        c = self.coordinates(v)
-        return c is not None
 
     def coordinates(self, v):
         """Integer coordinates of v in this basis, or None if v is outside."""

@@ -1,10 +1,12 @@
-"""Built-in cycles, functions and maps used by the CLI and the test suite.
+"""Built-in cycles, functions and maps behind the CLI's named examples.
 
 These are the stock verification instances: the standard skeleta and
 tropical hyperplane polynomial, the rigid curve inside the standard surface
 in R^3 with the function cutting it out, the three-ray fan whose
-push-forwards have indices 2 and 1, a smooth plane conic, and bounded
-functions on curves for degree-zero checks.
+push-forwards have indices 2 and 1, a smooth plane conic, a bounded
+sawtooth on the pinwheel curve for degree-zero checks, and the diagonal
+of R^n x R^n that :func:`~tropint.rn_products.diagonal_cycle` checks
+against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from .cycles import Cycle, WeightedComplex, minus_e, rn_cycle, standard_skeleton
 from .divisors import CartierDivisor, PiecewisePL, TropicalPolynomial
 from .kernel import integer_solve
 from .morphisms import IntegerLinearMap
-from .polyhedra import AffineForm, Cell, cone_from_rays, point_cell, ray_cell, segment_cell
+from .polyhedra import AffineForm, Cell, cone_from_rays, ray_cell, segment_cell
 
 
 def hyperplane_polynomial(n: int) -> TropicalPolynomial:
@@ -153,38 +155,12 @@ def sawtooth_function() -> CartierDivisor:
     return CartierDivisor(PiecewisePL(tuple(pieces)).check_continuity())
 
 
-def tent_function_on_line() -> CartierDivisor:
-    """Bounded tent on the standard plane line: rises to 1 along the
-    diagonal ray, constant elsewhere."""
-    pieces = (
-        (ray_cell((0, 0), (-1, 0)), AffineForm((0, 0), 0)),
-        (ray_cell((0, 0), (0, -1)), AffineForm((0, 0), 0)),
-        (segment_cell((0, 0), (1, 1)), AffineForm((1, 0), 0)),
-        (ray_cell((1, 1), (1, 1)), AffineForm((0, 0), 1)),
-    )
-    return CartierDivisor(PiecewisePL(pieces).check_continuity())
-
-
-def bump_function_on_r1() -> CartierDivisor:
-    """Bounded bump on the line: slope 0, then 1 on [0, 1], then 0."""
-    pieces = (
-        (Cell.from_constraints(1, [AffineForm((-1,), 0)]), AffineForm((0,), 0)),
-        (segment_cell((0,), (1,)), AffineForm((1,), 0)),
-        (Cell.from_constraints(1, [AffineForm((1,), -1)]), AffineForm((0,), 1)),
-    )
-    return CartierDivisor(PiecewisePL(pieces).check_continuity())
-
-
 def diagonal_line(n: int = 1) -> Cycle:
     """The diagonal {(x, x)} inside R^{2n} with weight one."""
     eqs = [AffineForm(tuple(1 if j == i else (-1 if j == n + i else 0)
                             for j in range(2 * n)), 0) for i in range(n)]
     cell = Cell.from_constraints(2 * n, eqs=eqs)
     return Cycle(WeightedComplex(2 * n, n, [cell], [1]), check=False)
-
-
-def origin_cycle(n: int, weight: int = 1) -> Cycle:
-    return Cycle(WeightedComplex(n, 0, [point_cell((0,) * n)], [weight]), check=False)
 
 
 # -- named examples for the command line --------------------------------------

@@ -61,19 +61,6 @@ class IntegerLinearMap:
     def source_dim(self):
         return len(self.matrix[0]) if self.matrix else 0
 
-    def apply(self, v):
-        return mat_vec(self.matrix, v)
-
-    def compose(self, other: "IntegerLinearMap") -> "IntegerLinearMap":
-        """self after other."""
-        rows = tuple(tuple(dot(r, col) for col in zip(*other.matrix))
-                     for r in self.matrix)
-        return IntegerLinearMap(rows)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
 
 class Morphism:
     """An integer linear map between the supports of two cycles.

@@ -13,17 +13,20 @@ There is no vertex enumeration anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from ._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_max
 from .kernel import (
     QQ,
     LatticeBasis,
+    clear_denominators,
     dot,
     echelon,
     int_vector,
     kernel_lattice,
     rat_parts,
+    solve_rational,
+    subspace_lattice,
     vec_gcd,
 )
 
@@ -77,10 +80,7 @@ class AffineForm:
 
 def form_from_rational(linear, constant) -> AffineForm:
     """Scale a rational-coefficient form to integer linear part."""
-    m = 1
-    for x in linear:
-        d = int(QQ(x).denominator)
-        m = m * d // gcd(m, d)
+    m = lcm(*(QQ(x).denominator for x in linear))
     return AffineForm(tuple(int(QQ(x) * m) for x in linear), QQ(constant) * m)
 
 
@@ -219,12 +219,6 @@ class Cell:
     def contains_point(self, p) -> bool:
         return (all(f.value_at(p) == 0 for f in self.eqs)
                 and all(f.value_at(p) >= 0 for f in self.ineqs))
-
-    def relative_interior_contains(self, p) -> bool:
-        # Valid with redundant inequalities present: after implied-equality
-        # migration every listed inequality is strict on the interior.
-        return (all(f.value_at(p) == 0 for f in self.eqs)
-                and all(f.value_at(p) > 0 for f in self.ineqs))
 
     # -- derived geometry -------------------------------------------------
 
@@ -703,8 +697,6 @@ def cone_from_rays(rays, ambient_dim) -> Cell:
     The H-representation pairs each ray with a dual form positive on it and
     vanishing on the others; equalities cut out the linear span.
     """
-    from .kernel import solve_rational, subspace_lattice
-
     rays = tuple(int_vector(r) for r in rays)
     if not rays:
         return point_cell((0,) * ambient_dim)
@@ -722,19 +714,15 @@ def cone_from_rays(rays, ambient_dim) -> Cell:
 
 
 def point_cell(p) -> Cell:
-    from .kernel import LatticeBasis as LB
-
     p = tuple(QQ(x) for x in p)
     n = len(p)
     eqs = tuple(AffineForm(tuple(1 if j == i else 0 for j in range(n)), -p[i])
                 for i in range(n))
-    return Cell(n, (), eqs, 0, p, LB(n, ()))
+    return Cell(n, (), eqs, 0, p, LatticeBasis(n, ()))
 
 
 def ray_cell(base, direction) -> Cell:
     """Halfline base + R_{>=0} . direction."""
-    from .kernel import subspace_lattice
-
     base = tuple(QQ(x) for x in base)
     d = int_vector(direction)
     n = len(base)
@@ -745,8 +733,6 @@ def ray_cell(base, direction) -> Cell:
 
 
 def segment_cell(p, q) -> Cell:
-    from .kernel import clear_denominators, subspace_lattice
-
     p = tuple(QQ(x) for x in p)
     q = tuple(QQ(x) for x in q)
     if p == q:

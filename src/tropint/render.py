@@ -8,7 +8,8 @@ to decimals only for the SVG output; the cycle itself is never altered.
 from __future__ import annotations
 
 from .cycles import Cycle
-from .kernel import QQ
+from .kernel import QQ, dot
+from .polyhedra import _interval
 
 
 def render_svg(cycle: Cycle, bbox=(-5, -5, 5, 5), size=600) -> str:
@@ -49,27 +50,21 @@ def render_svg(cycle: Cycle, bbox=(-5, -5, 5, 5), size=600) -> str:
 
 
 def _visible_segment(cell, box_forms):
-    """Clip a one-dimensional cell to the box; None when nothing shows."""
+    """Clip a one-dimensional cell to the box; None when nothing shows.
+
+    The cell is p + z d for z in an interval: each constraint a . x + c >= 0
+    of the cell or the box bounds z through (a . d) z + (a . p + c) >= 0.
+    """
     p = cell.interior_point
     d = cell.direction_lattice.vectors[0]
-    lo, hi = None, None
     constraints = [(f.linear, f.constant) for f in cell.ineqs] + box_forms
-    for linear, constant in constraints:
-        slope = sum(a * x for a, x in zip(linear, d))
-        offset = sum(QQ(a) * QQ(x) for a, x in zip(linear, p)) + QQ(constant)
-        if slope == 0:
-            if offset < 0:
-                return None
-            continue
-        bound = -offset / QQ(slope)
-        if slope > 0:
-            lo = bound if lo is None or bound > lo else lo
-        else:
-            hi = bound if hi is None or bound < hi else hi
-    if lo is None or hi is None or lo > hi:
+    interval = _interval([(dot(linear, d), dot(linear, p) + QQ(constant))
+                          for linear, constant in constraints])
+    if interval is None or None in interval:
         return None
-    a = tuple(QQ(x) + lo * QQ(v) for x, v in zip(p, d))
-    b = tuple(QQ(x) + hi * QQ(v) for x, v in zip(p, d))
+    lo, hi = interval
+    a = tuple(x + lo * v for x, v in zip(p, d))
+    b = tuple(x + hi * v for x, v in zip(p, d))
     if a == b:
         return None
     return a, b

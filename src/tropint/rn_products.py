@@ -29,7 +29,6 @@ from .cycles import (
     cycles_equal,
     rn_cycle,
     standard_skeleton,
-    translate,
 )
 from .divisors import (
     CartierDivisor,
@@ -117,33 +116,14 @@ def _on_diagonal(cut: Cycle) -> Cycle:
 def diagonal_cycle(n: int) -> Cycle:
     """The diagonal of R^n x R^n computed as a product of divisors.
 
-    Asserts agreement with the explicit weight-one diagonal before
-    returning the computed representative.
+    Checks agreement with the explicit weight-one diagonal
+    (:func:`~tropint.library.diagonal_line`) before returning the computed
+    representative, and raises RuntimeError when they differ.
     """
     computed = divisor_chain(diagonal_divisors(n), rn_cycle(2 * n))
     if not cycles_equal(computed, diagonal_line(n)):
-        raise AssertionError("diagonal divisors do not cut out the diagonal")
+        raise RuntimeError("diagonal divisors do not cut out the diagonal")
     return computed
-
-
-@dataclass(frozen=True)
-class ZeroCycle:
-    """A zero-dimensional cycle as weighted rational points."""
-
-    points: tuple  # of (point tuple, weight)
-
-    @property
-    def degree(self) -> int:
-        return sum(w for _, w in self.points)
-
-
-def as_zero_cycle(c: Cycle) -> ZeroCycle:
-    if c.dim != 0 and not c.is_empty:
-        raise ValueError("not a zero-dimensional cycle")
-    red = c.reduce()
-    pts = tuple((cell.interior_point, w)
-                for cell, w in zip(red.complex.cells, red.complex.weights))
-    return ZeroCycle(pts)
 
 
 def degree(c: Cycle) -> int:
@@ -222,12 +202,3 @@ def degree_zero_check(phi, c: Cycle) -> bool:
     if not is_bounded_on(phi, c):
         raise ValueError("function is unbounded on the cycle support")
     return degree(weil_divisor(phi, c)) == 0
-
-
-def translation_invariance_check(c: Cycle, d: Cycle, v1, v2) -> bool:
-    """deg(C . D) is unchanged when both factors are translated."""
-    if c.dim + d.dim != c.ambient_dim:
-        raise ValueError("cycles do not have complementary dimensions")
-    base = degree(stable_intersect(c, d))
-    moved = degree(stable_intersect(translate(c, v1), translate(d, v2)))
-    return base == moved

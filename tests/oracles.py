@@ -1,21 +1,35 @@
-"""Independent brute-force oracles shared by the test modules."""
+"""Independent brute-force oracles shared by the test modules, and the
+helpers the tests share that no path of the library needs."""
 
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
-from tropint.cycles import Cycle, WeightedComplex, cartesian_product, rn_cycle
-from tropint.divisors import divisor_chain
+from tropint.cycles import Cycle, WeightedComplex, cartesian_product, rn_cycle, translate
+from tropint.divisors import (
+    CartierDivisor,
+    PiecewisePL,
+    TropicalPolynomial,
+    _form_on_cell,
+    divisor_chain,
+    linearize_many,
+    pl_rep,
+)
 from tropint.kernel import (
     QQ,
+    clear_denominators,
     dot,
     hnf_basis,
+    identity_matrix,
+    int_vector,
     integer_solve,
     kernel_lattice,
     lattice_index,
-    primitive_part,
     rat_parts,
     solve_rational,
+    vec_add,
+    vec_gcd,
+    vec_scale,
 )
 from tropint.library import projection_map
-from tropint.morphisms import Morphism, image_cell, push_forward
+from tropint.morphisms import IntegerLinearMap, Morphism, image_cell, push_forward
 from tropint.polyhedra import (
     AffineForm,
     Cell,
@@ -24,10 +38,15 @@ from tropint.polyhedra import (
     collect_hyperplanes,
     form_from_rational,
     form_vanishes_on,
+    hyperplane_form,
+    intersect,
+    point_cell,
+    ray_cell,
     refine_cell,
+    segment_cell,
     sign_vector,
 )
-from tropint.rn_products import diagonal_divisors
+from tropint.rn_products import degree, diagonal_divisors, stable_intersect
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
@@ -651,3 +670,214 @@ def reference_stable_intersect(c, d):
     if cut.is_empty:
         return Cycle.empty(n, k + l - n)
     return push_forward(Morphism(projection_map(n), cut, rn_cycle(n)))
+
+
+# -- small accessors ---------------------------------------------------------
+
+
+def weight_of(c: WeightedComplex, cell: Cell) -> int:
+    """Weight of the maximal cell equal (as a set) to the given one."""
+    key = cell.canonical_key
+    for other, w in zip(c.cells, c.weights):
+        if other.canonical_key == key:
+            return w
+    raise KeyError("cell is not a maximal cell of this complex")
+
+
+def relative_interior_contains(cell: Cell, p) -> bool:
+    """Whether p lies in the relative interior of the cell.  Valid with
+    redundant inequalities present: after implied-equality migration every
+    listed inequality is strict on the interior."""
+    return (all(f.value_at(p) == 0 for f in cell.eqs)
+            and all(f.value_at(p) > 0 for f in cell.ineqs))
+
+
+def primitive_part(v):
+    """Divide an integer vector by the gcd of its coordinates.
+
+    The result generates the same ray as ``v`` and has coprime coordinates.
+    Raises on the zero vector, which spans no ray.
+    """
+    v = int_vector(v)
+    g = vec_gcd(v)
+    if g == 0:
+        raise ValueError("no primitive part of zero")
+    return tuple(x // g for x in v)
+
+
+def identity_map(n: int) -> IntegerLinearMap:
+    return IntegerLinearMap(identity_matrix(n))
+
+
+def compose_maps(g: IntegerLinearMap, f: IntegerLinearMap) -> IntegerLinearMap:
+    """g after f."""
+    return IntegerLinearMap(mat_mul(g.matrix, f.matrix))
+
+
+# -- stars and translations ----------------------------------------------------
+
+
+def star_fan(c: WeightedComplex, tau: Cell) -> WeightedComplex:
+    """Fan of tangent cones at a cell, recentered at its interior point.
+
+    Collects the maximal cells containing the cell and replaces each by the
+    cone of directions entering it; weights are inherited.
+    """
+    p = tau.interior_point
+    cones, weights = [], []
+    for cell, w in zip(c.cells, c.weights):
+        if cell.contains_point(p) and cell_contains_cell(cell, tau):
+            cones.append(cell.tangent_cone(p))
+            weights.append(w)
+    if not cones:
+        raise ValueError("cell does not belong to the complex")
+    return WeightedComplex(c.ambient_dim, c.dim, cones, weights)
+
+
+def translation_invariance_check(c: Cycle, d: Cycle, v1, v2) -> bool:
+    """deg(C . D) is unchanged when both factors are translated."""
+    if c.dim + d.dim != c.ambient_dim:
+        raise ValueError("cycles do not have complementary dimensions")
+    base = degree(stable_intersect(c, d))
+    moved = degree(stable_intersect(translate(c, v1), translate(d, v2)))
+    return base == moved
+
+
+# -- piecewise-linear functions: equality and pointwise arithmetic -------------
+
+
+def divisors_equal(a, b, cycle: Cycle) -> bool:
+    """Equality in the Cartier group: the difference is globally affine.
+
+    Builds the integer linear system expressing that one integer covector
+    matches the per-cell differences on all cells and their positions, and
+    decides solvability exactly.
+    """
+    base = cycle.reduce()
+    if base.is_empty:
+        return True
+    cx, (fa, fb) = linearize_many([a, b], base.complex)
+    n = cx.ambient_dim
+    diffs = [
+        (tuple(x - y for x, y in zip(pa.linear, pb.linear)), pa.constant - pb.constant)
+        for pa, pb in zip(fa, fb)
+    ]
+    rows, rhs = [], []
+    for cell, (dlam, _) in zip(cx.cells, diffs):
+        for bvec in cell.direction_lattice.vectors:
+            rows.append(bvec)
+            rhs.append(dot(dlam, bvec))
+    p0 = cx.cells[0].interior_point
+    v0 = dot(diffs[0][0], p0) + diffs[0][1]
+    for cell, (dlam, dc) in list(zip(cx.cells, diffs))[1:]:
+        p = cell.interior_point
+        coeffs = tuple(QQ(x) - QQ(y) for x, y in zip(p, p0))
+        target = dot(dlam, p) + dc - v0
+        scaled = clear_denominators(coeffs + (target,))
+        rows.append(scaled[:n])
+        rhs.append(scaled[n])
+    sol = integer_solve(rows, rhs) if rows else ()
+    return sol is not None
+
+
+def pl_add(a, b):
+    """Pointwise sum of piecewise-linear functions.
+
+    The sum of two max-polynomials is the max-polynomial of pairwise term
+    sums; mixed cases fall back to a piecewise representation over
+    intersections of the two domains.
+    """
+    fa, fb = pl_rep(a), pl_rep(b)
+    if isinstance(fa, TropicalPolynomial) and isinstance(fb, TropicalPolynomial):
+        terms = []
+        for s in fa.terms:
+            for t in fb.terms:
+                terms.append(AffineForm(vec_add(s.linear, t.linear), s.constant + t.constant))
+        return TropicalPolynomial(tuple(terms))
+    pieces = []
+    for ca, pa in _pieces_of(fa):
+        for cb, pb in _pieces_of(fb):
+            common = intersect(ca, cb)
+            if common is not None:
+                pieces.append((common, AffineForm(vec_add(pa.linear, pb.linear),
+                                                  pa.constant + pb.constant)))
+    return PiecewisePL(tuple(pieces))
+
+
+def pl_negate(a):
+    f = pl_rep(a)
+    if isinstance(f, TropicalPolynomial) and len(f.terms) == 1:
+        t = f.terms[0]
+        return TropicalPolynomial((AffineForm(tuple(-x for x in t.linear), -t.constant),))
+    return PiecewisePL(tuple(
+        (cell, AffineForm(tuple(-x for x in form.linear), -form.constant))
+        for cell, form in _pieces_of(f)))
+
+
+def pl_scale(a, m: int):
+    f = pl_rep(a)
+    if m < 0:
+        return pl_negate(pl_scale(f, -m))
+    if isinstance(f, TropicalPolynomial):
+        return TropicalPolynomial(tuple(
+            AffineForm(vec_scale(m, t.linear), m * t.constant) for t in f.terms))
+    return PiecewisePL(tuple(
+        (cell, AffineForm(vec_scale(m, form.linear), m * form.constant))
+        for cell, form in f.pieces))
+
+
+def _pieces_of(f):
+    """An affine cell cover of the domain of the function."""
+    if isinstance(f, PiecewisePL):
+        return f.pieces
+    space = Cell.full_space(len(f.terms[0].linear))
+    forms = tuple(h for _, h in sorted(_function_hyperplanes(f).items()))
+    return tuple((piece, _form_on_cell(f, piece)) for piece in refine_cell(space, forms))
+
+
+def _function_hyperplanes(phi):
+    f = pl_rep(phi)
+    forms = {}
+    if isinstance(f, TropicalPolynomial):
+        terms = f.terms
+        for i in range(len(terms)):
+            for j in range(i + 1, len(terms)):
+                d = AffineForm(
+                    tuple(a - b for a, b in zip(terms[i].linear, terms[j].linear)),
+                    terms[i].constant - terms[j].constant)
+                h = hyperplane_form(d)
+                if h is not None:
+                    forms.setdefault(h.sort_key(), h)
+    else:
+        for h in collect_hyperplanes([cell for cell, _ in f.pieces]):
+            forms.setdefault(h.sort_key(), h)
+    return forms
+
+
+# -- bounded functions and zero cycles for degree-zero checks ----------------
+
+
+def tent_function_on_line() -> CartierDivisor:
+    """Bounded tent on the standard plane line: rises to 1 along the
+    diagonal ray, constant elsewhere."""
+    pieces = (
+        (ray_cell((0, 0), (-1, 0)), AffineForm((0, 0), 0)),
+        (ray_cell((0, 0), (0, -1)), AffineForm((0, 0), 0)),
+        (segment_cell((0, 0), (1, 1)), AffineForm((1, 0), 0)),
+        (ray_cell((1, 1), (1, 1)), AffineForm((0, 0), 1)),
+    )
+    return CartierDivisor(PiecewisePL(pieces).check_continuity())
+
+
+def bump_function_on_r1() -> CartierDivisor:
+    """Bounded bump on the line: slope 0, then 1 on [0, 1], then 0."""
+    pieces = (
+        (Cell.from_constraints(1, [AffineForm((-1,), 0)]), AffineForm((0,), 0)),
+        (segment_cell((0,), (1,)), AffineForm((1,), 0)),
+        (Cell.from_constraints(1, [AffineForm((1,), -1)]), AffineForm((0,), 1)),
+    )
+    return CartierDivisor(PiecewisePL(pieces).check_continuity())
+
+
+def origin_cycle(n: int, weight: int = 1) -> Cycle:
+    return Cycle(WeightedComplex(n, 0, [point_cell((0,) * n)], [weight]), check=False)

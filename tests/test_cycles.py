@@ -1,5 +1,5 @@
 import pytest
-from oracles import common_refinement, refine_complex
+from oracles import common_refinement, refine_complex, star_fan
 
 from tropint.cycles import (
     Cycle,
@@ -13,7 +13,6 @@ from tropint.cycles import (
     rn_cycle,
     scale,
     standard_skeleton,
-    star_fan,
     translate,
     validate_complex,
 )

@@ -17,6 +17,7 @@ from oracles import (
     reference_faces_of_codim_one,
     reference_linearity_regions,
     reference_ridges,
+    relative_interior_contains,
 )
 
 import tropint
@@ -88,11 +89,11 @@ def test_faces_match_reference(system):
     assert len(faces) == len(set(f.canonical_key for f in faces))
     for face in faces:
         assert face.dim == cell.dim - 1
-        assert face.relative_interior_contains(face.interior_point)
+        assert relative_interior_contains(face, face.interior_point)
         assert cell.contains_point(face.interior_point)
         # The reference face lists every constraint of the cell, so a point
         # handed on from the boundary of the facet fails here.
-        assert reference[face.canonical_key].relative_interior_contains(face.interior_point)
+        assert relative_interior_contains(reference[face.canonical_key], face.interior_point)
 
 
 def _count_lps(monkeypatch):
@@ -136,7 +137,7 @@ def test_one_lp_per_inequality_and_none_per_face(monkeypatch):
     # In the canonical order, each face lists g = 0 once, among the equalities.
     for g, face in zip(canon.ineqs, faces):
         assert g not in face.ineqs and face.eqs == (hyperplane_form(g),)
-        assert face.relative_interior_contains(face.interior_point)
+        assert relative_interior_contains(face, face.interior_point)
 
 
 def test_inequality_on_a_listed_equality_needs_no_probe(monkeypatch):
@@ -243,7 +244,7 @@ def test_linearity_regions_match_reference(case):
     for (region, _), (ref, _) in zip(got, want):
         assert collect_hyperplanes([region]) == collect_hyperplanes([ref])
         assert region.dim == cell.dim
-        assert region.relative_interior_contains(region.interior_point)
+        assert relative_interior_contains(region, region.interior_point)
 
 
 def test_regions_of_a_cell_inside_a_tie_hyperplane():

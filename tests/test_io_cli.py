@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import divisors_equal
 
 import tropint
 from tropint.cli import main
 from tropint.cycles import cycles_equal, rn_cycle, standard_skeleton
-from tropint.divisors import divisors_equal, pl_value, weil_divisor
+from tropint.divisors import pl_rep, weil_divisor
 from tropint.documents import DocumentError, parse_document, serialize_document
+from tropint.kernel import QQ
 from tropint.library import (
     builtin_example,
     map_f1,
@@ -20,6 +22,8 @@ from tropint.library import (
 )
 from tropint.render import render_svg
 from tropint.rn_products import stable_intersect
+
+RENDER_DATA = Path(__file__).resolve().parent / "data" / "render"
 
 
 def roundtrip(obj):
@@ -40,10 +44,10 @@ def test_function_roundtrip():
     h = builtin_example("hyperplane:2")
     back = roundtrip(h)
     for p in [(0, 0), (2, 1), (-3, 5)]:
-        assert pl_value(back, p) == pl_value(h, p)
+        assert pl_rep(back).value(p) == pl_rep(h).value(p)
     saw = sawtooth_function()
     back = roundtrip(saw)
-    assert pl_value(back, (0, 1)) == 1
+    assert pl_rep(back).value((0, 1)) == 1
     rf = rigid_function()
     back = roundtrip(rf)
     assert divisors_equal(back, rf, builtin_example("rigid-surface"))
@@ -76,7 +80,6 @@ def test_rationals_as_strings_and_floats_rejected():
         "cells": [{"ineqs": [[2, "1/3"]], "eqs": [], "weight": 1}],
     })
     cyc = parse_document(text).payload
-    from tropint.kernel import QQ
     assert cyc.complex.cells[0].contains_point((QQ(1, 6),))
     assert not cyc.complex.cells[0].contains_point((QQ(1, 7),))
     with pytest.raises(DocumentError, match="decimal"):
@@ -239,7 +242,7 @@ def test_cli_pullback_and_intersect(tmp_path, capsys):
     out = tmp_path / "f.json"
     assert main(["pullback", "map-f1", "hyperplane:1", "-o", str(out)]) == 0
     phi = parse_document(out.read_text()).payload
-    assert pl_value(phi, (2, 1)) == 3
+    assert pl_rep(phi).value((2, 1)) == 3
     out2 = tmp_path / "z.json"
     assert main(["intersect", "Lnk:2:1", "Lnk:2:1", "-o", str(out2)]) == 0
     z = parse_document(out2.read_text()).payload
@@ -291,6 +294,13 @@ def test_render_svg(tmp_path):
     assert out.read_text().count("<line") == 3
     with pytest.raises(ValueError):
         render_svg(rn_cycle(2))
+    # Exact output, clipping included: a default box that holds every vertex
+    # and a rational box that cuts edges and rays.
+    boxes = {"default": (-5, -5, 5, 5), "clipped": (QQ(-1, 2), -2, QQ(7, 3), QQ(3, 2))}
+    for name in ("pinwheel-curve", "conic-curve"):
+        for tag, bbox in boxes.items():
+            expected = (RENDER_DATA / f"{name}-{tag}.svg").read_text(encoding="utf-8")
+            assert render_svg(builtin_example(name), bbox=bbox) == expected, (name, tag)
 
 
 def _child_env():
