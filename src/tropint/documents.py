@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 from .cycles import Cycle, WeightedComplex
@@ -41,11 +42,23 @@ def _reject_float(value):
     raise DocumentError("$", f"decimal literal {value!r} not accepted; use 'p/q' strings")
 
 
+def _too_long(path):
+    """The error for an integer past Python's limit on digits converted."""
+    return DocumentError(path, f"integer of more than {sys.get_int_max_str_digits()} digits "
+                               "not accepted")
+
+
 def parse_document(text: str) -> Document:
     try:
         data = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}", f"invalid JSON: {exc.msg}") from None
+    except DocumentError:
+        raise
+    except ValueError:
+        # The one other error of the decoder: an integer literal too long
+        # to convert.
+        raise _too_long("$") from None
     if not isinstance(data, dict):
         raise DocumentError("$", "document must be a JSON object")
     kind = data.get("kind")
@@ -87,11 +100,13 @@ def _rat_from_json(value, path):
         if not _RATIONAL_RE.match(value):
             raise DocumentError(path, f"malformed rational {value!r}")
         num, _, den = value.partition("/")
-        if den in ("", None):
-            return QQ(int(num))
-        if int(den) == 0:
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:
+            raise _too_long(path) from None
+        if den == 0:
             raise DocumentError(path, "zero denominator")
-        return QQ(int(num), int(den))
+        return QQ(num, den)
     return QQ(value)
 
 

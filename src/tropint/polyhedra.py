@@ -4,10 +4,11 @@ A :class:`Cell` is a nonempty rational polyhedron in R^n described by
 integer-linear inequalities and equalities, with its dimension, a relative
 interior point and the lattice of its direction space cached at
 construction.  All geometric predicates are decided exactly by one slack
-program, :func:`_slack_lp`: in closed form when its equalities leave at
-most one free variable, as for cells of dimension one or less and the
-facets of cells of dimension two, and by the rational simplex otherwise.
-There is no vertex enumeration anywhere.
+program, :func:`_slack_lp`.  It eliminates its equalities first
+(:func:`_eliminate`), and is then solved in closed form when at most one
+variable is free, as for cells of dimension one or less and the facets of
+cells of dimension two, and otherwise by the rational simplex over the free
+variables.  There is no vertex enumeration anywhere.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class Cell:
             # implied equalities; the rest are strict somewhere already.
             implied, strict = [], []
             for g in cin:
-                if g.value_at(point) == 0 and _max_capped(ambient_dim, g, cin, ceq) == 0:
+                if g.value_at(point) == 0 and _max_capped(ambient_dim, g, cin, ceq).value == 0:
                     implied.append(g)
                 else:
                     strict.append(g)
@@ -281,34 +282,30 @@ class Cell:
         return tuple(f.sort_key() for f in self._hull()[0])
 
     def _hull(self):
-        """Canonical equalities of the affine hull, with the pivot columns,
-        scale d > 0 and pivot rows that reduce forms modulo them."""
+        """Canonical equalities of the affine hull, with the elimination of
+        :func:`_eliminate` that reduces forms modulo them."""
         n = self.ambient_dim
-        # The pivot rows of t are d times the reduced row echelon form of
-        # the equalities, which is unique for the affine hull.  Negated
-        # along with d when d < 0, they are positive multiples of it.
-        t, pivots, d = echelon([f.linear + (f.constant,) for f in self.eqs])
-        sign = -1 if d < 0 else 1
-        d, rows = sign * d, [[sign * x for x in row] for row in t[:len(pivots)]]
-        eqs = tuple(AffineForm(row[:n], row[n]).scaled_primitive() for row in rows)
-        return eqs, pivots, d, rows
+        elim = _eliminate(n, self.eqs)
+        eqs = tuple(AffineForm(row[:n], row[n]).scaled_primitive() for row in elim[4])
+        return eqs, elim
 
     def _canonicalize(self):
         n = self.ambient_dim
-        canon_eqs, pivots, d, eq_rows = self._hull()
+        canon_eqs, elim = self._hull()
+        _, _, d, free, _ = elim
         reduced = {}
         for g in self.ineqs:
-            # d times the coset representative of g modulo the equalities.
-            row = [d * x for x in g.linear + (g.constant,)]
-            for col, e in zip(pivots, eq_rows):
-                f = g.linear[col]
-                if f:
-                    row = [a - f * b for a, b in zip(row, e)]
-            if any(row[:n]):
-                h = AffineForm(row[:n], row[n]).scaled_primitive()
+            # d times the coset representative of g modulo the equalities:
+            # the line of g, placed on the free columns.
+            A, G = _line(g, elim)
+            linear = [0] * n
+            for j, a in zip(free, A):
+                linear[j] = a
+            if any(A):
+                h = AffineForm(linear, G).scaled_primitive()
             else:
                 # Constant on the hull; there is no gcd to divide d out by.
-                h = AffineForm(row[:n], row[n] / d)
+                h = AffineForm(linear, G / d)
             reduced.setdefault(h.sort_key(), h)
         candidates = [reduced[k] for k in sorted(reduced)]
         kept, points = list(candidates), []
@@ -356,44 +353,67 @@ def _require_optimal(res, what):
         raise RuntimeError(f"{what} is {res.status}; it is feasible and bounded by construction")
 
 
-def _hull_row(f, hull):
-    """The form f >= 0 as a pair (a, r) meaning a . y >= r.
+def _eliminate(n, eqs):
+    """The solutions of eqs == 0 in Q^n, or None when there is none.
 
-    Over Q^n (``hull`` None) y is x and the row is the form itself; over the
-    affine hull of a cell, y are the coordinates of x = p + sum y_j b_j, with
-    p the interior point and b the direction basis of the cell, so a_j is
-    the linear part of f paired with b_j and r is -f(p).
+    Returns (c, ws, d, free, rows): the solutions are
+    x = (c + sum_j z_j ws[j]) / d over z in Q^k, with integer vectors c and
+    ws[j] and d > 0, and z_j is the coordinate x_{free[j]}.  The rows,
+    linear part then constant, are d times the reduced row echelon form of
+    the equalities, which is unique for the solution set; the row of pivot
+    p says d x_p = c_p + sum_j ws[j][p] z_j.
     """
-    if hull is None:
-        return f.linear, -f.constant
-    return (tuple(f.eval_direction(b) for b in hull.direction_lattice.vectors),
-            -f.value_at(hull.interior_point))
+    rows, pivots, d = echelon([f.linear + (f.constant,) for f in eqs])
+    if pivots and pivots[-1] == n:
+        return None
+    rows = rows[:len(pivots)]
+    if d < 0:
+        d, rows = -d, [[-x for x in row] for row in rows]
+    free = [j for j in range(n) if j not in pivots]
+    c, ws = [0] * n, [[d if i == j else 0 for i in range(n)] for j in free]
+    for row, p in zip(rows, pivots):
+        c[p] = -row[n]
+        for j, w in zip(free, ws):
+            w[p] = -row[j]
+    return c, ws, d, free, rows
 
 
-def _slack_lp(n, plain, slack, eqs=(), hull=None):
+def _line(f, elim):
+    """The form f over the solutions of :func:`_eliminate` as the line
+    d f(x) = A . z + G, returned as (A, G): A is an integer tuple and G is
+    rational."""
+    c, ws, d = elim[:3]
+    return tuple(dot(f.linear, w) for w in ws), dot(f.linear, c) + d * f.constant
+
+
+def _slack_lp(n, plain, slack, eqs=()):
     """Maximize t <= 1 subject to plain forms >= 0, slack forms >= t and
-    eqs == 0, over Q^n or, given a cell of Q^n as ``hull``, over its affine
-    hull, in the coordinates of :func:`_hull_row`.
+    eqs == 0 over Q^n.
 
-    A program with at most one free variable once its equalities are
-    eliminated is solved in closed form by :func:`_slack_closed_form`; any
-    other goes to the simplex, with the rows the plain forms, the slack
-    forms, the cap and the equalities, in this order.  The result carries
-    t as its value and x as its point.
+    The equalities are eliminated first (:func:`_eliminate`), and every
+    form becomes a line over the free variables z (:func:`_line`).  With at
+    most one free variable the program is solved in closed form by
+    :func:`_slack_closed_form`; otherwise the simplex maximizes t over
+    (z, t), with the rows the plain lines, the slack lines and the cap, in
+    this order, and no equality row.  The result carries t as its value and
+    x as its point.
     """
-    k = n if hull is None else len(hull.direction_lattice.vectors)
-    plain, slack, eqs = ([_hull_row(f, hull) for f in fs] for fs in (plain, slack, eqs))
-    res = _slack_closed_form(k, plain, slack, eqs) if k - len(eqs) <= 1 else None
-    if res is None:
-        ineqs = [(a + (0,), r) for a, r in plain] + [(a + (-1,), r) for a, r in slack]
+    elim = _eliminate(n, eqs)
+    if elim is None:
+        return LPResult(INFEASIBLE)
+    c, ws, d = elim[:3]
+    k = len(ws)
+    plain, slack = ([_line(f, elim) for f in fs] for fs in (plain, slack))
+    if k <= 1:
+        res = _slack_closed_form(plain, slack, d)
+    else:
+        ineqs = [(A + (0,), -G) for A, G in plain] + [(A + (-d,), -G) for A, G in slack]
         ineqs.append(((0,) * k + (-1,), -1))
-        res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, eqs=[(a + (0,), r) for a, r in eqs])
+        res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs)
     if res.status == OPTIMAL:
-        y = res.point[:k]
-        if hull is not None:
-            p, basis = hull.interior_point, hull.direction_lattice.vectors
-            y = tuple(pi + sum(yj * b[i] for yj, b in zip(y, basis)) for i, pi in enumerate(p))
-        res.point = y
+        z = res.point[:k]
+        res.point = tuple(QQ(ci + sum(zj * w[i] for zj, w in zip(z, ws)), d)
+                          for i, ci in enumerate(c))
     return res
 
 
@@ -418,46 +438,25 @@ def _interval(lines):
     return lo, hi
 
 
-def _slack_closed_form(k, plain, slack, eqs):
-    """The slack program of :func:`_slack_lp` on rows (a, r) over y in Q^k,
-    solved without the simplex; None when the equalities leave more than
-    one free variable.
+def _slack_closed_form(plain, slack, d):
+    """The slack program of :func:`_slack_lp` on the lines (A, G) of at most
+    one free variable z, solved without the simplex: plain lines
+    A z + G >= 0 and slack lines A z + G >= d t, with t <= 1.
 
-    Eliminating the equalities gives y = (c + z w) / d with d > 0, and w = 0
-    when no variable is free.  A row becomes the line d (a . y - r) = A z + G:
-    the plain rows bound z to an interval, and the slack rows with A = 0
+    The plain lines bound z to an interval, and the slack lines with A = 0
     fold into the cap d t <= min(d, G).  The lowest increasing line meets
     the lowest decreasing one at max_u min_d z_ud, which maximizes the
     concave minimum of the lines; with lines of one slope sign only, the
     first z where all of them reach the cap does.  Clamped into the
-    interval, z maximizes t.
+    interval, z maximizes t.  The point of the result is (z,), whatever the
+    number of free variables.
     """
-    rows, pivots, d = echelon([a + (r,) for a, r in eqs])
-    if pivots and pivots[-1] == k:
-        return LPResult(INFEASIBLE)
-    free = [j for j in range(k) if j not in pivots]
-    if len(free) > 1:
-        return None
-    if d < 0:
-        d, rows = -d, [[-x for x in row] for row in rows]
-    c, w = [0] * k, [0] * k
-    for row, col in zip(rows, pivots):
-        c[col] = row[k]
-    if free:
-        j = free[0]
-        w[j] = d
-        for row, col in zip(rows, pivots):
-            w[col] = -row[j]
-
-    def line(a, r):
-        return dot(a, w), dot(a, c) - d * r
-
-    box = _interval([line(a, r) for a, r in plain])
+    box = _interval([(A[0] if A else 0, G) for A, G in plain])
     if box is None:
         return LPResult(INFEASIBLE)
     cap, up, down = d, [], []
-    for a, r in slack:
-        A, G = line(a, r)
+    for A, G in slack:
+        A = A[0] if A else 0
         if A > 0:
             up.append((A, G))
         elif A < 0:
@@ -478,7 +477,7 @@ def _slack_closed_form(k, plain, slack, eqs):
     if hi is not None and z > hi:
         z = hi
     value = min([cap] + [A * z + G for A, G in up + down])
-    return LPResult(OPTIMAL, QQ(value, d), tuple((ci + z * wi) / d for ci, wi in zip(c, w)))
+    return LPResult(OPTIMAL, QQ(value, d), (z,))
 
 
 def _relint_lp(n, ineqs, eqs):
@@ -498,20 +497,19 @@ def _relint_lp(n, ineqs, eqs):
 
 
 def _max_capped(n, form, ineqs, eqs):
-    """min(max(form), 1) over the system, via an auxiliary variable.
+    """min(max(form), 1) over the system as value, and a point attaining it.
 
     Always feasible and bounded when the base system is feasible, which
     keeps the probe robust even when the form exceeds the cap everywhere.
     """
     res = _slack_lp(n, ineqs, (form,), eqs)
     _require_optimal(res, "capped maximum LP")
-    return res.value
+    return res
 
 
 def strict_point(cell, form) -> tuple | None:
     """A point of the cell with form > 0, or None if form <= 0 on the cell."""
-    res = _slack_lp(cell.ambient_dim, cell.ineqs, (form,), hull=cell)
-    _require_optimal(res, "strict-point LP")
+    res = _max_capped(cell.ambient_dim, form, cell.ineqs, cell.eqs)
     return res.point if res.value > 0 else None
 
 
@@ -548,11 +546,11 @@ def _split_piece(cell, forms, eqs=()) -> Cell | None:
     cell's affine hull, dimension and direction lattice unchanged.  ``eqs``
     are forms that vanish on the cell; they join the piece's equalities.
     """
-    res = _slack_lp(cell.ambient_dim, (), cell.ineqs + forms, hull=cell)
-    if res.status == INFEASIBLE or res.value <= 0:
+    point, slack = _relint_lp(cell.ambient_dim, cell.ineqs + forms, cell.eqs)
+    if point is None or slack <= 0:
         return None
     return cell._replace_geometry(ineqs=cell.ineqs + forms, eqs=cell.eqs + eqs,
-                                  interior_point=res.point)
+                                  interior_point=point)
 
 
 # -- operations on cells --------------------------------------------------
@@ -599,14 +597,16 @@ def collect_hyperplanes(cells) -> tuple:
 
 
 def _hull_box(cell):
-    """Bounds (lo_j, hi_j) of each coordinate y_j of :func:`_hull_row` over
-    the cell, None on an unbounded side.  On a cell of dimension one the box
-    is the interval its rows cut out; otherwise it takes two LPs per
-    coordinate."""
-    rows = [_hull_row(f, cell) for f in cell.ineqs]
-    k = len(cell.direction_lattice.vectors)
+    """The elimination of the cell's equalities and the bounds (lo_j, hi_j)
+    of each free variable z_j over the cell, None on an unbounded side: the
+    interval the lines of the inequalities cut out for one free variable,
+    else two LPs per variable."""
+    elim = _eliminate(cell.ambient_dim, cell.eqs)
+    lines = [_line(f, elim) for f in cell.ineqs]
+    k = len(elim[1])
     if k == 1:
-        return [_interval([(a[0], -r) for a, r in rows])]
+        return elim, [_interval([(A[0], G) for A, G in lines])]
+    rows = [(A, -G) for A, G in lines]
     box = []
     for j in range(k):
         bounds = []
@@ -618,15 +618,15 @@ def _hull_box(cell):
                 _require_optimal(res, "hull-box LP")
                 bounds.append(sign * res.value)
         box.append(tuple(bounds))
-    return box
+    return elim, box
 
 
-def _one_sided_on_box(f, cell, box) -> bool:
+def _one_sided_on_box(f, elim, box) -> bool:
     """Whether f >= 0 or f <= 0 holds on the whole box, by interval
-    arithmetic on f = f(p) + sum f(b_j) y_j."""
-    a, r = _hull_row(f, cell)
-    lo = hi = -r
-    for aj, (lo_j, hi_j) in zip(a, box):
+    arithmetic on the line A . z + G of f (:func:`_line`)."""
+    A, lo = _line(f, elim)
+    hi = lo
+    for aj, (lo_j, hi_j) in zip(A, box):
         if aj == 0:
             continue
         down, up = (lo_j, hi_j) if aj > 0 else (hi_j, lo_j)
@@ -642,25 +642,24 @@ def refine_cell(cell: Cell, forms) -> list:
     lies weakly on one side of every hyperplane of the arrangement.
 
     Only the forms that take both signs on a box around the cell are
-    probed.  The box bounds each coordinate y_j of x = p + sum y_j b_j on the
-    cell's affine hull (p the interior point, b the direction basis), by two
-    LPs per coordinate.  A form whose interval over the box,
-    f(p) + sum f(b_j) [lo_j, hi_j], is >= 0 or <= 0 has one sign on the
-    box, hence on the cell and on every piece inside it, so skipping it is
-    exact; this also skips every form constant on the hull.  On a cell of
-    dimension one the box is the cell itself, read from its rows with no
-    LP, and each probe is a closed-form slack program; a point cell needs
-    neither.
+    probed.  The box bounds each free variable z_j of the cell's affine
+    hull x = (c + sum z_j w_j) / d (:func:`_eliminate`), by two LPs per
+    variable.  A form whose line A . z + G is >= 0 or <= 0 over the box has
+    one sign on the box, hence on the cell and on every piece inside it, so
+    skipping it is exact; this also skips every form constant on the hull.
+    On a cell of dimension one the box is the cell itself, read from its
+    lines with no LP, and each probe is a closed-form slack program; a
+    point cell needs neither.
     A piece gains a form only when the form cuts it: if the other side of
     the piece is empty, the piece stays as it was.
     """
     forms = tuple(forms)
     if not forms:
         return [cell]
-    box = _hull_box(cell)
+    elim, box = _hull_box(cell)
     pieces = [cell]
     for f in forms:
-        if _one_sided_on_box(f, cell, box):
+        if _one_sided_on_box(f, elim, box):
             continue
         out = []
         for c in pieces:

@@ -41,9 +41,11 @@ def render_svg(cycle: Cycle, bbox=(-5, -5, 5, 5), size=600) -> str:
         parts.append(
             f'<line x1="{ax:.3f}" y1="{ay:.3f}" x2="{bx:.3f}" y2="{by:.3f}" '
             'stroke="black" stroke-width="2"/>')
-        mx, my = (ax + bx) / 2, (ay + by) / 2
+        # The label sits up and right of the midpoint, kept on the canvas.
+        tx = min(max((ax + bx) / 2 + 6, 0), width - 14)
+        ty = min(max((ay + by) / 2 - 6, 14), height)
         parts.append(
-            f'<text x="{mx + 6:.3f}" y="{my - 6:.3f}" font-size="14" '
+            f'<text x="{tx:.3f}" y="{ty:.3f}" font-size="14" '
             f'fill="crimson">{w}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

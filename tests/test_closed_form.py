@@ -1,14 +1,16 @@
 """Closed-form slack programs against the simplex.
 
-``polyhedra._slack_lp`` solves every program whose equalities leave at most
-one free variable without the simplex.  On random programs of that shape,
-stated once over Q^n and once over the affine hull of a cell, it must give
-``lp_max``'s status and value, and its point must satisfy every row and
-attain the value.  The box of a cell of dimension one, read from its rows,
-must be the one two LPs per side give.  Sums, equality, push-forward and
-the projection formula of plane curves then run no LP at all.
+``polyhedra._slack_lp`` eliminates its equalities and solves every program
+that leaves at most one free variable without the simplex.  On random
+programs of that shape, some with the equalities of a cell, it must give
+``lp_max``'s status and value, and its point must be exact, satisfy every
+row and attain the value.  The box of a cell of dimension one, read from
+the lines of its inequalities, must be the one two LPs per side give.
+Sums, equality, push-forward and the projection formula of plane curves
+then run no LP at all, and no equality ever reaches the simplex.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -20,9 +22,9 @@ from test_weighted_sum import _split_edges
 import tropint.polyhedra as polyhedra
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
 from tropint.cycles import add, cycles_equal, negate, rn_cycle, standard_skeleton, translate
-from tropint.divisors import TropicalPolynomial
+from tropint.divisors import TropicalPolynomial, divisor_chain
 from tropint.kernel import QQ, mat_rank
-from tropint.library import conic_curve
+from tropint.library import conic_curve, rigid_function, rigid_surface
 from tropint.morphisms import IntegerLinearMap, Morphism, check_projection_formula, push_forward
 from tropint.polyhedra import AffineForm, Cell, point_cell, ray_cell, segment_cell
 
@@ -107,6 +109,10 @@ def test_closed_form_matches_simplex(program):
     assert ref.status != UNBOUNDED
     assert (res.status, res.value) == (ref.status, ref.value)
     if res.status == OPTIMAL:
+        # An exact float such as 0.5 equals Fraction(1, 2); only the type
+        # tells a point computed with int / int apart.
+        assert type(res.value) is Fraction
+        assert all(type(x) is Fraction for x in res.point)
         _check_point(res, plain, slack, eqs)
 
 
@@ -137,9 +143,8 @@ def test_closed_form_on_a_hull_matches_simplex(data):
     plain = list(cell.ineqs) + data.draw(st.lists(_form(n), max_size=2))
     slack = data.draw(st.lists(_form(n), max_size=4))
     with _spy() as spy:
-        res = polyhedra._slack_lp(n, plain, slack, hull=cell)
+        res = polyhedra._slack_lp(n, plain, slack, cell.eqs)
     assert not spy.called
-    # Over the hull, that is over Q^n with the cell's equalities.
     ref = _reference(n, plain, slack, cell.eqs)
     assert (res.status, res.value) == (ref.status, ref.value)
     if res.status == OPTIMAL:
@@ -149,7 +154,9 @@ def test_closed_form_on_a_hull_matches_simplex(data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(low_cells())
 def test_box_of_a_curve_cell_is_its_interval(cell):
-    rows = [polyhedra._hull_row(f, cell) for f in cell.ineqs]
+    elim = polyhedra._eliminate(cell.ambient_dim, cell.eqs)
+    lines = [polyhedra._line(f, elim) for f in cell.ineqs]
+    rows = [(A, -G) for A, G in lines]
     want = []
     for _ in range(cell.dim):
         bounds = []
@@ -159,8 +166,17 @@ def test_box_of_a_curve_cell_is_its_interval(cell):
             bounds.append(None if res.status == UNBOUNDED else sign * res.value)
         want.append(tuple(bounds))
     with _spy() as spy:
-        assert polyhedra._hull_box(cell) == want
+        assert polyhedra._hull_box(cell) == (elim, want)
     assert not spy.called
+
+
+def test_equalities_never_reach_the_simplex():
+    # The rigid-curve chain solves LPs on cells of dimension two in R^3,
+    # with equalities; each one is eliminated before the simplex runs.
+    with _spy() as spy:
+        divisor_chain([rigid_function()] * 2, rigid_surface())
+    assert spy.called
+    assert not [c for c in spy.call_args_list if c.kwargs.get("eqs") or len(c.args) > 3]
 
 
 _CURVE_OPERATIONS = ("add", "add C -C", "equal refined", "equal moved", "push-forward",

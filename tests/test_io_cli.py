@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,20 @@ def test_cli_usage_error_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("quoted, path", [(False, "$"), (True, "$.cells[0].ineqs[0][1]")])
+def test_integer_past_the_digit_limit_exits_2(capsys, tmp_path, quoted, path):
+    # More digits than Python converts between str and int: the decoder
+    # rejects a JSON literal, int() a "p/q" string.
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    literal = f'"1/{digits}"' if quoted else digits
+    doc = tmp_path / "long.json"
+    doc.write_text('{"kind": "cycle", "ambient_dim": 1, "dim": 1, '
+                   f'"cells": [{{"ineqs": [[1, {literal}]], "eqs": [], "weight": 1}}]}}')
+    assert main(["validate", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: integer of more than") and len(err) < 200
+
+
 def test_cli_math_error_codes(capsys):
     # Too many divisors for the cycle dimension is a calculus failure.
     assert main(["chain", "hyperplane:2", "hyperplane:2", "Lnk:2:1"]) == 1
@@ -301,6 +316,19 @@ def test_render_svg(tmp_path):
         for tag, bbox in boxes.items():
             expected = (RENDER_DATA / f"{name}-{tag}.svg").read_text(encoding="utf-8")
             assert render_svg(builtin_example(name), bbox=bbox) == expected, (name, tag)
+
+
+def test_render_labels_lie_on_the_canvas():
+    # The box cuts two edges at its top and right borders, where the label
+    # at the midpoint plus (6, -6) px would fall off a 600x450 canvas.
+    svg = render_svg(builtin_example("conic-curve"), bbox=(-1, -2, 3, 1))
+    width, height = (float(v) for v in re.search(r'<svg[^>]* width="([^"]+)" height="([^"]+)"',
+                                                 svg).groups())
+    assert (width, height) == (600, 450)
+    labels = [(float(x), float(y)) for x, y in re.findall(r'<text x="([^"]+)" y="([^"]+)"', svg)]
+    assert len(labels) == svg.count("<line") > 0
+    for x, y in labels:
+        assert 0 <= x <= width - 14 and 14 <= y <= height, (x, y)
 
 
 def _child_env():
