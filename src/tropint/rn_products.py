@@ -1,19 +1,26 @@
-"""Stable intersection of arbitrary cycles in R^n via the diagonal.
+"""Stable intersection of arbitrary cycles in R^n by the fan displacement
+rule (Fulton–Sturmfels, Topology 36 (1997); Jensen–Yu, J. Algebraic
+Combin. 43 (2016)).
 
-The product of two cycles is cut out of their cartesian product by the n
-Cartier divisors max{0, x_i - y_i} expressing the diagonal of R^n x R^n,
-then pushed forward along the first projection:
+The paper defines C . D as the push-forward along the first projection of
+the n diagonal divisors max{0, x_i - y_i} applied to C x D in R^n x R^n;
+:func:`diagonal_divisors` and :func:`diagonal_cycle` keep that
+construction.  Allermann–Rau show it is the stable intersection, which is
+computed here straight in R^n.  For a k-cycle C and an l-cycle D, with
+m = k + l - n, a generic v and small e > 0, C . D is the limit of the
+intersections of C with D + e v.  Near a point p of sigma ∩ tau the cells
+sigma of C and tau + e v of D + e v look like their tangent cones at p, so
+the pair contributes to the m-cell rho = sigma ∩ tau exactly when the
+lattices of sigma and tau span R^n and the tangent cone of tau at p, moved
+by v, meets that of sigma.  It contributes w_sigma w_tau [Z^n : L_sigma +
+L_tau].  The contributions of all pairs, added on a common refinement,
+give the product.  No cell of R^2n is built and no divisor is cut.
 
-    C . D := project( psi_1 ... psi_n . (C x D) ).
-
-The computation stays local to the diagonal Delta.  A Weil divisor's
-weight at a ridge depends only on the cells containing that ridge, so a
-cell of psi_k ... psi_1 . (C x D) that meets Delta takes its weight from
-cells of the previous stage that meet Delta too.  Only the product cells
-sigma x tau with sigma and tau meeting are therefore built; the weights
-of every cell meeting Delta come out as on the full product.  The
-truncation leaves boundary junk on cells that never meet Delta, which the
-last stage drops by one test of an interior point against x = y.
+A displacement v on the wall of a pair (its cones then meet only on their
+boundaries) tells nothing, and the next v is tried.  The candidates run
+along the moment curve (1, s, ..., s^(n-1)), s = 3, 4, ...: a hyperplane
+through the origin holds at most n - 1 of them, and there are finitely
+many walls, so the search ends.
 
 Degrees, Bezout verification, P^n-genericity and the degree-zero property
 of bounded functions on curves are all built on this product.
@@ -22,10 +29,12 @@ of bounded functions on curves are all built on this product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from math import prod
 
 from .cycles import (
     Cycle,
-    WeightedComplex,
+    _weighted_sum,
     cycles_equal,
     rn_cycle,
     standard_skeleton,
@@ -37,14 +46,14 @@ from .divisors import (
     is_bounded_on,
     weil_divisor,
 )
-from .library import diagonal_line, projection_map
-from .morphisms import Morphism, push_forward
+from .kernel import hnf_basis
+from .library import diagonal_line
 from .polyhedra import (
     AffineForm,
     _relint_lp,
     cell_contains_cell,
     collect_hyperplanes,
-    product_cell,
+    intersect,
     refine_cell,
 )
 
@@ -60,57 +69,66 @@ def diagonal_divisors(n: int) -> list:
 
 
 def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
-    """Intersection product of cycles in the same R^n.
+    """Intersection product of cycles in the same R^n, by the fan
+    displacement rule (see the module docstring).
 
     Empty in dimensions below zero (complementary defect); always balanced.
-    Only the product cells sigma x tau with sigma meeting tau enter the
-    diagonal divisors, and only the final cells on the diagonal are pushed
-    forward; the module docstring says why the result is the full product's.
     """
     if c.ambient_dim != d.ambient_dim:
         raise ValueError("cycles live in different ambient spaces")
     n = c.ambient_dim
-    k, l = c.dim, d.dim
-    if c.is_empty or d.is_empty or k + l < n:
-        return Cycle.empty(n, k + l - n)
+    m = c.dim + d.dim - n
+    if c.is_empty or d.is_empty or m < 0:
+        return Cycle.empty(n, m)
     a, b = c.reduce().complex, d.reduce().complex
-    cells, weights = [], []
+    meets = []
     for sigma, ws in zip(a.cells, a.weights):
         for tau, wt in zip(b.cells, b.weights):
-            if _cells_meet(sigma, tau):
-                cells.append(product_cell(sigma, tau))
-                weights.append(ws * wt)
-    local = Cycle(WeightedComplex(2 * n, k + l, cells, weights), check=False)
-    cut = _on_diagonal(divisor_chain(diagonal_divisors(n), local))
-    if cut.is_empty:
-        return Cycle.empty(n, k + l - n)
-    pi = Morphism(projection_map(n), cut, rn_cycle(n))
-    return push_forward(pi)
+            index = _span_index(sigma, tau)
+            if index is None:
+                continue
+            rho = intersect(sigma, tau)
+            if rho is not None and rho.dim == m:
+                meets.append((rho, ws * wt * index, sigma, tau))
+    for s in count(3):
+        entries = _displaced(meets, tuple(s ** i for i in range(n)))
+        if entries is not None:
+            return _weighted_sum(n, m, entries)
 
 
-def _cells_meet(sigma, tau) -> bool:
-    """Whether two closed cells of one R^n meet; two cones meet at the
-    origin, anything else takes one feasibility program, solved in closed
-    form when the equalities of both leave at most one free variable."""
-    forms = sigma.ineqs + sigma.eqs + tau.ineqs + tau.eqs
-    if all(f.constant == 0 for f in forms):
-        return True
-    point, _ = _relint_lp(sigma.ambient_dim, sigma.ineqs + tau.ineqs, sigma.eqs + tau.eqs)
-    return point is not None
+def _span_index(sigma, tau):
+    """[Z^n : L_sigma + L_tau] for the direction lattices of two cells, or
+    None when they do not span R^n.  The Hermite basis of the sum is then
+    upper triangular with its pivots on the diagonal."""
+    rows = hnf_basis(sigma.direction_lattice.vectors + tau.direction_lattice.vectors)
+    if len(rows) < sigma.ambient_dim:
+        return None
+    return prod(row[i] for i, row in enumerate(rows))
 
 
-def _on_diagonal(cut: Cycle) -> Cycle:
-    """The cells of a cycle in R^n x R^n whose interior point has x = y.
+def _displaced(meets, v):
+    """The (rho, weight) entries of the pairs whose tangent cones at the
+    interior point p of rho meet once tau's is moved by v, or None when v
+    lies on a wall of one of them.
 
-    On a cut of the truncated product a cell with nonzero weight either
-    lies in the diagonal or misses it, so the interior point decides.
+    The slack program asks for x with the inequalities of sigma tight at p
+    and those of tau tight at p, shifted by v, all >= t, on the equalities
+    of sigma and the shifted ones of tau.  These cut out the tangent cones
+    with apexes p and p + v, so t > 0 exactly when their relative interiors
+    meet, t = 0 when they meet only on their boundaries, and there is no
+    point, or t < 0, when they are disjoint.
     """
-    n = cut.ambient_dim // 2
-    kept = [(cell, w) for cell, w in zip(cut.complex.cells, cut.complex.weights)
-            if cell.interior_point[:n] == cell.interior_point[n:]]
-    return Cycle(WeightedComplex(cut.ambient_dim, cut.dim,
-                                 [cell for cell, _ in kept], [w for _, w in kept]),
-                 check=False)
+    entries = []
+    for rho, w, sigma, tau in meets:
+        p = rho.interior_point
+        ineqs = [f for f in sigma.ineqs if f.value_at(p) == 0]
+        ineqs += [f.translate(v) for f in tau.ineqs if f.value_at(p) == 0]
+        _, t = _relint_lp(len(p), ineqs, sigma.eqs + tuple(f.translate(v) for f in tau.eqs))
+        if t == 0:
+            return None
+        if t is not None:
+            entries.append((rho, w))
+    return entries
 
 
 def diagonal_cycle(n: int) -> Cycle:

@@ -33,6 +33,7 @@ from tropint.morphisms import IntegerLinearMap, Morphism, image_cell, push_forwa
 from tropint.polyhedra import (
     AffineForm,
     Cell,
+    _relint_lp,
     _split_piece,
     cell_contains_cell,
     collect_hyperplanes,
@@ -41,6 +42,7 @@ from tropint.polyhedra import (
     hyperplane_form,
     intersect,
     point_cell,
+    product_cell,
     ray_cell,
     refine_cell,
     segment_cell,
@@ -670,6 +672,89 @@ def reference_stable_intersect(c, d):
     if cut.is_empty:
         return Cycle.empty(n, k + l - n)
     return push_forward(Morphism(projection_map(n), cut, rn_cycle(n)))
+
+
+def diagonal_stable_intersect(c, d):
+    """Stable intersection through the diagonal, local to it: the n diagonal
+    divisors on the product cells sigma x tau with sigma meeting tau only,
+    then the final cells on the diagonal pushed forward.
+
+    A Weil divisor's weight at a ridge depends only on the cells containing
+    that ridge, so a cell of psi_k ... psi_1 . (C x D) that meets the
+    diagonal takes its weight from cells of the previous stage that meet it
+    too; the weights of every cell meeting the diagonal come out as on the
+    full product (:func:`reference_stable_intersect`).  The truncation
+    leaves boundary junk on cells that never meet the diagonal, which the
+    last stage drops by one test of an interior point against x = y.
+    """
+    n = c.ambient_dim
+    k, l = c.dim, d.dim
+    if c.is_empty or d.is_empty or k + l < n:
+        return Cycle.empty(n, k + l - n)
+    a, b = c.reduce().complex, d.reduce().complex
+    cells, weights = [], []
+    for sigma, ws in zip(a.cells, a.weights):
+        for tau, wt in zip(b.cells, b.weights):
+            if _cells_meet(sigma, tau):
+                cells.append(product_cell(sigma, tau))
+                weights.append(ws * wt)
+    local = Cycle(WeightedComplex(2 * n, k + l, cells, weights), check=False)
+    cut = _on_diagonal(divisor_chain(diagonal_divisors(n), local))
+    if cut.is_empty:
+        return Cycle.empty(n, k + l - n)
+    return push_forward(Morphism(projection_map(n), cut, rn_cycle(n)))
+
+
+def _cells_meet(sigma, tau) -> bool:
+    """Whether two closed cells of one R^n meet; two cones meet at the
+    origin, anything else takes one feasibility program, solved in closed
+    form when the equalities of both leave at most one free variable."""
+    forms = sigma.ineqs + sigma.eqs + tau.ineqs + tau.eqs
+    if all(f.constant == 0 for f in forms):
+        return True
+    point, _ = _relint_lp(sigma.ambient_dim, sigma.ineqs + tau.ineqs, sigma.eqs + tau.eqs)
+    return point is not None
+
+
+def _on_diagonal(cut: Cycle) -> Cycle:
+    """The cells of a cycle in R^n x R^n whose interior point has x = y.
+
+    On a cut of the truncated product a cell with nonzero weight either
+    lies in the diagonal or misses it, so the interior point decides.
+    """
+    n = cut.ambient_dim // 2
+    kept = [(cell, w) for cell, w in zip(cut.complex.cells, cut.complex.weights)
+            if cell.interior_point[:n] == cell.interior_point[n:]]
+    return Cycle(WeightedComplex(cut.ambient_dim, cut.dim,
+                                 [cell for cell, _ in kept], [w for _, w in kept]),
+                 check=False)
+
+
+def transversal_intersection(c, d):
+    """Mikhalkin's count for plane curves that meet transversally: the points
+    where an edge of each crosses, interior to both, weighted by the sum of
+    m m' |det(u, u')| over the crossing pairs of weights m, m' and primitive
+    directions u, u'.  Returns {point: weight} with zero weights dropped, or
+    None when two edges meet anywhere else: at an end of one, or along a
+    common segment."""
+    points = {}
+    for sigma, m in zip(c.complex.cells, c.complex.weights):
+        for tau, m2 in zip(d.complex.cells, d.complex.weights):
+            (u,), (u2,) = sigma.direction_lattice.vectors, tau.direction_lattice.vectors
+            det = u[0] * u2[1] - u[1] * u2[0]
+            if det == 0:
+                if intersect(sigma, tau) is not None:
+                    return None
+                continue
+            eqs = sigma.eqs + tau.eqs
+            p = solve_rational([f.linear for f in eqs], [-f.constant for f in eqs])
+            values = [h.value_at(p) for h in sigma.ineqs + tau.ineqs]
+            if any(x < 0 for x in values):
+                continue
+            if any(x == 0 for x in values):
+                return None
+            points[p] = points.get(p, 0) + m * m2 * abs(det)
+    return {p: w for p, w in points.items() if w != 0}
 
 
 # -- small accessors ---------------------------------------------------------

@@ -1,15 +1,17 @@
 """Stable intersection local to the diagonal against the full product.
 
-``stable_intersect`` builds only the product cells sigma x tau with sigma
-meeting tau and drops the cells its cut leaves off the diagonal; the
-reference runs the diagonal divisors on every cell of C x D.  Both must
-give the same cycle, serialized byte for byte.
+``diagonal_stable_intersect`` (imported as ``stable_intersect``) builds
+only the product cells sigma x tau with sigma meeting tau and drops the
+cells its cut leaves off the diagonal; the reference runs the diagonal
+divisors on every cell of C x D.  Both must give the same cycle,
+serialized byte for byte.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_stable_intersect
+from oracles import _cells_meet, _on_diagonal, reference_stable_intersect
+from oracles import diagonal_stable_intersect as stable_intersect
 from test_faces import _count_lps, _count_slack_solves, _random_polynomial
 
 from tropint.cycles import (
@@ -25,7 +27,6 @@ from tropint.divisors import weil_divisor
 from tropint.documents import serialize_document
 from tropint.library import conic_curve
 from tropint.polyhedra import AffineForm, Cell, cone_from_rays, point_cell, segment_cell
-from tropint.rn_products import _cells_meet, _on_diagonal, stable_intersect
 
 _shift = st.fractions(-2, 2, max_denominator=3)
 
