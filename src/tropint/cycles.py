@@ -256,12 +256,13 @@ def is_balanced(c: WeightedComplex) -> BalanceReport:
     """Check the balancing condition at every ridge of the nonzero part.
 
     The weighted sum of the normals the ridges carry must lie in the linear
-    span of the ridge; membership is an exact rank comparison, so no choice
-    of representatives matters.  Maximal cells must meet in faces (see
-    :func:`validate_complex`), or the ridges are not matched up correctly.
+    span of the ridge, that is, every equality of the ridge must vanish on
+    it, so no choice of representatives matters.  Maximal cells must meet
+    in faces (see :func:`validate_complex`), or the ridges are not matched
+    up correctly.
     """
     for ridge, _, _, s in _weighted_normals(c.nonzero_part()):
-        if not ridge.direction_lattice.spans_vector(s):
+        if not all(f.eval_direction(s) == 0 for f in ridge.eqs):
             return BalanceReport(False, ridge, s)
     return BalanceReport(True)
 

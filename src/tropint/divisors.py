@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import Cycle, WeightedComplex, _weighted_normals
-from .kernel import LatticeBasis, dot
+from .kernel import dot
 from .polyhedra import (
     AffineForm,
     Cell,
@@ -82,9 +82,7 @@ class PiecewisePL:
                 diff = AffineForm(
                     tuple(a - b for a, b in zip(fi.linear, fj.linear)),
                     fi.constant - fj.constant)
-                if diff.value_at(common.interior_point) != 0 or any(
-                        diff.eval_direction(b) != 0
-                        for b in common.direction_lattice.vectors):
+                if not form_vanishes_on(common, diff):
                     raise ValueError("piecewise forms disagree on an overlap")
         return self
 
@@ -246,26 +244,19 @@ def graph_fan(phi, cycle: Cycle) -> Cycle:
 
 
 def _lift_to_graph(cell: Cell, form: AffineForm) -> Cell:
-    n = cell.ambient_dim
-    lam = form.linear
-    graph_eq = AffineForm(lam + (-1,), form.constant)
+    graph_eq = AffineForm(form.linear + (-1,), form.constant)
     ineqs = tuple(AffineForm(f.linear + (0,), f.constant) for f in cell.ineqs)
     eqs = tuple(AffineForm(f.linear + (0,), f.constant) for f in cell.eqs) + (graph_eq,)
-    basis = tuple(b + (dot(lam, b),) for b in cell.direction_lattice.vectors)
     p = cell.interior_point + (form.value_at(cell.interior_point),)
-    return Cell(n + 1, ineqs, eqs, cell.dim, p, LatticeBasis(n + 1, basis))
+    return Cell(cell.ambient_dim + 1, ineqs, eqs, p)
 
 
 def _downward_cell(ridge: Cell, form: AffineForm) -> Cell:
-    n = ridge.ambient_dim
-    lam = form.linear
-    below = AffineForm(lam + (-1,), form.constant)  # x_{n+1} <= form(x)
+    below = AffineForm(form.linear + (-1,), form.constant)  # x_{n+1} <= form(x)
     ineqs = tuple(AffineForm(f.linear + (0,), f.constant) for f in ridge.ineqs) + (below,)
     eqs = tuple(AffineForm(f.linear + (0,), f.constant) for f in ridge.eqs)
-    basis = tuple(b + (dot(lam, b),) for b in ridge.direction_lattice.vectors)
-    basis = basis + ((0,) * n + (1,),)
     p = ridge.interior_point + (form.value_at(ridge.interior_point) - 1,)
-    return Cell(n + 1, ineqs, eqs, ridge.dim + 1, p, LatticeBasis(n + 1, basis))
+    return Cell(ridge.ambient_dim + 1, ineqs, eqs, p)
 
 
 # -- boundedness ---------------------------------------------------------------

@@ -33,7 +33,6 @@ from .kernel import (
     mat_rank,
     mat_vec,
     solve_rational,
-    subspace_lattice,
 )
 from .polyhedra import (
     AffineForm,
@@ -132,8 +131,7 @@ def image_cell(matrix, cell: Cell) -> Cell | None:
         else:
             a = (QQ(0),) * m
         ineqs.append(form_from_rational(a, f.value_at(p) - dot(a, q)))
-    lattice = subspace_lattice(imgs, m)
-    return Cell(m, tuple(ineqs), eqs, len(basis), tuple(QQ(x) for x in q), lattice)
+    return Cell(m, tuple(ineqs), eqs, q)
 
 
 def _compose(form: AffineForm, matrix) -> AffineForm:

@@ -1,13 +1,14 @@
 """Exact rational polyhedra in H-representation.
 
 A :class:`Cell` is a nonempty rational polyhedron in R^n described by
-integer-linear inequalities and equalities, with its dimension, a relative
-interior point and the lattice of its direction space cached at
-construction.  All geometric predicates are decided exactly by one slack
-program, :func:`_slack_lp`.  It eliminates its equalities first
-(:func:`_eliminate`), and is then solved in closed form when at most one
-variable is free, as for cells of dimension one or less and the facets of
-cells of dimension two, and otherwise by the rational simplex over the free
+integer-linear inequalities and equalities, with a relative interior point.
+Its affine hull is derived from the equalities: each cell eliminates them
+once (:func:`_eliminate`), and its dimension and the lattice of its
+direction space are read from that elimination.  All geometric predicates
+are decided exactly by one slack program, :func:`_slack_lp`, over such an
+elimination.  It is solved in closed form when at most one variable is
+free, as for cells of dimension one or less and the facets of cells of
+dimension two, and otherwise by the rational simplex over the free
 variables.  There is no vertex enumeration anywhere.
 """
 
@@ -25,9 +26,9 @@ from .kernel import (
     echelon,
     int_vector,
     kernel_lattice,
+    mat_rank,
     rat_parts,
     solve_rational,
-    subspace_lattice,
     vec_gcd,
 )
 
@@ -111,26 +112,23 @@ class Cell:
     keeps g exactly when t > 0, and its point then lies in the relative
     interior of g's facet, so :meth:`faces_of_codim_one` builds the facets
     from those points with no further solve.
+
+    The dimension, the direction lattice and :attr:`hull_key` are read from
+    one elimination of the equalities (:func:`_eliminate`) per affine hull.
     """
 
     __slots__ = (
-        "ambient_dim", "ineqs", "eqs", "dim", "interior_point",
-        "direction_lattice", "_canonical", "_facet_points", "_canonical_cell",
-        "_faces", "_recession",
+        "ambient_dim", "ineqs", "eqs", "interior_point", "_elim", "_lattice",
+        "_canonical", "_facet_points", "_canonical_cell", "_faces", "_recession",
     )
 
-    def __init__(self, ambient_dim, ineqs, eqs, dim, interior_point, direction_lattice):
+    def __init__(self, ambient_dim, ineqs, eqs, interior_point):
         self.ambient_dim = ambient_dim
         self.ineqs = tuple(ineqs)
         self.eqs = tuple(eqs)
-        self.dim = dim
         self.interior_point = tuple(QQ(x) for x in interior_point)
-        self.direction_lattice = direction_lattice
-        self._canonical = None
-        self._facet_points = None
-        self._canonical_cell = None
-        self._faces = None
-        self._recession = None
+        self._elim = self._lattice = self._canonical = self._facet_points = None
+        self._canonical_cell = self._faces = self._recession = None
 
     # -- construction -----------------------------------------------------
 
@@ -139,8 +137,8 @@ class Cell:
         """Canonicalize a constraint system; None if it is infeasible.
 
         Detects implied equalities and migrates them to the equality list,
-        then caches dimension, a relative interior point and the saturated
-        lattice of the direction space.
+        then caches a relative interior point and the elimination of the
+        equalities, which gives the dimension and the direction lattice.
         """
         ceq, eq_keys = [], set()
         for f in eqs:
@@ -165,7 +163,8 @@ class Cell:
                 seen.add(f.sort_key())
                 cin.append(f)
 
-        point, slack = _relint_lp(ambient_dim, cin, ceq)
+        elim = _eliminate(ambient_dim, ceq)
+        point, slack = _relint_lp(cin, elim)
         if point is None:
             return None
         if slack == 0:
@@ -173,24 +172,25 @@ class Cell:
             # implied equalities; the rest are strict somewhere already.
             implied, strict = [], []
             for g in cin:
-                if g.value_at(point) == 0 and _max_capped(ambient_dim, g, cin, ceq).value == 0:
+                if g.value_at(point) == 0 and _max_capped(g, cin, elim).value == 0:
                     implied.append(g)
                 else:
                     strict.append(g)
-            ceq = ceq + implied
-            cin = strict
-            point, slack = _relint_lp(ambient_dim, cin, ceq)
+            ceq, cin = ceq + implied, strict
+            elim = _eliminate(ambient_dim, ceq)
+            point, slack = _relint_lp(cin, elim)
             if point is None or slack <= 0:
                 raise RuntimeError("relative-interior LP found no strict point "
                                    "after moving implied equalities")
-        return cls._at_point(ambient_dim, cin, ceq, point)
+        return cls._with_hull(ambient_dim, cin, ceq, point, elim)
 
     @classmethod
-    def _at_point(cls, ambient_dim, ineqs, eqs, point) -> "Cell":
-        """The cell of a system with no implied equality, given a point where
-        every inequality is strict."""
-        lattice = LatticeBasis(ambient_dim, kernel_lattice([f.linear for f in eqs], ambient_dim))
-        return cls(ambient_dim, ineqs, eqs, lattice.rank, point, lattice)
+    def _with_hull(cls, ambient_dim, ineqs, eqs, point, elim, lattice=None):
+        """The cell at a point where every inequality is strict, with the
+        elimination and the direction lattice given (None: computed on read)."""
+        cell = cls(ambient_dim, ineqs, eqs, point)
+        cell._elim, cell._lattice = elim, lattice
+        return cell
 
     @classmethod
     def from_constraints(cls, ambient_dim, ineqs=(), eqs=()) -> "Cell":
@@ -201,19 +201,52 @@ class Cell:
 
     @classmethod
     def full_space(cls, n) -> "Cell":
-        return cls(n, (), (), n, (QQ(0),) * n,
-                   LatticeBasis(n, kernel_lattice([], n)))
+        return cls(n, (), (), (QQ(0),) * n)
 
     def _replace_geometry(self, ineqs=None, eqs=None, interior_point=None):
-        """Same-dimension variant sharing this cell's affine hull data."""
-        return Cell(
+        """Variant with the same affine hull, sharing this cell's elimination
+        and direction lattice; equalities it adds must vanish on the hull."""
+        return Cell._with_hull(
             self.ambient_dim,
             self.ineqs if ineqs is None else ineqs,
             self.eqs if eqs is None else eqs,
-            self.dim,
             self.interior_point if interior_point is None else interior_point,
-            self.direction_lattice,
+            self._elimination, self._lattice,
         )
+
+    @property
+    def _elimination(self):
+        """:func:`_eliminate` of the equalities, computed on the first read."""
+        if self._elim is None:
+            self._elim = _eliminate(self.ambient_dim, self.eqs)
+        return self._elim
+
+    @property
+    def dim(self) -> int:
+        """The number of free variables of the elimination."""
+        return len(self._elimination[1])
+
+    @property
+    def direction_lattice(self) -> LatticeBasis:
+        """The saturated lattice of the direction space: the primitive part
+        of the one direction of the elimination when there is at most one,
+        else the integer kernel of the equalities."""
+        if self._lattice is None:
+            n, ws = self.ambient_dim, self._elimination[1]
+            if len(ws) <= 1:
+                vectors = tuple(tuple(x // vec_gcd(w) for x in w) for w in ws)
+            else:
+                vectors = kernel_lattice([f.linear for f in self.eqs], n)
+            self._lattice = LatticeBasis(n, vectors)
+        return self._lattice
+
+    @property
+    def hull_key(self):
+        """Hashable key equal for two cells of R^n iff their affine hulls
+        are equal: the rows of the elimination made primitive, with no LP."""
+        n = self.ambient_dim
+        return tuple(AffineForm(row[:n], row[n]).scaled_primitive().sort_key()
+                     for row in self._elimination[4])
 
     # -- predicates -------------------------------------------------------
 
@@ -229,14 +262,15 @@ class Cell:
 
         Each canonical inequality g defines its own facet, on which g = 0 is
         the only new equality; canonicalization left a point of its relative
-        interior, so no LP is needed here.
+        interior, so no LP is needed here, and the elimination of its
+        equalities, which the face keeps.
         """
         if self._faces is None:
             cell = self.canonical_cell()
             self._faces = tuple(
-                Cell._at_point(self.ambient_dim, cell.ineqs[:i] + cell.ineqs[i + 1:],
-                               cell.eqs + (hyperplane_form(g),), point)
-                for i, (g, point) in enumerate(zip(cell.ineqs, cell._facet_points)))
+                Cell._with_hull(self.ambient_dim, cell.ineqs[:i] + cell.ineqs[i + 1:],
+                                cell.eqs + (hyperplane_form(g),), point, elim)
+                for i, (g, (point, elim)) in enumerate(zip(cell.ineqs, cell._facet_points)))
         return self._faces
 
     def recession_cone(self) -> "Cell":
@@ -257,13 +291,14 @@ class Cell:
         return Cell.from_constraints(self.ambient_dim, tight, eqs)
 
     def translate(self, v) -> "Cell":
-        return Cell(
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"translation by a vector of length {len(v)} in R^{self.ambient_dim}")
+        return Cell._with_hull(
             self.ambient_dim,
             tuple(f.translate(v) for f in self.ineqs),
             tuple(f.translate(v) for f in self.eqs),
-            self.dim,
             tuple(QQ(a) + QQ(b) for a, b in zip(self.interior_point, v)),
-            self.direction_lattice,
+            None, self._lattice,
         )
 
     # -- canonical form ---------------------------------------------------
@@ -275,23 +310,9 @@ class Cell:
             self._canonical, self._facet_points = self._canonicalize()
         return self._canonical
 
-    @property
-    def hull_key(self):
-        """Hashable key equal for two cells of R^n iff their affine hulls
-        are equal; read from the equalities alone, with no LP."""
-        return tuple(f.sort_key() for f in self._hull()[0])
-
-    def _hull(self):
-        """Canonical equalities of the affine hull, with the elimination of
-        :func:`_eliminate` that reduces forms modulo them."""
-        n = self.ambient_dim
-        elim = _eliminate(n, self.eqs)
-        eqs = tuple(AffineForm(row[:n], row[n]).scaled_primitive() for row in elim[4])
-        return eqs, elim
-
     def _canonicalize(self):
-        n = self.ambient_dim
-        canon_eqs, elim = self._hull()
+        n, elim = self.ambient_dim, self._elimination
+        canon_eqs = tuple(AffineForm(lin, QQ(p, q)) for lin, (p, q) in self.hull_key)
         _, _, d, free, _ = elim
         reduced = {}
         for g in self.ineqs:
@@ -308,19 +329,20 @@ class Cell:
                 h = AffineForm(linear, G / d)
             reduced.setdefault(h.sort_key(), h)
         candidates = [reduced[k] for k in sorted(reduced)]
-        kept, points = list(candidates), []
+        kept, facets = list(candidates), []
         for g in candidates:
             # No other candidate is a positive multiple of g on the hull, so
             # the others are strict somewhere on g = 0 exactly when g cuts out
             # a facet; a g constant on the hull makes g = 0 infeasible.
-            point, slack = _relint_lp(n, [h for h in kept if h is not g], canon_eqs + (g,))
+            facet_elim = _eliminate(n, canon_eqs + (g,))
+            point, slack = _relint_lp([h for h in kept if h is not g], facet_elim)
             if point is None or slack <= 0:
                 kept.remove(g)
             else:
-                points.append(point)
+                facets.append((point, facet_elim))
         key = (n, self.dim, tuple(f.sort_key() for f in canon_eqs),
                tuple(f.sort_key() for f in kept))
-        return key, tuple(points)
+        return key, tuple(facets)
 
     def canonical_cell(self) -> "Cell":
         """The same set with irredundant, canonically reduced constraints."""
@@ -331,7 +353,6 @@ class Cell:
                 eqs=tuple(AffineForm(lin, QQ(p, q)) for lin, (p, q) in eq_keys),
             )
             cell._canonical, cell._facet_points = self._canonical, self._facet_points
-            cell._canonical_cell = cell
             self._canonical_cell = cell
         return self._canonical_cell
 
@@ -361,7 +382,7 @@ def _eliminate(n, eqs):
     ws[j] and d > 0, and z_j is the coordinate x_{free[j]}.  The rows,
     linear part then constant, are d times the reduced row echelon form of
     the equalities, which is unique for the solution set; the row of pivot
-    p says d x_p = c_p + sum_j ws[j][p] z_j.
+    p says d x_p = c_p + sum_j ws[j][p] z_j.  Everything is a tuple.
     """
     rows, pivots, d = echelon([f.linear + (f.constant,) for f in eqs])
     if pivots and pivots[-1] == n:
@@ -369,13 +390,13 @@ def _eliminate(n, eqs):
     rows = rows[:len(pivots)]
     if d < 0:
         d, rows = -d, [[-x for x in row] for row in rows]
-    free = [j for j in range(n) if j not in pivots]
+    free = tuple(j for j in range(n) if j not in pivots)
     c, ws = [0] * n, [[d if i == j else 0 for i in range(n)] for j in free]
     for row, p in zip(rows, pivots):
         c[p] = -row[n]
         for j, w in zip(free, ws):
             w[p] = -row[j]
-    return c, ws, d, free, rows
+    return tuple(c), tuple(map(tuple, ws)), d, free, tuple(map(tuple, rows))
 
 
 def _line(f, elim):
@@ -386,19 +407,18 @@ def _line(f, elim):
     return tuple(dot(f.linear, w) for w in ws), dot(f.linear, c) + d * f.constant
 
 
-def _slack_lp(n, plain, slack, eqs=()):
-    """Maximize t <= 1 subject to plain forms >= 0, slack forms >= t and
-    eqs == 0 over Q^n.
+def _slack_lp(plain, slack, elim):
+    """Maximize t <= 1 subject to plain forms >= 0 and slack forms >= t
+    over the solutions of some equalities, given by their elimination
+    ``elim`` (:func:`_eliminate`; None when there is no solution).
 
-    The equalities are eliminated first (:func:`_eliminate`), and every
-    form becomes a line over the free variables z (:func:`_line`).  With at
+    Every form becomes a line over the free variables z (:func:`_line`).  With at
     most one free variable the program is solved in closed form by
     :func:`_slack_closed_form`; otherwise the simplex maximizes t over
     (z, t), with the rows the plain lines, the slack lines and the cap, in
     this order, and no equality row.  The result carries t as its value and
     x as its point.
     """
-    elim = _eliminate(n, eqs)
     if elim is None:
         return LPResult(INFEASIBLE)
     c, ws, d = elim[:3]
@@ -480,14 +500,15 @@ def _slack_closed_form(plain, slack, d):
     return LPResult(OPTIMAL, QQ(value, d), (z,))
 
 
-def _relint_lp(n, ineqs, eqs):
-    """Point with all inequalities at slack >= t0 for the best t0 <= 1.
+def _relint_lp(ineqs, elim):
+    """Point with all inequalities at slack >= t0 for the best t0 <= 1, on
+    the solutions of the elimination ``elim``.
 
     Returns (point, t0) or (None, None) when infeasible.  t0 > 0 certifies
     that no inequality is an implied equality and the point is relatively
     interior.
     """
-    res = _slack_lp(n, (), ineqs, eqs)
+    res = _slack_lp((), ineqs, elim)
     if res.status == INFEASIBLE or (res.status == OPTIMAL and res.value < 0):
         # A negative best slack means the relaxed system only meets the
         # constraints short of their boundaries: the cell is empty.
@@ -496,20 +517,20 @@ def _relint_lp(n, ineqs, eqs):
     return res.point, res.value
 
 
-def _max_capped(n, form, ineqs, eqs):
+def _max_capped(form, ineqs, elim):
     """min(max(form), 1) over the system as value, and a point attaining it.
 
     Always feasible and bounded when the base system is feasible, which
     keeps the probe robust even when the form exceeds the cap everywhere.
     """
-    res = _slack_lp(n, ineqs, (form,), eqs)
+    res = _slack_lp(ineqs, (form,), elim)
     _require_optimal(res, "capped maximum LP")
     return res
 
 
 def strict_point(cell, form) -> tuple | None:
     """A point of the cell with form > 0, or None if form <= 0 on the cell."""
-    res = _max_capped(cell.ambient_dim, form, cell.ineqs, cell.eqs)
+    res = _max_capped(form, cell.ineqs, cell._elimination)
     return res.point if res.value > 0 else None
 
 
@@ -519,9 +540,10 @@ def form_nonnegative_on(cell, form) -> bool:
 
 
 def form_vanishes_on(cell, form) -> bool:
-    """Exact validity of form == 0 over the cell."""
-    return (form.value_at(cell.interior_point) == 0
-            and all(form.eval_direction(b) == 0 for b in cell.direction_lattice.vectors))
+    """Exact validity of form == 0 over the cell: its line over the cell's
+    elimination (:func:`_line`) is zero."""
+    A, G = _line(form, cell._elimination)
+    return G == 0 and not any(A)
 
 
 def cell_contains_cell(outer: Cell, inner: Cell) -> bool:
@@ -542,11 +564,11 @@ def _split_piece(cell, forms, eqs=()) -> Cell | None:
     dimension, else None.
 
     The slack program certifies a point where every inequality of the cell
-    and every new form are simultaneously strict, so the piece inherits the
-    cell's affine hull, dimension and direction lattice unchanged.  ``eqs``
-    are forms that vanish on the cell; they join the piece's equalities.
+    and every new form are simultaneously strict, so the piece has the
+    cell's affine hull and shares its elimination.  ``eqs`` are forms that
+    vanish on the cell; they join the piece's equalities.
     """
-    point, slack = _relint_lp(cell.ambient_dim, cell.ineqs + forms, cell.eqs)
+    point, slack = _relint_lp(cell.ineqs + forms, cell._elimination)
     if point is None or slack <= 0:
         return None
     return cell._replace_geometry(ineqs=cell.ineqs + forms, eqs=cell.eqs + eqs,
@@ -564,25 +586,15 @@ def intersect(a: Cell, b: Cell) -> Cell | None:
 
 
 def product_cell(a: Cell, b: Cell) -> Cell:
-    """Cartesian product inside R^{n+m}; all cached data composes blockwise."""
-    n, m = a.ambient_dim, b.ambient_dim
+    """Cartesian product inside R^{n+m}."""
+    za, zb = (0,) * a.ambient_dim, (0,) * b.ambient_dim
 
-    def lift_a(f):
-        return AffineForm(f.linear + (0,) * m, f.constant)
+    def lift(fa, fb):
+        return (tuple(AffineForm(f.linear + zb, f.constant) for f in fa)
+                + tuple(AffineForm(za + f.linear, f.constant) for f in fb))
 
-    def lift_b(f):
-        return AffineForm((0,) * n + f.linear, f.constant)
-
-    basis = tuple(v + (0,) * m for v in a.direction_lattice.vectors) + \
-        tuple((0,) * n + v for v in b.direction_lattice.vectors)
-    return Cell(
-        n + m,
-        tuple(lift_a(f) for f in a.ineqs) + tuple(lift_b(f) for f in b.ineqs),
-        tuple(lift_a(f) for f in a.eqs) + tuple(lift_b(f) for f in b.eqs),
-        a.dim + b.dim,
-        a.interior_point + b.interior_point,
-        LatticeBasis(n + m, basis),
-    )
+    return Cell(len(za + zb), lift(a.ineqs, b.ineqs), lift(a.eqs, b.eqs),
+                a.interior_point + b.interior_point)
 
 
 def collect_hyperplanes(cells) -> tuple:
@@ -601,7 +613,7 @@ def _hull_box(cell):
     of each free variable z_j over the cell, None on an unbounded side: the
     interval the lines of the inequalities cut out for one free variable,
     else two LPs per variable."""
-    elim = _eliminate(cell.ambient_dim, cell.eqs)
+    elim = cell._elimination
     lines = [_line(f, elim) for f in cell.ineqs]
     k = len(elim[1])
     if k == 1:
@@ -699,8 +711,7 @@ def cone_from_rays(rays, ambient_dim) -> Cell:
     rays = tuple(int_vector(r) for r in rays)
     if not rays:
         return point_cell((0,) * ambient_dim)
-    lattice = subspace_lattice(rays, ambient_dim)
-    if lattice.rank != len(rays):
+    if mat_rank(rays) != len(rays):
         raise ValueError("rays are linearly dependent")
     eqs = tuple(AffineForm(a, 0) for a in kernel_lattice(rays, ambient_dim))
     ineqs = []
@@ -709,7 +720,7 @@ def cone_from_rays(rays, ambient_dim) -> Cell:
         a = solve_rational(list(rays), rhs)
         ineqs.append(form_from_rational(a, 0))
     apex = tuple(sum(QQ(r[i]) for r in rays) for i in range(ambient_dim))
-    return Cell(ambient_dim, tuple(ineqs), eqs, len(rays), apex, lattice)
+    return Cell(ambient_dim, tuple(ineqs), eqs, apex)
 
 
 def point_cell(p) -> Cell:
@@ -717,7 +728,7 @@ def point_cell(p) -> Cell:
     n = len(p)
     eqs = tuple(AffineForm(tuple(1 if j == i else 0 for j in range(n)), -p[i])
                 for i in range(n))
-    return Cell(n, (), eqs, 0, p, LatticeBasis(n, ()))
+    return Cell(n, (), eqs, p)
 
 
 def ray_cell(base, direction) -> Cell:
@@ -728,7 +739,7 @@ def ray_cell(base, direction) -> Cell:
     eqs = tuple(AffineForm(a, -dot(a, base)) for a in kernel_lattice([d], n))
     ineq = AffineForm(d, -dot(d, base))
     interior = tuple(b + QQ(x) for b, x in zip(base, d))
-    return Cell(n, (ineq,), eqs, 1, interior, subspace_lattice([d], n))
+    return Cell(n, (ineq,), eqs, interior)
 
 
 def segment_cell(p, q) -> Cell:
@@ -736,10 +747,7 @@ def segment_cell(p, q) -> Cell:
     q = tuple(QQ(x) for x in q)
     if p == q:
         raise ValueError("degenerate segment")
-    n = len(p)
     d = clear_denominators(tuple(b - a for a, b in zip(p, q)))
-    eqs = tuple(AffineForm(a, -dot(a, p)) for a in kernel_lattice([d], n))
-    ineqs = (AffineForm(d, -dot(d, p)),
-             AffineForm(tuple(-x for x in d), dot(d, q)))
-    mid = tuple((a + b) / 2 for a, b in zip(p, q))
-    return Cell(n, ineqs, eqs, 1, mid, subspace_lattice([d], n))
+    ray = ray_cell(p, d)
+    return Cell(len(p), ray.ineqs + (AffineForm(tuple(-x for x in d), dot(d, q)),), ray.eqs,
+                tuple((a + b) / 2 for a, b in zip(p, q)))

@@ -50,6 +50,7 @@ from .kernel import hnf_basis
 from .library import diagonal_line
 from .polyhedra import (
     AffineForm,
+    _eliminate,
     _relint_lp,
     cell_contains_cell,
     collect_hyperplanes,
@@ -123,7 +124,8 @@ def _displaced(meets, v):
         p = rho.interior_point
         ineqs = [f for f in sigma.ineqs if f.value_at(p) == 0]
         ineqs += [f.translate(v) for f in tau.ineqs if f.value_at(p) == 0]
-        _, t = _relint_lp(len(p), ineqs, sigma.eqs + tuple(f.translate(v) for f in tau.eqs))
+        eqs = sigma.eqs + tuple(f.translate(v) for f in tau.eqs)
+        _, t = _relint_lp(ineqs, _eliminate(len(p), eqs))
         if t == 0:
             return None
         if t is not None:

@@ -33,6 +33,7 @@ from tropint.morphisms import IntegerLinearMap, Morphism, image_cell, push_forwa
 from tropint.polyhedra import (
     AffineForm,
     Cell,
+    _eliminate,
     _relint_lp,
     _split_piece,
     cell_contains_cell,
@@ -712,7 +713,8 @@ def _cells_meet(sigma, tau) -> bool:
     forms = sigma.ineqs + sigma.eqs + tau.ineqs + tau.eqs
     if all(f.constant == 0 for f in forms):
         return True
-    point, _ = _relint_lp(sigma.ambient_dim, sigma.ineqs + tau.ineqs, sigma.eqs + tau.eqs)
+    eqs = sigma.eqs + tau.eqs
+    point, _ = _relint_lp(sigma.ineqs + tau.ineqs, _eliminate(sigma.ambient_dim, eqs))
     return point is not None
 
 

@@ -1,7 +1,7 @@
 """Closed-form slack programs against the simplex.
 
-``polyhedra._slack_lp`` eliminates its equalities and solves every program
-that leaves at most one free variable without the simplex.  On random
+``polyhedra._slack_lp`` takes the elimination of its equalities and solves
+every program that leaves at most one free variable without the simplex.  On random
 programs of that shape, some with the equalities of a cell, it must give
 ``lp_max``'s status and value, and its point must be exact, satisfy every
 row and attain the value.  The box of a cell of dimension one, read from
@@ -99,7 +99,7 @@ def _check_point(res, plain, slack, eqs):
 def test_closed_form_matches_simplex(program):
     n, plain, slack, eqs = program
     with _spy() as spy:
-        res = polyhedra._slack_lp(n, plain, slack, eqs)
+        res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, eqs))
     rank = mat_rank([f.linear for f in eqs]) if eqs else 0
     consistent = not eqs or mat_rank([f.linear + (f.constant,) for f in eqs]) == rank
     # The simplex runs only when consistent equalities leave two variables
@@ -143,7 +143,7 @@ def test_closed_form_on_a_hull_matches_simplex(data):
     plain = list(cell.ineqs) + data.draw(st.lists(_form(n), max_size=2))
     slack = data.draw(st.lists(_form(n), max_size=4))
     with _spy() as spy:
-        res = polyhedra._slack_lp(n, plain, slack, cell.eqs)
+        res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, cell.eqs))
     assert not spy.called
     ref = _reference(n, plain, slack, cell.eqs)
     assert (res.status, res.value) == (ref.status, ref.value)

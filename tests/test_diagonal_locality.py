@@ -98,9 +98,9 @@ def test_junk_filter_drops_a_cell_off_the_diagonal():
 
 
 # LP solves of reference_stable_intersect, the full-product route, on these
-# inputs; stable_intersect takes 414, 50, 237 and 542.  The fans through the
+# inputs; stable_intersect takes 66, 12, 190 and 510.  The fans through the
 # origin gain nothing from locality: every pair of their cones meets.
-_FULL_PRODUCT_LPS = {"conic.conic": 853, "L31.(L32+v)": 335, "L31.L32": 237, "L32.L32": 544}
+_FULL_PRODUCT_LPS = {"conic.conic": 162, "L31.(L32+v)": 232, "L31.L32": 190, "L32.L32": 510}
 
 
 def _fresh(c, v=None):
