@@ -443,12 +443,6 @@ class LatticeBasis:
         # basis vectors are independent, so the solution is unique.
         return tuple(coords)
 
-    def spans_vector(self, v) -> bool:
-        """Rational-span membership (ignores integrality)."""
-        if not self.vectors:
-            return all(x == 0 for x in v)
-        return mat_rank(list(self.vectors) + [v]) == self.rank
-
 
 def least_positive_vector(basis, values) -> IntVector:
     """The vector sum y_i b_i of the lattice with basis (b_i) on which a

@@ -240,13 +240,18 @@ class Cell:
             self._lattice = LatticeBasis(n, vectors)
         return self._lattice
 
+    def _hull_forms(self):
+        """The rows of the elimination made primitive: canonical equalities
+        of the affine hull, read with no LP."""
+        n = self.ambient_dim
+        return tuple(AffineForm(row[:n], row[n]).scaled_primitive()
+                     for row in self._elimination[4])
+
     @property
     def hull_key(self):
         """Hashable key equal for two cells of R^n iff their affine hulls
-        are equal: the rows of the elimination made primitive, with no LP."""
-        n = self.ambient_dim
-        return tuple(AffineForm(row[:n], row[n]).scaled_primitive().sort_key()
-                     for row in self._elimination[4])
+        are equal."""
+        return tuple(f.sort_key() for f in self._hull_forms())
 
     # -- predicates -------------------------------------------------------
 
@@ -312,7 +317,7 @@ class Cell:
 
     def _canonicalize(self):
         n, elim = self.ambient_dim, self._elimination
-        canon_eqs = tuple(AffineForm(lin, QQ(p, q)) for lin, (p, q) in self.hull_key)
+        canon_eqs = self._hull_forms()
         _, _, d, free, _ = elim
         reduced = {}
         for g in self.ineqs:
@@ -593,7 +598,7 @@ def product_cell(a: Cell, b: Cell) -> Cell:
         return (tuple(AffineForm(f.linear + zb, f.constant) for f in fa)
                 + tuple(AffineForm(za + f.linear, f.constant) for f in fb))
 
-    return Cell(len(za + zb), lift(a.ineqs, b.ineqs), lift(a.eqs, b.eqs),
+    return Cell(a.ambient_dim + b.ambient_dim, lift(a.ineqs, b.ineqs), lift(a.eqs, b.eqs),
                 a.interior_point + b.interior_point)
 
 
@@ -747,7 +752,8 @@ def segment_cell(p, q) -> Cell:
     q = tuple(QQ(x) for x in q)
     if p == q:
         raise ValueError("degenerate segment")
+    n = len(p)
     d = clear_denominators(tuple(b - a for a, b in zip(p, q)))
-    ray = ray_cell(p, d)
-    return Cell(len(p), ray.ineqs + (AffineForm(tuple(-x for x in d), dot(d, q)),), ray.eqs,
-                tuple((a + b) / 2 for a, b in zip(p, q)))
+    eqs = tuple(AffineForm(a, -dot(a, p)) for a in kernel_lattice([d], n))
+    ineqs = (AffineForm(d, -dot(d, p)), AffineForm(tuple(-x for x in d), dot(d, q)))
+    return Cell(n, ineqs, eqs, tuple((a + b) / 2 for a, b in zip(p, q)))

@@ -133,10 +133,8 @@ def _no_smith_form(*args):
     raise AssertionError("smith_normal_form reached")
 
 
-# Eliminations on fresh copies.  When every slack program eliminated its own
-# equalities they were 122 and 32, for 118 and 20 slack programs; the
-# product still eliminates once per tangent-cone program, whose equalities
-# are new each time.
+# Eliminations on fresh copies.  The product still eliminates once per
+# tangent-cone program, whose equalities are new each time.
 _ELIMINATIONS = {"conic.conic": 112, "conic+line": 12}
 
 
