@@ -341,6 +341,8 @@ def cartesian_product(a: Cycle, b: Cycle) -> Cycle:
 
 
 def translate(a: Cycle, v) -> Cycle:
+    if len(v) != a.ambient_dim:
+        raise ValueError(f"translation by a vector of length {len(v)} in R^{a.ambient_dim}")
     v = tuple(QQ(x) for x in v)
     c = a.complex
     moved = WeightedComplex(c.ambient_dim, c.dim,

@@ -17,6 +17,12 @@ to the last pivot d = det(B), so the pivot rows of T divided by d are the
 reduced row echelon form.  The exact simplex in :mod:`._simplex` pivots
 with the same step.
 
+All elimination over Z goes through :func:`hermite_normal_form` and its
+unimodular transform (Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993, §2.4): integer kernels, integer solutions, least positive
+vectors and lattice indices are read from it.  :func:`smith_normal_form`
+serves no library path; the tests compare against it.
+
 ``QQ`` is ``fractions.Fraction``: exact, hashable and normalized to lowest
 terms with positive denominator.  Integer entries are taken as they are and
 never truncated: :func:`int_vector` rejects a non-integer one.
@@ -26,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as QQ
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 IntVector = tuple  # tuple of ints
-RatVector = tuple  # tuple of QQ / int
 IntMatrix = tuple  # tuple of int row tuples
 
 
@@ -172,18 +177,6 @@ def solve_rational(rows, rhs):
     for row, col in zip(t, pivots):
         x[col] = QQ(row[ncols], d)
     return tuple(x)
-
-
-def mat_det(rows) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Integer entries only: :func:`echelon` clears each row of denominators,
-    which would scale the determinant of a rational matrix.
-    """
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise ValueError("mat_det takes an integer matrix")
-    _, pivots, d = echelon(rows)
-    return d if len(pivots) == len(rows) else 0
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -349,43 +342,36 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def integer_solve(rows, rhs):
     """One integer solution x of ``rows @ x = rhs``, or None.
 
-    Solves via the Smith decomposition, so existence is decided exactly.
+    With ``H = U @ rows^T`` the Hermite form, x = U^T y for y solving
+    ``H^T y = rhs``.  H is in echelon form, so the entry of rhs at each
+    pivot in turn fixes y (0 on the zero rows of H), and a solution exists
+    exactly when subtracting these multiples of the rows of H leaves 0.
     """
     if not rows:
         return ()
-    ncols = len(rows[0])
-    s, u, v = smith_normal_form(rows)
-    ub = mat_vec(u, rhs)
-    y = [0] * ncols
-    r = min(len(rows), ncols)
-    for i in range(len(rows)):
-        d = s[i][i] if i < r else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            if i < ncols:
-                y[i] = ub[i] // d
-    return mat_vec(v, y)
+    h, u = hermite_normal_form(transpose(rows))
+    b, x = list(rhs), [0] * len(u)
+    for hk, uk in zip(h, u):
+        col = next((j for j, a in enumerate(hk) if a != 0), None)
+        if col is None:
+            break
+        q = b[col] // hk[col]
+        b = [bj - q * a for bj, a in zip(b, hk)]
+        x = [xi + q * a for xi, a in zip(x, uk)]
+    return None if any(b) else tuple(x)
 
 
 def kernel_lattice(rows, ncols: int) -> tuple[IntVector, ...]:
     """HNF basis of ``{x in Z^ncols : rows @ x = 0}``.
 
-    The kernel of an integer matrix is a saturated sublattice, so this basis
-    also spans the rational kernel.
+    The rows of the unimodular U with ``U @ rows^T = H`` whose Hermite rows
+    are zero span the kernel, and the lattice they span is saturated, so
+    this basis also spans the rational kernel.
     """
     if not rows:
         return hnf_basis(identity_matrix(ncols)) if ncols else ()
-    s, _, v = smith_normal_form(rows)
-    r = 0
-    for i in range(min(len(rows), ncols)):
-        if s[i][i] != 0:
-            r += 1
-    cols = transpose(v)
-    return hnf_basis(cols[r:]) if r < ncols else ()
+    h, u = hermite_normal_form(transpose(rows))
+    return hnf_basis([uk for hk, uk in zip(h, u) if not any(hk)])
 
 
 def subspace_lattice(spanning, ambient_dim: int) -> "LatticeBasis":
@@ -401,8 +387,7 @@ def subspace_lattice(spanning, ambient_dim: int) -> "LatticeBasis":
     if not int_rows:
         return LatticeBasis(ambient_dim, ())
     perp = kernel_lattice(int_rows, ambient_dim)
-    basis = kernel_lattice(perp, ambient_dim) if perp else hnf_basis(identity_matrix(ambient_dim))
-    return LatticeBasis(ambient_dim, basis)
+    return LatticeBasis(ambient_dim, kernel_lattice(perp, ambient_dim))
 
 
 @dataclass(frozen=True)
@@ -426,32 +411,16 @@ class LatticeBasis:
     def rank(self) -> int:
         return len(self.vectors)
 
-    def coordinates(self, v):
-        """Integer coordinates of v in this basis, or None if v is outside."""
-        if not self.vectors:
-            return () if all(x == 0 for x in v) else None
-        sol = solve_rational(list(transpose(self.vectors)), v)
-        if sol is None:
-            return None
-        coords = []
-        for c in sol:
-            q = QQ(c)
-            if q.denominator != 1:
-                return None
-            coords.append(int(q.numerator))
-        # solve_rational zero-fills free variables; ranks match here since
-        # basis vectors are independent, so the solution is unique.
-        return tuple(coords)
-
 
 def least_positive_vector(basis, values) -> IntVector:
     """The vector sum y_i b_i of the lattice with basis (b_i) on which a
     covector with integer values a_i on the b_i, not all zero, takes its
-    least positive value gcd(a); y is :func:`integer_solve`'s solution."""
-    g = gcd(*values)
-    if g == 0:
+    least positive value gcd(a); y is row 0 of the transform of the Hermite
+    form of the column a, which pairs with a to gcd(a)."""
+    if not any(values):
         raise ValueError("the covector vanishes on the lattice")
-    return mat_vec(transpose(basis), integer_solve([values], (g,)))
+    _, u = hermite_normal_form([(a,) for a in values])
+    return mat_vec(transpose(basis), u[0])
 
 
 def quotient_generator(sub: LatticeBasis, sup: LatticeBasis) -> IntVector:
@@ -476,25 +445,27 @@ def quotient_generator(sub: LatticeBasis, sup: LatticeBasis) -> IntVector:
     return u
 
 
+def hnf_index(rows) -> int:
+    """Product of the pivots of the Hermite basis of the row lattice: for a
+    lattice of full rank in Z^n, its index."""
+    return prod(next(a for a in row if a != 0) for row in hnf_basis(rows))
+
+
 def lattice_index(matrix, source: LatticeBasis, target: LatticeBasis) -> int:
     """Index of the image of ``source`` under an integer map inside ``target``.
 
     ``matrix`` rows map ambient source coordinates to target coordinates.
-    The index is |det| of the image basis written in target coordinates;
-    a rank drop raises, since the quotient is then infinite.
+    The image and the target span the same space, so their Hermite bases
+    share pivot columns, and the index is the quotient of their
+    :func:`hnf_index`.  A rank drop raises, since the quotient is then
+    infinite, and so does an image outside the target.
     """
     if source.rank != target.rank:
         raise ValueError("rank mismatch between source and target lattices")
-    if source.rank == 0:
-        return 1
-    rows = []
-    for b in source.vectors:
-        img = mat_vec(matrix, b)
-        c = target.coordinates(img)
-        if c is None:
-            raise ValueError("image vector lies outside the target lattice")
-        rows.append(c)
-    d = mat_det(rows)
-    if d == 0:
+    image = tuple(mat_vec(matrix, b) for b in source.vectors)
+    if hnf_basis(target.vectors + image) != target.vectors:
+        raise ValueError("image vector lies outside the target lattice")
+    image = hnf_basis(image)
+    if len(image) < target.rank:
         raise ValueError("map not injective on lattice")
-    return abs(int(d))
+    return hnf_index(image) // hnf_index(target.vectors)

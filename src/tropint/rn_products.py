@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import prod
 
 from .cycles import (
     Cycle,
@@ -46,7 +45,7 @@ from .divisors import (
     is_bounded_on,
     weil_divisor,
 )
-from .kernel import hnf_basis
+from .kernel import hnf_basis, hnf_index
 from .library import diagonal_line
 from .polyhedra import (
     AffineForm,
@@ -99,12 +98,11 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
 
 def _span_index(sigma, tau):
     """[Z^n : L_sigma + L_tau] for the direction lattices of two cells, or
-    None when they do not span R^n.  The Hermite basis of the sum is then
-    upper triangular with its pivots on the diagonal."""
+    None when they do not span R^n."""
     rows = hnf_basis(sigma.direction_lattice.vectors + tau.direction_lattice.vectors)
     if len(rows) < sigma.ambient_dim:
         return None
-    return prod(row[i] for i, row in enumerate(rows))
+    return hnf_index(rows)
 
 
 def _displaced(meets, v):

@@ -19,11 +19,11 @@ from tropint.kernel import (
     hnf_basis,
     identity_matrix,
     int_vector,
-    integer_solve,
-    kernel_lattice,
-    lattice_index,
+    mat_vec,
     rat_parts,
+    smith_normal_form,
     solve_rational,
+    transpose,
     vec_add,
     vec_gcd,
     vec_scale,
@@ -333,6 +333,60 @@ def reference_mat_det(rows):
     return det
 
 
+def reference_integer_solve(rows, rhs):
+    """One integer solution x of rows @ x = rhs, or None, by the Smith
+    decomposition S = U @ rows @ V: solve S y = U rhs entry by entry and
+    return V y."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    s, u, v = smith_normal_form(rows)
+    ub = mat_vec(u, rhs)
+    y = [0] * ncols
+    r = min(len(rows), ncols)
+    for i in range(len(rows)):
+        d = s[i][i] if i < r else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d != 0:
+                return None
+            if i < ncols:
+                y[i] = ub[i] // d
+    return mat_vec(v, y)
+
+
+def reference_kernel_lattice(rows, ncols):
+    """HNF basis of the integer kernel of rows, from the columns of V in
+    the Smith decomposition S = U @ rows @ V beyond the rank."""
+    if not rows:
+        return hnf_basis(identity_matrix(ncols)) if ncols else ()
+    s, _, v = smith_normal_form(rows)
+    r = sum(1 for i in range(min(len(rows), ncols)) if s[i][i] != 0)
+    return hnf_basis(transpose(v)[r:]) if r < ncols else ()
+
+
+def reference_coordinates(basis, v):
+    """Integer coordinates of v in a lattice basis (independent rows), from
+    the unique rational solution, or None if v is outside the lattice."""
+    if not basis.vectors:
+        return () if all(x == 0 for x in v) else None
+    sol = reference_solve_rational(transpose(basis.vectors), v)
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+def reference_lattice_index(matrix, source, target):
+    """|det| of the images of the source basis written in the target
+    basis: the index of the image of source inside target."""
+    coords = [reference_coordinates(target, mat_vec(matrix, b)) for b in source.vectors]
+    if None in coords:
+        raise ValueError("image vector lies outside the target lattice")
+    return abs(int(reference_mat_det(coords)))
+
+
 def rational_rref(rows, n):
     """Reduced row echelon form of affine equality rows (a, c) ~ a.x + c = 0.
 
@@ -549,8 +603,8 @@ def reference_push_forward(matrix, cycle):
     for cell, w, img in entries:
         for piece in refine_cell(img, forms):
             entry = table.setdefault(sign_vector(piece, forms), [piece, 0])
-            entry[1] += w * lattice_index(matrix, cell.direction_lattice,
-                                          piece.direction_lattice)
+            entry[1] += w * reference_lattice_index(matrix, cell.direction_lattice,
+                                                    piece.direction_lattice)
     kept = [table[key] for key in sorted(table) if table[key][1] != 0]
     out = WeightedComplex(len(matrix), red.dim, [p for p, _ in kept], [w for _, w in kept])
     return Cycle(out, check=False)
@@ -631,16 +685,16 @@ def reference_quotient_generator(sub, sup):
     r = sup.rank
     coords = []
     for v in sub.vectors:
-        c = sup.coordinates(v)
+        c = reference_coordinates(sup, v)
         if c is None:
             raise ValueError("sub is not contained in super")
         coords.append(c)
     if r == 1:
         return sup.vectors[0]
-    if hnf_basis(coords) != kernel_lattice(kernel_lattice(coords, r), r):
+    if hnf_basis(coords) != reference_kernel_lattice(reference_kernel_lattice(coords, r), r):
         raise ValueError("torsion in quotient: sublattice is not saturated")
-    (w,) = kernel_lattice(coords, r)
-    u_coord = integer_solve([list(primitive_part(w))], (1,))
+    (w,) = reference_kernel_lattice(coords, r)
+    u_coord = reference_integer_solve([list(primitive_part(w))], (1,))
     out = [0] * sup.ambient_dim
     for c, b in zip(u_coord, sup.vectors):
         out = [a + c * x for a, x in zip(out, b)]
@@ -863,7 +917,7 @@ def divisors_equal(a, b, cycle: Cycle) -> bool:
         scaled = clear_denominators(coeffs + (target,))
         rows.append(scaled[:n])
         rhs.append(scaled[n])
-    sol = integer_solve(rows, rhs) if rows else ()
+    sol = reference_integer_solve(rows, rhs) if rows else ()
     return sol is not None
 
 

@@ -5,7 +5,6 @@ canonical key of a cell are all unique, so the integer routines must agree
 with the Fraction ones exactly.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -18,7 +17,7 @@ from oracles import (
 )
 
 from tropint.cycles import Cycle, WeightedComplex
-from tropint.kernel import QQ, echelon, mat_det, mat_rank, solve_rational
+from tropint.kernel import QQ, echelon, mat_rank, solve_rational
 from tropint.morphisms import IntegerLinearMap, Morphism
 from tropint.polyhedra import AffineForm, Cell, cone_from_rays, point_cell, segment_cell
 
@@ -62,18 +61,25 @@ def test_solution_matches_reference(rows, data):
     assert solve_rational(rows, rhs) == reference_solve_rational(rows, rhs)
 
 
+def _echelon_det(rows):
+    """The last pivot of an integer square matrix of full rank, else 0."""
+    _, pivots, d = echelon(rows)
+    return d if len(pivots) == len(rows) else 0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(matrices(entry=_int, square=True))
 def test_determinant_matches_reference(rows):
-    assert mat_det(rows) == reference_mat_det(rows)
+    # The last pivot is the determinant exactly when the rank is full.
+    assert _echelon_det(rows) == reference_mat_det(rows)
 
 
 def test_determinant_sign_after_swaps():
     # Each swap brings a negative pivot up; the signs must still combine.
-    assert mat_det([(0, -1, 0), (0, 0, -1), (-2, 0, 0)]) == -2
-    assert mat_det([(0, 1), (1, 0)]) == -1
-    assert mat_det([(0, 0), (1, 0)]) == 0
-    assert mat_det([]) == 1
+    assert _echelon_det([(0, -1, 0), (0, 0, -1), (-2, 0, 0)]) == -2
+    assert _echelon_det([(0, 1), (1, 0)]) == -1
+    assert _echelon_det([(0, 0), (1, 0)]) == 0
+    assert _echelon_det([]) == 1
 
 
 def test_echelon_invariant():
@@ -82,11 +88,6 @@ def test_echelon_invariant():
     assert pivots == [0, 1]
     assert [[QQ(x, d) for x in row] for row in t[:2]] == [[1, 0, -1], [0, 1, 2]]
     assert all(x == 0 for row in t[2:] for x in row)
-
-
-def test_determinant_rejects_rationals():
-    with pytest.raises(ValueError):
-        mat_det([(QQ(1, 2),)])
 
 
 _form = st.tuples(st.tuples(_int, _int, _int), _rat)

@@ -4,8 +4,10 @@ Every constructor hands ``Cell`` only inequalities, equalities and an
 interior point; the dimension and the direction lattice come from one
 elimination of the equalities per cell.  On cells from every constructor
 they must equal the rank and the integer kernel of the equalities' linear
-parts.  The count gates pin the eliminations of a stable product and of a
-sum of curves, which reach no Smith normal form.
+parts, the kernel read from the Smith form reference.  The count gates pin
+the eliminations of a stable product and of a sum of curves, and the
+Hermite forms of a push-forward, a projection-formula check and the
+rigid-curve chain; none of them reaches a Smith normal form.
 """
 
 import importlib
@@ -14,16 +16,23 @@ import pkgutil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_kernel_lattice
 from test_faces import _random_polynomial
 
 import tropint
 import tropint.kernel as kernel
 import tropint.polyhedra as polyhedra
-from tropint.cycles import add, rn_cycle, standard_skeleton, translate
-from tropint.divisors import graph_fan, weil_divisor
-from tropint.kernel import QQ, LatticeBasis, kernel_lattice, mat_rank
-from tropint.library import conic_curve
-from tropint.morphisms import image_cell
+from tropint.cycles import Cycle, WeightedComplex, add, rn_cycle, standard_skeleton, translate
+from tropint.divisors import TropicalPolynomial, divisor_chain, graph_fan, weil_divisor
+from tropint.kernel import QQ, LatticeBasis, mat_rank
+from tropint.library import conic_curve, rigid_function, rigid_surface
+from tropint.morphisms import (
+    IntegerLinearMap,
+    Morphism,
+    check_projection_formula,
+    image_cell,
+    push_forward,
+)
 from tropint.polyhedra import (
     AffineForm,
     Cell,
@@ -44,7 +53,7 @@ def _assert_hull(cell):
     n = cell.ambient_dim
     rows = [f.linear for f in cell.eqs]
     assert cell.dim == n - mat_rank(rows)
-    assert cell.direction_lattice == LatticeBasis(n, kernel_lattice(rows, n))
+    assert cell.direction_lattice == LatticeBasis(n, reference_kernel_lattice(rows, n))
 
 
 def _vector(n):
@@ -110,13 +119,15 @@ def test_translate_rejects_a_vector_of_the_wrong_length():
             tropint.translate(rn_cycle(2), v)
         with pytest.raises(ValueError):
             point_cell((0, 0)).translate(v)
+        # An empty cycle has no cell to check the length.
+        with pytest.raises(ValueError):
+            tropint.translate(Cycle.empty(2, 1), v)
 
 
-def _count_eliminations(monkeypatch):
-    """Count ``polyhedra._eliminate`` calls, rebound in every tropint module
-    that holds it."""
+def _count_calls(monkeypatch, real):
+    """Count the calls of a library function, rebound in every tropint
+    module that holds it."""
     calls = []
-    real = polyhedra._eliminate
 
     def counting(*args):
         calls.append(1)
@@ -124,8 +135,8 @@ def _count_eliminations(monkeypatch):
 
     for info in pkgutil.iter_modules(tropint.__path__):
         module = importlib.import_module(f"tropint.{info.name}")
-        if getattr(module, "_eliminate", None) is real:
-            monkeypatch.setattr(module, "_eliminate", counting)
+        if getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counting)
     return calls
 
 
@@ -146,9 +157,43 @@ _ELIMINATIONS = {"conic.conic": 112, "conic+line": 12}
 ])
 def test_elimination_budget(monkeypatch, name, op, make):
     c, d = make()
-    calls = _count_eliminations(monkeypatch)
-    # Every cell here has dimension one or less, so no direction lattice
-    # needs the Smith normal form.
+    calls = _count_calls(monkeypatch, polyhedra._eliminate)
     monkeypatch.setattr(kernel, "smith_normal_form", _no_smith_form)
     op(c, d)
     assert len(calls) == _ELIMINATIONS[name]
+
+
+def _fresh(cycle):
+    """A copy of a cycle whose cells have no cached elimination, lattice or
+    faces, and whose complex has no cached ridges."""
+    c = cycle.complex
+    cells = [Cell(c.ambient_dim, cell.ineqs, cell.eqs, cell.interior_point) for cell in c.cells]
+    return Cycle(WeightedComplex(c.ambient_dim, c.dim, cells, c.weights), check=False)
+
+
+def _lattice_step(name):
+    """An operation whose lattice algebra (normals, kernels of equalities,
+    push-forward indices) must take the Hermite form only."""
+    if name == "rigid chain":
+        phi, surface = rigid_function(), _fresh(rigid_surface())
+        return lambda: divisor_chain([phi, phi], surface)
+    conic = _fresh(conic_curve())
+    f = Morphism(IntegerLinearMap(((2, -1),)), conic, _fresh(rn_cycle(1)))
+    if name == "push-forward":
+        return lambda: push_forward(f)
+    phi = TropicalPolynomial((AffineForm((1,), QQ(-7, 2)), AffineForm((0,), 0),
+                              AffineForm((-1,), -5)))
+    return lambda: check_projection_formula(f, conic, phi)
+
+
+# Hermite forms on fresh copies.
+_HERMITE_FORMS = {"push-forward": 21, "projection formula": 61, "rigid chain": 42}
+
+
+@pytest.mark.parametrize("name", sorted(_HERMITE_FORMS))
+def test_lattice_algebra_reaches_no_smith_form(monkeypatch, name):
+    step = _lattice_step(name)
+    calls = _count_calls(monkeypatch, kernel.hermite_normal_form)
+    monkeypatch.setattr(kernel, "smith_normal_form", _no_smith_form)
+    step()
+    assert len(calls) == _HERMITE_FORMS[name]

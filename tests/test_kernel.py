@@ -1,10 +1,19 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_lattice_points_in_parallelepiped, mat_mul, primitive_part
+from oracles import (
+    count_lattice_points_in_parallelepiped,
+    mat_mul,
+    primitive_part,
+    reference_coordinates,
+    reference_integer_solve,
+    reference_kernel_lattice,
+    reference_mat_det,
+)
 
 from tropint.kernel import (
     QQ,
@@ -12,16 +21,18 @@ from tropint.kernel import (
     dot,
     hermite_normal_form,
     hnf_basis,
+    hnf_index,
     identity_matrix,
     integer_solve,
     kernel_lattice,
     lattice_index,
-    mat_det,
+    least_positive_vector,
     mat_rank,
     mat_vec,
     quotient_generator,
     smith_normal_form,
     subspace_lattice,
+    transpose,
     vec_gcd,
 )
 
@@ -47,7 +58,7 @@ def test_hnf_lattice_index_oracle():
     m = ((6, 4), (4, 6))
     h, u = hermite_normal_form(m)
     assert mat_mul(u, m) == h
-    assert abs(int(mat_det(h))) == 20
+    assert abs(reference_mat_det(h)) == 20 == hnf_index(m)
     assert count_lattice_points_in_parallelepiped(m) == 20
 
 
@@ -57,7 +68,7 @@ def test_hnf_row_span_preserved():
         rows = tuple(tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(3))
         h, u = hermite_normal_form(rows)
         assert mat_mul(u, rows) == h
-        assert abs(int(mat_det(u))) == 1
+        assert abs(int(reference_mat_det(u))) == 1
         # Mutual membership: every row of h is an integer combination of the
         # rows of m and vice versa.
         for v in h:
@@ -157,8 +168,8 @@ def test_smith_divisibility_chain_random():
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(nc)) for _ in range(nr))
         s, u, v = smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == s
-        assert abs(int(mat_det(u))) == 1
-        assert abs(int(mat_det(v))) == 1
+        assert abs(int(reference_mat_det(u))) == 1
+        assert abs(int(reference_mat_det(v))) == 1
         diag = [s[i][i] for i in range(min(nr, nc))]
         for a, b in zip(diag, diag[1:]):
             assert b == 0 or (a != 0 and b % a == 0) or (a == 0 and b == 0)
@@ -187,17 +198,17 @@ def test_subspace_lattice_saturation_oracle():
         for y in range(-3, 4):
             for z in range(-3, 4):
                 if dot(normal, (x, y, z)) == 0:
-                    assert b.coordinates((x, y, z)) is not None
+                    assert reference_coordinates(b, (x, y, z)) is not None
 
 
 def test_quotient_generator():
     z2 = LatticeBasis(2, ((1, 0), (0, 1)))
     sub = LatticeBasis(2, ((1, 0),))
     u = quotient_generator(sub, z2)
-    assert abs(int(mat_det((sub.vectors[0], u)))) == 1
+    assert abs(int(reference_mat_det((sub.vectors[0], u)))) == 1
     sub = LatticeBasis(2, ((1, 1),))
     u = quotient_generator(sub, z2)
-    assert abs(int(mat_det(((1, 1), u)))) == 1
+    assert abs(int(reference_mat_det(((1, 1), u)))) == 1
     rank1 = LatticeBasis(2, ((1, 2),))
     empty = LatticeBasis(2, ())
     assert quotient_generator(empty, rank1) in ((1, 2), (-1, -2))
@@ -231,6 +242,11 @@ def test_lattice_index_basic():
     assert lattice_index(((1, 0), (0, 1)), z2, z2) == 1
     with pytest.raises(ValueError, match="injective"):
         lattice_index(((0,),), z1, z1)
+    with pytest.raises(ValueError, match="outside"):
+        lattice_index(((1,),), z1, LatticeBasis(1, ((2,),)))
+    plane = LatticeBasis(3, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="outside"):
+        lattice_index(((1, 0), (0, 1), (0, 1)), LatticeBasis(2, ((1, 0), (0, 1))), plane)
 
 
 def test_lattice_index_fundamental_domain_oracle():
@@ -250,7 +266,7 @@ def test_lattice_index_fundamental_domain_oracle():
         source = subspace_lattice(vecs, n)
         target = subspace_lattice(imgs, m)
         idx = lattice_index(f, source, target)
-        coords = [target.coordinates(mat_vec(f, b)) for b in source.vectors]
+        coords = [reference_coordinates(target, mat_vec(f, b)) for b in source.vectors]
         assert all(c is not None for c in coords)
         assert count_lattice_points_in_parallelepiped(coords) == idx
         done += 1
@@ -259,6 +275,13 @@ def test_lattice_index_fundamental_domain_oracle():
 def test_integer_solve():
     assert integer_solve([(2, 0), (0, 3)], (4, 9)) == (2, 3)
     assert integer_solve([(2,)], (3,)) is None
+    # No unknowns: solvable exactly when the right-hand side is zero.
+    assert integer_solve([()], (0,)) == ()
+    assert integer_solve([()], (1,)) is None
+    assert integer_solve([], ()) == ()
+    # Solvable over Q, not over Z; inconsistent over Q.
+    assert integer_solve([(2, 4), (1, 3)], (1, 0)) is None
+    assert integer_solve([(1, 1), (2, 2)], (1, 3)) is None
     sol = integer_solve([(1, 1, 1), (-1, 0, 0)], (1, 0))
     assert sol is not None and dot((1, 1, 1), sol) == 1 and sol[0] == 0
 
@@ -269,3 +292,74 @@ def test_kernel_lattice():
     for v in k:
         assert dot((1, -1, 1), v) == 0
     assert kernel_lattice([(1, 0), (0, 1)], 2) == ()
+
+
+# -- the Hermite routines against the Smith references ----------------------------
+
+_entry = st.one_of(st.just(0), st.integers(-4, 4))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Zero-heavy integer rows with, often, a zero row, a zero column, a
+    dependent row or a row scaled so that the lattice is not saturated;
+    sometimes no columns at all."""
+    ncols = draw(st.integers(0, 4))
+    rows = [list(draw(st.tuples(*[_entry] * ncols))) for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(("plain", "zero row", "zero column", "dependent", "scaled")))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "zero row":
+        rows[i] = [0] * ncols
+    elif kind == "zero column" and ncols:
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    elif kind == "dependent":
+        w = draw(st.tuples(*[st.integers(-2, 2)] * len(rows)))
+        rows.append([sum(wk * row[j] for wk, row in zip(w, rows)) for j in range(ncols)])
+    elif kind == "scaled":
+        rows[i] = [draw(st.integers(2, 3)) * a for a in rows[i]]
+    return [tuple(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices())
+def test_kernel_lattice_matches_reference(rows):
+    n = len(rows[0])
+    assert kernel_lattice(rows, n) == reference_kernel_lattice(rows, n)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(integer_matrices(), st.sampled_from(("integer image", "half image", "random")),
+       st.data())
+def test_integer_solve_matches_reference(rows, rhs_kind, data):
+    # Images of integer points solve; images of half-integer points solve
+    # over Q and sometimes not over Z; random right-hand sides of dependent
+    # rows are mostly inconsistent.
+    n = len(rows[0])
+    if rhs_kind == "random":
+        rhs = data.draw(st.tuples(*[_entry] * len(rows)))
+    else:
+        x = data.draw(st.tuples(*[_entry] * n))
+        x = x if rhs_kind == "integer image" else tuple(QQ(a, 2) for a in x)
+        rhs = mat_vec(rows, x)
+    sol = integer_solve(rows, rhs)
+    assert (sol is None) == (reference_integer_solve(rows, rhs) is None)
+    if sol is not None:
+        assert len(sol) == n and all(type(a) is int for a in sol)
+        assert mat_vec(rows, sol) == tuple(rhs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[_entry] * 3), min_size=1, max_size=3),
+       st.tuples(*[_entry] * 3))
+def test_least_positive_vector_pairs_to_the_gcd(basis, w):
+    values = [dot(w, b) for b in basis]
+    if not any(values):
+        with pytest.raises(ValueError):
+            least_positive_vector(basis, values)
+        return
+    u = least_positive_vector(basis, values)
+    assert dot(w, u) == gcd(*values)
+    # u lies in the lattice the basis spans.
+    assert reference_integer_solve(transpose(basis), u) is not None
