@@ -1,9 +1,16 @@
-"""Exact rational linear programming by the two-phase simplex method.
+"""Exact rational linear programming by the simplex method, in one phase
+from a feasible point the caller gives.
 
 Small dense tableau implementation with Bland's least-index pivot rule,
 which makes every solve deterministic and immune to cycling.  Problem sizes
 here are tiny (tens of variables), so no effort is spent on sparsity or
 revised-simplex updates.
+
+Every program is solved from a point ``start`` that satisfies all of its
+rows.  Writing x = start + y+ - y- with y+, y- >= 0, row i (a.x >= r)
+reads s_i - a.(y+ - y-) = a.start - r >= 0, so the surplus variables s
+form a feasible first basis and no phase 1 is needed (Chvátal, *Linear
+Programming*, ch. 3 and 8).
 
 The tableau holds Python ints only (fraction-free pivoting after Bareiss,
 as in Avis's lrs).  With B the current basis of the integer system
@@ -13,24 +20,21 @@ shared elimination step :func:`.kernel.bareiss_pivot`, which maps every
 other row to (T[r][s] * T[i] - T[i][s] * T[r]) / d, exactly, and returns
 the new d = T[r][s].  Entries therefore stay as small as the minors of the
 input, and no rational is formed until a solution is read off as
-T[i][-1] / d.
-
-All rows are scaled by one common denominator.  That multiplies the
-phase-1 objective (the sum of the artificial variables) by a single
-positive constant, so every comparison, and hence every pivot, is the one
-the rational tableau would make; scaling each row by its own denominator
-would reweight the artificial variables and change the pivot sequence.
-The phase-2 cost vector is cleared of its denominator separately.
+T[i][-1] / d.  Each row is cleared of its denominators separately and its
+surplus variable is scaled by the same positive factor, so the first basis
+is the identity with d = 1; positive row and column scalings leave every
+sign and every ratio comparison, hence every pivot, as the rational
+tableau has them.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .kernel import QQ, bareiss_pivot
+from .kernel import QQ, bareiss_pivot, dot
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
+INFEASIBLE = "infeasible"  # of a slack program; lp_max starts feasible
 UNBOUNDED = "unbounded"
 
 
@@ -46,95 +50,35 @@ class LPResult:
         return f"LPResult({self.status}, {self.value})"
 
 
-def lp_max(n, objective, ineqs=(), eqs=()):
-    """Maximize objective . x over {x in Q^n : a.x >= r for (a, r) in ineqs,
-    a.x == r for (a, r) in eqs}.
-
-    Free variables are split into differences of nonnegative ones and
-    inequalities get surplus variables, giving a standard-form program.
-    """
-    ncols = 2 * n + len(ineqs)
-    # Coefficients are ints or rationals; both carry numerator and denominator.
-    cons = [(*a, r) for a, r in ineqs] + [(*a, r) for a, r in eqs]
-    scale = lcm(*{q.denominator for con in cons for q in con})
-
-    def widen(coeffs, s):
-        row = [q.numerator * (s // q.denominator) for q in coeffs]
-        return row + [-c for c in row] + [0] * len(ineqs)
-
-    rows = []
-    rhs = []
-    for i, con in enumerate(cons):
-        row = widen(con[:n], scale)
-        if i < len(ineqs):
-            row[2 * n + i] = -scale
-        rows.append(row)
-        r = con[n]
-        rhs.append(r.numerator * (scale // r.denominator))
-    cscale = lcm(*{c.denominator for c in objective})
-    cost = widen(objective, cscale)
-
-    status, d, y = _simplex_standard(rows, rhs, cost, ncols)
-    if status != OPTIMAL:
-        return LPResult(status)
-    point = tuple(QQ(y[j] - y[n + j], d) for j in range(n))
-    value = QQ(sum(c * yj for c, yj in zip(cost, y)), d * cscale)
-    return LPResult(OPTIMAL, value, point)
-
-
-def _simplex_standard(rows, rhs, cost, ncols):
-    """Maximize cost . y subject to rows @ y = rhs, y >= 0, all integers.
-
-    Returns (status, d, d * y) for an optimal basic solution y.
-    """
-    m = len(rows)
-    if m == 0:
-        if any(c > 0 for c in cost):
-            return UNBOUNDED, None, None
-        return OPTIMAL, 1, [0] * ncols
-
+def lp_max(n, objective, ineqs, start):
+    """Maximize objective . x over {x in Q^n : a.x >= r for (a, r) in ineqs},
+    starting from the point ``start`` of that set; the result is OPTIMAL
+    or UNBOUNDED.  A start that breaks a row raises ValueError."""
+    m = len(ineqs)
     tab = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
+    for i, (a, r) in enumerate(ineqs):
+        b = dot(a, start) - QQ(r)
         if b < 0:
-            row = [-x for x in row]
-            b = -b
+            raise ValueError(f"the start point breaks row {i} of the program")
+        scale = lcm(b.denominator, *(q.denominator for q in a))
+        row = [-q.numerator * (scale // q.denominator) for q in a]
         unit = [0] * m
         unit[i] = 1
-        tab.append(row + unit + [b])
-    basis = [ncols + i for i in range(m)]
+        tab.append(row + [-x for x in row] + unit + [b.numerator * (scale // b.denominator)])
+    cscale = lcm(*(c.denominator for c in objective))
+    cost = [c.numerator * (cscale // c.denominator) for c in objective]
+    cost += [-c for c in cost] + [0] * m
+    basis = list(range(2 * n, 2 * n + m))
 
-    phase1 = [0] * ncols + [-1] * m
-    d, value = _optimize(tab, basis, phase1, 1)
+    d, value = _optimize(tab, basis, cost, 1)
     if value is None:
-        raise RuntimeError("phase 1 of the simplex is unbounded; its objective is at most 0")
-    if value < 0:
-        return INFEASIBLE, None, None
-
-    # Drive leftover artificial variables out of the basis.  The pivot may
-    # be negative; negating the whole tableau keeps d positive.
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= ncols:
-            pivot_col = next((j for j in range(ncols) if tab[i][j] != 0), None)
-            if pivot_col is None:
-                del tab[i]
-                del basis[i]
-            else:
-                d = bareiss_pivot(tab, i, pivot_col, d)
-                basis[i] = pivot_col
-                if d < 0:
-                    d = -d
-                    for k, row in enumerate(tab):
-                        tab[k] = [-x for x in row]
-    for row in tab:
-        del row[ncols:ncols + m]
-
-    d, value = _optimize(tab, basis, cost, d)
-    if value is None:
-        return UNBOUNDED, None, None
-    y = [0] * ncols
-    for i, b in enumerate(basis):
-        y[b] = tab[i][-1]
-    return OPTIMAL, d, y
+        return LPResult(UNBOUNDED)
+    y = [0] * (2 * n)
+    for i, j in enumerate(basis):
+        if j < 2 * n:
+            y[j] = tab[i][-1]
+    point = tuple(QQ(s) + QQ(y[j] - y[n + j], d) for j, s in enumerate(start))
+    return LPResult(OPTIMAL, QQ(dot(objective, point)), point)
 
 
 def _optimize(tab, basis, cost, d):

@@ -458,13 +458,22 @@ def lattice_index(matrix, source: LatticeBasis, target: LatticeBasis) -> int:
     The image and the target span the same space, so their Hermite bases
     share pivot columns, and the index is the quotient of their
     :func:`hnf_index`.  A rank drop raises, since the quotient is then
-    infinite, and so does an image outside the target.
+    infinite, and so does an image outside the target: an image vector
+    lies in the target when reducing it by the target's Hermite rows,
+    pivot by pivot, takes exact quotients and leaves nothing.
     """
     if source.rank != target.rank:
         raise ValueError("rank mismatch between source and target lattices")
     image = tuple(mat_vec(matrix, b) for b in source.vectors)
-    if hnf_basis(target.vectors + image) != target.vectors:
-        raise ValueError("image vector lies outside the target lattice")
+    for v in image:
+        for t in target.vectors:
+            p = next(j for j, a in enumerate(t) if a != 0)
+            q, r = divmod(v[p], t[p])
+            if r:
+                break
+            v = [a - q * b for a, b in zip(v, t)]
+        if any(v):
+            raise ValueError("image vector lies outside the target lattice")
     image = hnf_basis(image)
     if len(image) < target.rank:
         raise ValueError("map not injective on lattice")

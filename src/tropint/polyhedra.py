@@ -172,7 +172,7 @@ class Cell:
             # implied equalities; the rest are strict somewhere already.
             implied, strict = [], []
             for g in cin:
-                if g.value_at(point) == 0 and _max_capped(g, cin, elim).value == 0:
+                if g.value_at(point) == 0 and _max_capped(g, cin, elim, point).value == 0:
                     implied.append(g)
                 else:
                     strict.append(g)
@@ -412,7 +412,7 @@ def _line(f, elim):
     return tuple(dot(f.linear, w) for w in ws), dot(f.linear, c) + d * f.constant
 
 
-def _slack_lp(plain, slack, elim):
+def _slack_lp(plain, slack, elim, start=None):
     """Maximize t <= 1 subject to plain forms >= 0 and slack forms >= t
     over the solutions of some equalities, given by their elimination
     ``elim`` (:func:`_eliminate`; None when there is no solution).
@@ -421,20 +421,25 @@ def _slack_lp(plain, slack, elim):
     most one free variable the program is solved in closed form by
     :func:`_slack_closed_form`; otherwise the simplex maximizes t over
     (z, t), with the rows the plain lines, the slack lines and the cap, in
-    this order, and no equality row.  The result carries t as its value and
-    x as its point.
+    this order, and no equality row.  It starts at z0, the free coordinates
+    of ``start`` (a solution where every plain form is >= 0, needed only
+    when there are plain forms) or else 0, and at t0, the least of 1 and
+    the slack lines at z0 over d.  The result carries t as its value and x
+    as its point.
     """
     if elim is None:
         return LPResult(INFEASIBLE)
-    c, ws, d = elim[:3]
+    c, ws, d, free = elim[:4]
     k = len(ws)
     plain, slack = ([_line(f, elim) for f in fs] for fs in (plain, slack))
     if k <= 1:
         res = _slack_closed_form(plain, slack, d)
     else:
+        z0 = (0,) * k if start is None else tuple(start[j] for j in free)
+        t0 = min([QQ(1)] + [QQ(dot(A, z0) + G, d) for A, G in slack])
         ineqs = [(A + (0,), -G) for A, G in plain] + [(A + (-d,), -G) for A, G in slack]
         ineqs.append(((0,) * k + (-1,), -1))
-        res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs)
+        res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, start=z0 + (t0,))
     if res.status == OPTIMAL:
         z = res.point[:k]
         res.point = tuple(QQ(ci + sum(zj * w[i] for zj, w in zip(z, ws)), d)
@@ -522,20 +527,21 @@ def _relint_lp(ineqs, elim):
     return res.point, res.value
 
 
-def _max_capped(form, ineqs, elim):
-    """min(max(form), 1) over the system as value, and a point attaining it.
+def _max_capped(form, ineqs, elim, start):
+    """min(max(form), 1) over the system as value, and a point attaining it,
+    from a point ``start`` of the system.
 
     Always feasible and bounded when the base system is feasible, which
     keeps the probe robust even when the form exceeds the cap everywhere.
     """
-    res = _slack_lp(ineqs, (form,), elim)
+    res = _slack_lp(ineqs, (form,), elim, start)
     _require_optimal(res, "capped maximum LP")
     return res
 
 
 def strict_point(cell, form) -> tuple | None:
     """A point of the cell with form > 0, or None if form <= 0 on the cell."""
-    res = _max_capped(form, cell.ineqs, cell._elimination)
+    res = _max_capped(form, cell.ineqs, cell._elimination, cell.interior_point)
     return res.point if res.value > 0 else None
 
 
@@ -617,18 +623,19 @@ def _hull_box(cell):
     """The elimination of the cell's equalities and the bounds (lo_j, hi_j)
     of each free variable z_j over the cell, None on an unbounded side: the
     interval the lines of the inequalities cut out for one free variable,
-    else two LPs per variable."""
+    else two LPs per variable from the interior point."""
     elim = cell._elimination
     lines = [_line(f, elim) for f in cell.ineqs]
     k = len(elim[1])
     if k == 1:
         return elim, [_interval([(A[0], G) for A, G in lines])]
     rows = [(A, -G) for A, G in lines]
+    start = tuple(cell.interior_point[j] for j in elim[3])
     box = []
     for j in range(k):
         bounds = []
         for sign in (-1, 1):
-            res = lp_max(k, tuple(sign if i == j else 0 for i in range(k)), ineqs=rows)
+            res = lp_max(k, tuple(sign if i == j else 0 for i in range(k)), ineqs=rows, start=start)
             if res.status == UNBOUNDED:
                 bounds.append(None)
             else:
@@ -740,6 +747,8 @@ def ray_cell(base, direction) -> Cell:
     """Halfline base + R_{>=0} . direction."""
     base = tuple(QQ(x) for x in base)
     d = int_vector(direction)
+    if not any(d):
+        raise ValueError("degenerate ray")
     n = len(base)
     eqs = tuple(AffineForm(a, -dot(a, base)) for a in kernel_lattice([d], n))
     ineq = AffineForm(d, -dot(d, base))

@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared by the test modules, and the
 helpers the tests share that no path of the library needs."""
 
-from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
+from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 from tropint.cycles import Cycle, WeightedComplex, cartesian_product, rn_cycle, translate
 from tropint.divisors import (
     CartierDivisor,
@@ -99,21 +99,26 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def reference_lp_max(n, objective, ineqs=(), eqs=()):
-    """Reference for :func:`tropint._simplex.lp_max`: the two-phase simplex
-    on a tableau of rationals, with the same Bland pivot rule.
+def reference_lp_max(n, objective, ineqs=(), eqs=(), start=None):
+    """Maximize objective . x over {x in Q^n : a.x >= r for (a, r) in ineqs,
+    a.x == r for (a, r) in eqs} on a tableau of rationals, with Bland's
+    pivot rule; returns (status, value, point).
 
-    Maximize objective . x over {x in Q^n : a.x >= r for (a, r) in ineqs,
-    a.x == r for (a, r) in eqs}.
-
-    Free variables are split into differences of nonnegative ones and
-    inequalities get surplus variables, giving a standard-form program.
+    With a ``start`` that satisfies every row (and no equality), this is
+    the reference for :func:`tropint._simplex.lp_max`: one phase from the
+    surplus basis of x = start + y+ - y-, where row i reads
+    s_i - a.(y+ - y-) = a.start - r.  Without one, it is the two-phase
+    simplex: free variables are split into differences of nonnegative ones,
+    inequalities get surplus variables, and phase 1 finds a feasible basis
+    over artificial variables.
     """
-    ncols = 2 * n + len(ineqs)
-
     def widen(coeffs):
         row = [QQ(a) for a in coeffs]
         return row + [-c for c in row]
+
+    if start is not None:
+        return _reference_from_start(n, objective, ineqs, eqs, start, widen)
+    ncols = 2 * n + len(ineqs)
 
     rows = []
     rhs = []
@@ -133,6 +138,29 @@ def reference_lp_max(n, objective, ineqs=(), eqs=()):
     point = tuple(values[j] - values[n + j] for j in range(n))
     value = sum(QQ(c) * x for c, x in zip(objective, point))
     return OPTIMAL, value, point
+
+
+def _reference_from_start(n, objective, ineqs, eqs, start, widen):
+    """The one-phase simplex of :func:`reference_lp_max` from ``start``."""
+    if eqs:
+        raise ValueError("a start point goes with inequalities only")
+    m = len(ineqs)
+    start = [QQ(x) for x in start]
+    tab = []
+    for i, (a, r) in enumerate(ineqs):
+        b = sum(QQ(x) * s for x, s in zip(a, start)) - QQ(r)
+        if b < 0:
+            raise ValueError(f"the start point breaks row {i}")
+        unit = [_ONE if j == i else _ZERO for j in range(m)]
+        tab.append([-x for x in widen(a)] + unit + [b])
+    basis = [2 * n + i for i in range(m)]
+    if _reference_optimize(tab, basis, widen(objective) + [_ZERO] * m, 2 * n + m) is None:
+        return UNBOUNDED, None, None
+    y = [_ZERO] * (2 * n + m)
+    for i, b in enumerate(basis):
+        y[b] = tab[i][-1]
+    point = tuple(s + y[j] - y[n + j] for j, s in enumerate(start))
+    return OPTIMAL, sum(QQ(c) * x for c, x in zip(objective, point)), point
 
 
 def _reference_simplex(rows, rhs, cost, ncols):
@@ -442,10 +470,10 @@ def reference_canonical_key(cell):
     kept = [reduced[k] for k in sorted(reduced)]
     for g in list(kept):
         others = [h for h in kept if h is not g]
-        res = lp_max(n, tuple(-a for a in g.linear),
-                     ineqs=[(h.linear, -h.constant) for h in others],
-                     eqs=[(e.linear, -e.constant) for e in canon_eqs])
-        if res.status == OPTIMAL and g.constant - res.value >= 0:
+        status, value, _ = reference_lp_max(
+            n, tuple(-a for a in g.linear), ineqs=[(h.linear, -h.constant) for h in others],
+            eqs=[(e.linear, -e.constant) for e in canon_eqs])
+        if status == OPTIMAL and g.constant - value >= 0:
             kept.remove(g)
     return (n, cell.dim,
             tuple(f.sort_key() for f in canon_eqs),

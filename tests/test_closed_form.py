@@ -3,9 +3,11 @@
 ``polyhedra._slack_lp`` takes the elimination of its equalities and solves
 every program that leaves at most one free variable without the simplex.  On random
 programs of that shape, some with the equalities of a cell, it must give
-``lp_max``'s status and value, and its point must be exact, satisfy every
-row and attain the value.  The box of a cell of dimension one, read from
-the lines of its inequalities, must be the one two LPs per side give.
+the status and value of the two-phase reference simplex
+(``oracles.reference_lp_max``), and its point must be exact, satisfy every
+row and attain the value; so must the one-phase simplex on the programs
+that leave more variables free.  The box of a cell of dimension one, read
+from the lines of its inequalities, must be the one two LPs per side give.
 Sums, equality, push-forward and the projection formula of plane curves
 then run no LP at all, and no equality ever reaches the simplex.
 """
@@ -16,6 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_lp_max
 from test_faces import _count_lps
 from test_weighted_sum import _split_edges
 
@@ -23,7 +26,7 @@ import tropint.polyhedra as polyhedra
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max
 from tropint.cycles import add, cycles_equal, negate, rn_cycle, standard_skeleton, translate
 from tropint.divisors import TropicalPolynomial, divisor_chain
-from tropint.kernel import QQ, mat_rank
+from tropint.kernel import QQ, dot, mat_rank
 from tropint.library import conic_curve, rigid_function, rigid_surface
 from tropint.morphisms import IntegerLinearMap, Morphism, check_projection_formula, push_forward
 from tropint.polyhedra import AffineForm, Cell, point_cell, ray_cell, segment_cell
@@ -32,6 +35,7 @@ from tropint.polyhedra import AffineForm, Cell, point_cell, ray_cell, segment_ce
 _coef = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
 # Constants past the cap of 1 on either side make the cap bind.
 _const = st.builds(QQ, st.integers(-8, 8), st.sampled_from((1, 2, 3)))
+_x = st.builds(QQ, st.integers(-4, 4), st.sampled_from((1, 2)))
 
 
 def _form(n):
@@ -40,10 +44,16 @@ def _form(n):
 
 @st.composite
 def programs(draw):
-    """(n, plain, slack, eqs) over Q^n, n <= 3, with at least n - 1
+    """(n, plain, slack, eqs, start) over Q^n, n <= 3, with at least n - 1
     equalities: some repeated or scaled (so a variable may stay free after
-    all), some contradicting another, some constant rows."""
+    all), some contradicting another, some constant rows.
+
+    When the equalities leave two or more variables free, the simplex needs
+    a start: the point drawn first, at which the equalities and plain rows
+    are then shifted to hold (a plain row it breaks becomes tight there).
+    Otherwise start is None, and the plain rows may be infeasible."""
     n = draw(st.integers(0, 3))
+    p = draw(st.tuples(*[_x] * n))
     eqs = draw(st.lists(_form(n), min_size=max(0, n - 1), max_size=n))
     if eqs and draw(st.booleans()):
         e = draw(st.sampled_from(eqs))
@@ -69,17 +79,23 @@ def programs(draw):
         f = draw(st.sampled_from(plain))
         plain.append(AffineForm(tuple(-a for a in f.linear),
                                 -f.constant + draw(st.sampled_from((-1, 0, 1)))))
-    return n, plain, slack, eqs
+    if n - (mat_rank([f.linear for f in eqs]) if eqs else 0) <= 1:
+        return n, plain, slack, eqs, None
+    eqs = [AffineForm(f.linear, -dot(f.linear, p)) for f in eqs]
+    plain = [f if f.value_at(p) >= 0 else AffineForm(f.linear, f.constant - f.value_at(p))
+             for f in plain]
+    return n, plain, slack, eqs, p
 
 
 def _reference(n, plain, slack, eqs):
-    """The slack program over Q^n, solved by the simplex."""
+    """The slack program over Q^n, solved by the two-phase reference
+    simplex: (status, value, point)."""
     def row(f, t):
         return f.linear + (t,), -f.constant
 
     ineqs = [row(f, 0) for f in plain] + [row(f, -1) for f in slack]
     ineqs.append(((0,) * n + (-1,), -1))
-    return lp_max(n + 1, (0,) * n + (1,), ineqs=ineqs, eqs=[row(f, 0) for f in eqs])
+    return reference_lp_max(n + 1, (0,) * n + (1,), ineqs=ineqs, eqs=[row(f, 0) for f in eqs])
 
 
 def _spy():
@@ -97,26 +113,23 @@ def _check_point(res, plain, slack, eqs):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(programs())
 def test_closed_form_matches_simplex(program):
-    n, plain, slack, eqs = program
+    n, plain, slack, eqs, start = program
     with _spy() as spy:
-        res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, eqs))
+        res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, eqs), start)
     rank = mat_rank([f.linear for f in eqs]) if eqs else 0
     consistent = not eqs or mat_rank([f.linear + (f.constant,) for f in eqs]) == rank
     # The simplex runs only when consistent equalities leave two variables
     # free.
     assert spy.call_count == (1 if consistent and n - rank > 1 else 0)
-    ref = _reference(n, plain, slack, eqs)
-    assert ref.status != UNBOUNDED
-    assert (res.status, res.value) == (ref.status, ref.value)
+    status, value, _ = _reference(n, plain, slack, eqs)
+    assert status != UNBOUNDED
+    assert (res.status, res.value) == (status, value)
     if res.status == OPTIMAL:
         # An exact float such as 0.5 equals Fraction(1, 2); only the type
         # tells a point computed with int / int apart.
         assert type(res.value) is Fraction
         assert all(type(x) is Fraction for x in res.point)
         _check_point(res, plain, slack, eqs)
-
-
-_x = st.builds(QQ, st.integers(-4, 4), st.sampled_from((1, 2)))
 
 
 @st.composite
@@ -145,8 +158,8 @@ def test_closed_form_on_a_hull_matches_simplex(data):
     with _spy() as spy:
         res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, cell.eqs))
     assert not spy.called
-    ref = _reference(n, plain, slack, cell.eqs)
-    assert (res.status, res.value) == (ref.status, ref.value)
+    status, value, _ = _reference(n, plain, slack, cell.eqs)
+    assert (res.status, res.value) == (status, value)
     if res.status == OPTIMAL:
         _check_point(res, plain, slack, cell.eqs)
 
@@ -161,9 +174,9 @@ def test_box_of_a_curve_cell_is_its_interval(cell):
     for _ in range(cell.dim):
         bounds = []
         for sign in (-1, 1):
-            res = lp_max(1, (sign,), ineqs=rows)
-            assert res.status != INFEASIBLE
-            bounds.append(None if res.status == UNBOUNDED else sign * res.value)
+            status, value, _ = reference_lp_max(1, (sign,), ineqs=rows)
+            assert status != INFEASIBLE
+            bounds.append(None if status == UNBOUNDED else sign * value)
         want.append(tuple(bounds))
     with _spy() as spy:
         assert polyhedra._hull_box(cell) == (elim, want)
@@ -172,11 +185,14 @@ def test_box_of_a_curve_cell_is_its_interval(cell):
 
 def test_equalities_never_reach_the_simplex():
     # The rigid-curve chain solves LPs on cells of dimension two in R^3,
-    # with equalities; each one is eliminated before the simplex runs.
+    # with equalities; each one is eliminated before the simplex runs, which
+    # takes inequality rows and a start point only, both by keyword (the
+    # bench reads the rows of an LP from ineqs=).
     with _spy() as spy:
         divisor_chain([rigid_function()] * 2, rigid_surface())
     assert spy.called
-    assert not [c for c in spy.call_args_list if c.kwargs.get("eqs") or len(c.args) > 3]
+    assert all(len(c.args) == 2 and set(c.kwargs) == {"ineqs", "start"}
+               for c in spy.call_args_list)
 
 
 _CURVE_OPERATIONS = ("add", "add C -C", "equal refined", "equal moved", "push-forward",

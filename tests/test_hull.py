@@ -186,8 +186,9 @@ def _lattice_step(name):
     return lambda: check_projection_formula(f, conic, phi)
 
 
-# Hermite forms on fresh copies.
-_HERMITE_FORMS = {"push-forward": 21, "projection formula": 61, "rigid chain": 42}
+# Hermite forms on fresh copies.  lattice_index tests membership by
+# reduction, with no Hermite form of the target and the image together.
+_HERMITE_FORMS = {"push-forward": 12, "projection formula": 52, "rigid chain": 42}
 
 
 @pytest.mark.parametrize("name", sorted(_HERMITE_FORMS))

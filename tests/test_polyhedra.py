@@ -62,6 +62,14 @@ def test_ray_cell_rejects_a_non_integer_direction():
     assert ray.same_set(ray_cell((0, 0), (2, 1))) and type(ray.ineqs[0].linear[0]) is int
 
 
+def test_ray_cell_rejects_a_zero_direction():
+    # A zero direction would give a point, which a cycle of curves then
+    # fails on with no word of the ray.
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="degenerate ray"):
+            ray_cell((1,) * n, (0,) * n)
+
+
 def test_cone_from_rays_rejects_a_non_integer_ray():
     with pytest.raises(ValueError):
         cone_from_rays([(QQ(3, 2), 1)], 2)

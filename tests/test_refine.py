@@ -12,11 +12,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_refine_cell
+from oracles import reference_lp_max, reference_refine_cell
 from test_faces import _count_lps, _count_slack_solves
 
 import tropint.polyhedra as polyhedra
-from tropint._simplex import OPTIMAL, lp_max
+from tropint._simplex import OPTIMAL
 from tropint.cycles import add, standard_skeleton, translate
 from tropint.kernel import QQ, dot, kernel_lattice, mat_rank
 from tropint.library import conic_curve
@@ -85,9 +85,10 @@ def _support_form(cell, a):
     """a . x + c touching the cell from above 0 (at a vertex or along a
     face), or None when a . x is unbounded below on the cell."""
     n = cell.ambient_dim
-    res = lp_max(n, tuple(-x for x in a), ineqs=[(f.linear, -f.constant) for f in cell.ineqs],
-                 eqs=[(f.linear, -f.constant) for f in cell.eqs])
-    return AffineForm(a, res.value) if res.status == OPTIMAL else None
+    status, value, _ = reference_lp_max(
+        n, tuple(-x for x in a), ineqs=[(f.linear, -f.constant) for f in cell.ineqs],
+        eqs=[(f.linear, -f.constant) for f in cell.eqs])
+    return AffineForm(a, value) if status == OPTIMAL else None
 
 
 @st.composite
