@@ -21,7 +21,6 @@ from .polyhedra import (
     intersect,
     product_cell,
     refine_cell,
-    sign_vector,
 )
 
 
@@ -275,15 +274,16 @@ def _weighted_sum(ambient_dim, dim, entries) -> Cycle:
     complex and add the weights each piece receives.
 
     Every cell is refined along the hyperplanes of all of them, so pieces
-    from different cells that share a sign vector over that arrangement are
-    the same set; the first such piece stands for them.  Pieces come in
-    sorted key order and zero sums are dropped.
+    from different cells that share a sign vector over that arrangement,
+    which :func:`refine_cell` returns with each piece, are the same set;
+    the first such piece stands for them.  Pieces come in sorted key order
+    and zero sums are dropped.
     """
     forms = collect_hyperplanes([cell for cell, _ in entries])
     table = {}
     for cell, w in entries:
-        for piece in refine_cell(cell, forms):
-            table.setdefault(sign_vector(piece, forms), [piece, 0])[1] += w
+        for piece, signs in refine_cell(cell, forms):
+            table.setdefault(signs, [piece, 0])[1] += w
     kept = [table[key] for key in sorted(table) if table[key][1] != 0]
     out = WeightedComplex(ambient_dim, dim, [p for p, _ in kept], [w for _, w in kept])
     return Cycle(out, check=False)
@@ -369,6 +369,10 @@ def standard_skeleton(n: int, k: int) -> Cycle:
         raise ValueError("need 0 <= k <= n")
     cells = [cone_from_rays([minus_e(i, n) for i in subset], n)
              for subset in combinations(range(n + 1), k)]
+    for cell in cells:
+        # The cycle is cached, so a lattice filled on its first read would
+        # make the work of later calls depend on which call read it first.
+        cell.direction_lattice
     cx = WeightedComplex(n, k, cells, [1] * len(cells))
     return Cycle(cx, check=False)
 

@@ -151,7 +151,7 @@ def _split_one(cell: Cell, phi):
             out.append((region, term))
         return out
     forms = collect_hyperplanes([dom for dom, _ in f.pieces])
-    return [(piece, _form_on_cell(f, piece)) for piece in refine_cell(cell, forms)]
+    return [(piece, _form_on_cell(f, piece)) for piece, _ in refine_cell(cell, forms)]
 
 
 def linearize_many(functions, complex: WeightedComplex):

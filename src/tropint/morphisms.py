@@ -102,7 +102,7 @@ def _cells_inside_support(cells, targets) -> bool:
     """
     forms = collect_hyperplanes(targets)
     for cell in cells:
-        for piece in refine_cell(cell, forms):
+        for piece, _ in refine_cell(cell, forms):
             if not any(t.contains_point(piece.interior_point) for t in targets):
                 return False
     return True

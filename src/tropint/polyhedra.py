@@ -139,7 +139,11 @@ class Cell:
         Detects implied equalities and migrates them to the equality list,
         then caches a relative interior point and the elimination of the
         equalities, which gives the dimension and the direction lattice.
+        Every form must have ``ambient_dim`` coefficients.
         """
+        ineqs, eqs = tuple(ineqs), tuple(eqs)
+        if any(len(f.linear) != ambient_dim for f in ineqs + eqs):
+            raise ValueError(f"a form of the wrong length in R^{ambient_dim}")
         ceq, eq_keys = [], set()
         for f in eqs:
             h = hyperplane_form(f)
@@ -645,9 +649,10 @@ def _hull_box(cell):
     return elim, box
 
 
-def _one_sided_on_box(f, elim, box) -> bool:
-    """Whether f >= 0 or f <= 0 holds on the whole box, by interval
-    arithmetic on the line A . z + G of f (:func:`_line`)."""
+def _sign_on_box(f, elim, box):
+    """The sign f keeps on the whole box, by interval arithmetic on its
+    line A . z + G (:func:`_line`): 1 when f >= 0 there, -1 when f <= 0, 0
+    when the line is zero (both hold) and None when f takes both signs."""
     A, lo = _line(f, elim)
     hi = lo
     for aj, (lo_j, hi_j) in zip(A, box):
@@ -656,59 +661,53 @@ def _one_sided_on_box(f, elim, box) -> bool:
         down, up = (lo_j, hi_j) if aj > 0 else (hi_j, lo_j)
         lo = None if lo is None or down is None else lo + aj * down
         hi = None if hi is None or up is None else hi + aj * up
-    return (lo is not None and lo >= 0) or (hi is not None and hi <= 0)
+    nonneg, nonpos = lo is not None and lo >= 0, hi is not None and hi <= 0
+    return nonneg - nonpos if nonneg or nonpos else None
 
 
 def refine_cell(cell: Cell, forms) -> list:
     """Split a cell along every hyperplane {form = 0} of the arrangement.
 
-    Returns the full-dimensional closed pieces; they tile the cell and each
-    lies weakly on one side of every hyperplane of the arrangement.
+    Returns (piece, signs) pairs for the full-dimensional closed pieces,
+    which tile the cell; ``signs[i]`` is the sign, 1, -1 or 0, of
+    ``forms[i]`` on the piece's relative interior, so two pieces of one
+    arrangement are the same set exactly when their signs agree.
 
     Only the forms that take both signs on a box around the cell are
     probed.  The box bounds each free variable z_j of the cell's affine
     hull x = (c + sum z_j w_j) / d (:func:`_eliminate`), by two LPs per
-    variable.  A form whose line A . z + G is >= 0 or <= 0 over the box has
-    one sign on the box, hence on the cell and on every piece inside it, so
-    skipping it is exact; this also skips every form constant on the hull.
-    On a cell of dimension one the box is the cell itself, read from its
-    lines with no LP, and each probe is a closed-form slack program; a
-    point cell needs neither.
-    A piece gains a form only when the form cuts it: if the other side of
-    the piece is empty, the piece stays as it was.
+    variable; on a cell of dimension one it is the cell itself, read from
+    its lines with no LP, and each probe is a closed-form slack program.
+    A form whose line A . z + G is >= 0 or <= 0 over the box keeps that
+    sign on every piece, so skipping it is exact.  Its sign is 0 when the
+    line is zero; otherwise the form cannot vanish at a relative interior
+    point of a piece, where it would take a minimum inside the hull.
+    A probed form is 1 on its positive side and -1 on its negative one.  A
+    piece gains it only when it cuts the piece: if the other side is empty,
+    the piece stays as it was, with the sign of its own side.
     """
     forms = tuple(forms)
     if not forms:
-        return [cell]
+        return [(cell, ())]
     elim, box = _hull_box(cell)
-    pieces = [cell]
+    pieces = [(cell, ())]
     for f in forms:
-        if _one_sided_on_box(f, elim, box):
+        sign = _sign_on_box(f, elim, box)
+        if sign is not None:
+            pieces = [(c, signs + (sign,)) for c, signs in pieces]
             continue
         out = []
-        for c in pieces:
+        for c, signs in pieces:
             val = f.value_at(c.interior_point)
             pos = c._replace_geometry(ineqs=c.ineqs + (f,)) if val > 0 else _split_piece(c, (f,))
             neg = (c._replace_geometry(ineqs=c.ineqs + (f.negated(),)) if val < 0
                    else _split_piece(c, (f.negated(),)))
-            out += [c] if pos is None or neg is None else [pos, neg]
+            if pos is None or neg is None:
+                out.append((c, signs + (-1 if pos is None else 1,)))
+            else:
+                out += [(pos, signs + (1,)), (neg, signs + (-1,))]
         pieces = out
     return pieces
-
-
-def sign_vector(cell: Cell, forms) -> tuple:
-    """Signs of the arrangement forms on a cell lying weakly on one side.
-
-    Only meaningful for pieces produced by refining along these forms: a
-    zero at the interior point then certifies the form vanishes identically
-    on the piece.
-    """
-    p = cell.interior_point
-    out = []
-    for f in forms:
-        v = f.value_at(p)
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
 
 
 # -- generator-style constructors ------------------------------------------
@@ -721,6 +720,8 @@ def cone_from_rays(rays, ambient_dim) -> Cell:
     vanishing on the others; equalities cut out the linear span.
     """
     rays = tuple(int_vector(r) for r in rays)
+    if any(len(r) != ambient_dim for r in rays):
+        raise ValueError(f"a ray of the wrong length in R^{ambient_dim}")
     if not rays:
         return point_cell((0,) * ambient_dim)
     if mat_rank(rays) != len(rays):

@@ -176,7 +176,7 @@ def is_pn_generic(c: Cycle) -> bool:
     cones = standard_skeleton(red.ambient_dim, red.dim).complex.cells
     forms = collect_hyperplanes(cones)
     for cell in red.complex.cells:
-        for piece in refine_cell(cell, forms):
+        for piece, _ in refine_cell(cell, forms):
             rec = piece.recession_cone()
             if not any(cell_contains_cell(cone, rec) for cone in cones):
                 return False

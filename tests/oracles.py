@@ -47,7 +47,6 @@ from tropint.polyhedra import (
     ray_cell,
     refine_cell,
     segment_cell,
-    sign_vector,
 )
 from tropint.rn_products import degree, diagonal_divisors, stable_intersect
 
@@ -530,6 +529,21 @@ def reference_linearity_regions(cell, terms):
 # -- refinement by an arrangement -------------------------------------------
 
 
+def sign_vector(cell, forms):
+    """Signs of the arrangement forms at the cell's interior point.
+
+    The reference for the signs :func:`refine_cell` returns: on a piece of
+    a refinement along these forms, a zero at the interior point certifies
+    that the form vanishes identically on the piece.
+    """
+    p = cell.interior_point
+    out = []
+    for f in forms:
+        v = f.value_at(p)
+        out.append(0 if v == 0 else (1 if v > 0 else -1))
+    return tuple(out)
+
+
 def reference_refine_cell(cell, forms):
     """Refinement that probes every form not vanishing on a piece.
 
@@ -579,7 +593,7 @@ def refine_complex(c: WeightedComplex, forms) -> WeightedComplex:
     arrangement = tuple(extended[k] for k in sorted(extended))
     out = {}
     for cell, w in zip(c.cells, c.weights):
-        for piece in refine_cell(cell, arrangement):
+        for piece, _ in refine_cell(cell, arrangement):
             key = sign_vector(piece, arrangement)
             if key in out:
                 raise ValueError("refinement produced a duplicate piece; "
@@ -599,7 +613,7 @@ def refine_by_arrangement(cells, forms):
     """
     out = {}
     for cell in cells:
-        for piece in refine_cell(cell, forms):
+        for piece, _ in refine_cell(cell, forms):
             out.setdefault(piece.canonical_key, piece)
     return [out[k] for k in sorted(out)]
 
@@ -629,7 +643,7 @@ def reference_push_forward(matrix, cycle):
     forms = collect_hyperplanes([img for _, _, img in entries])
     table = {}
     for cell, w, img in entries:
-        for piece in refine_cell(img, forms):
+        for piece, _ in refine_cell(img, forms):
             entry = table.setdefault(sign_vector(piece, forms), [piece, 0])
             entry[1] += w * reference_lattice_index(matrix, cell.direction_lattice,
                                                     piece.direction_lattice)
@@ -1001,7 +1015,7 @@ def _pieces_of(f):
         return f.pieces
     space = Cell.full_space(len(f.terms[0].linear))
     forms = tuple(h for _, h in sorted(_function_hyperplanes(f).items()))
-    return tuple((piece, _form_on_cell(f, piece)) for piece in refine_cell(space, forms))
+    return tuple((piece, _form_on_cell(f, piece)) for piece, _ in refine_cell(space, forms))
 
 
 def _function_hyperplanes(phi):

@@ -100,7 +100,7 @@ def test_derived_hull_matches_the_equalities(data):
     for face in cell.faces_of_codim_one():
         _assert_hull(face)
     forms = data.draw(st.lists(st.builds(AffineForm, _vector(n), _x), max_size=3))
-    for piece in refine_cell(cell, forms):
+    for piece, _ in refine_cell(cell, forms):
         _assert_hull(piece)
 
 

@@ -1,7 +1,12 @@
 import random
 
 import pytest
-from oracles import linear_image_cell, refine_by_arrangement, relative_interior_contains
+from oracles import (
+    linear_image_cell,
+    refine_by_arrangement,
+    relative_interior_contains,
+    sign_vector,
+)
 
 from tropint.kernel import QQ, hnf_basis
 from tropint.polyhedra import (
@@ -17,7 +22,6 @@ from tropint.polyhedra import (
     ray_cell,
     refine_cell,
     segment_cell,
-    sign_vector,
 )
 
 
@@ -74,6 +78,23 @@ def test_cone_from_rays_rejects_a_non_integer_ray():
     with pytest.raises(ValueError):
         cone_from_rays([(QQ(3, 2), 1)], 2)
     assert cone_from_rays([(QQ(3), 1)], 2).same_set(cone_from_rays([(3, 1)], 2))
+
+
+def test_cone_from_rays_rejects_a_ray_of_the_wrong_length():
+    # Every ray must lie in R^n, or the dual forms are not forms on R^n.
+    for rays, n in (([(1, 0, 0)], 2), ([(1, 0)], 3), ([(1, 0), (0, 1, 0)], 3)):
+        with pytest.raises(ValueError, match="wrong length"):
+            cone_from_rays(rays, n)
+
+
+def test_constraints_reject_a_form_of_the_wrong_length():
+    # A form on R^2 has two coefficients; a third must not be read as the
+    # constant, which would make the first system the line x_1 = -5.
+    for ineqs, eqs in (((), [AffineForm((1, 0, 5), 0)]), ([AffineForm((1,), 0)], ()),
+                       ([AffineForm((1, 0), 0), AffineForm((0, 1, 0), 1)], ())):
+        for build in (Cell.try_from_constraints, Cell.from_constraints):
+            with pytest.raises(ValueError, match="wrong length"):
+                build(2, ineqs, eqs)
 
 
 def test_empty_cell():
@@ -267,7 +288,7 @@ def test_random_refinement_properties():
                 continue
             forms.append(AffineForm(a, rng.randint(-2, 2)))
         cell = mk(2, ge=[((1, 0), 3), ((-1, 0), 3), ((0, 1), 3), ((0, -1), 3)])
-        pieces = refine_cell(cell, forms)
+        pieces = [p for p, _ in refine_cell(cell, forms)]
         assert all(p.dim == 2 for p in pieces)
         for p in pieces:
             assert cell_contains_cell(cell, p)

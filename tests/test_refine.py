@@ -3,7 +3,8 @@
 ``refine_cell`` bounds the cell once in its hull coordinates and probes only
 the forms that take both signs on that box; the reference probes every form
 that does not vanish on a piece.  Both must give the same pieces, as sets
-and as sign vectors over the arrangement.
+and as sign vectors over the arrangement, and the signs ``refine_cell``
+returns with each piece must be its sign vector.
 """
 
 from collections import Counter
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_lp_max, reference_refine_cell
+from oracles import reference_lp_max, reference_refine_cell, sign_vector
 from test_faces import _count_lps, _count_slack_solves
 
 import tropint.polyhedra as polyhedra
@@ -29,7 +30,6 @@ from tropint.polyhedra import (
     ray_cell,
     refine_cell,
     segment_cell,
-    sign_vector,
     strict_point,
 )
 
@@ -135,13 +135,18 @@ def test_refine_cell_matches_reference(n, dim, kind, data):
         return split(c, fs, eqs)
 
     with mock.patch.object(polyhedra, "_split_piece", recording):
-        got = refine_cell(cell, forms)
+        pairs = refine_cell(cell, forms)
+    got = [piece for piece, _ in pairs]
     want = reference_refine_cell(cell, forms)
 
     def key(piece):
         return piece.canonical_key, sign_vector(piece, forms)
 
     assert Counter(map(key, got)) == Counter(map(key, want))
+    # The signs returned with each piece are those of the forms at its
+    # relative interior point.
+    for piece, signs in pairs:
+        assert signs == sign_vector(piece, forms)
     # A piece carries, beyond the cell's own inequalities, only forms that
     # cut the cell.
     for piece in got:
@@ -166,7 +171,7 @@ def test_segment_missed_by_every_line_takes_no_lp(monkeypatch):
         return interval(rows)
 
     monkeypatch.setattr(polyhedra, "_interval", recording)
-    assert refine_cell(seg, lines) == [seg]
+    assert [piece for piece, _ in refine_cell(seg, lines)] == [seg]
     # The box of a segment is the interval its rows cut out, read once; it
     # culls every line, so nothing is solved.
     assert len(calls) == 0 and len(solves) == 0 and len(boxes) == 1
@@ -176,7 +181,7 @@ def test_point_cell_takes_no_lp(monkeypatch):
     p = point_cell((1, QQ(1, 2), -3))
     forms = [AffineForm((1, 0, 0), -1), AffineForm((0, 2, 1), 2), AffineForm((1, 1, 1), 0)]
     calls = _count_lps(monkeypatch)
-    assert refine_cell(p, forms) == [p]
+    assert [piece for piece, _ in refine_cell(p, forms)] == [p]
     assert not calls
 
 
