@@ -120,7 +120,8 @@ class Diagnostics:
 class Cycle:
     """An equivalence class of balanced complexes, held by a representative.
 
-    Arithmetic returns reduced representatives (no zero weights).  Pass
+    A cell of weight zero is no part of a cycle, so the constructor drops
+    those cells and every representative has nonzero weights only.  Pass
     ``check=False`` to skip the balancing verification when the input is
     balanced by construction.
     """
@@ -128,6 +129,8 @@ class Cycle:
     __slots__ = ("complex",)
 
     def __init__(self, complex: WeightedComplex, check: bool = True):
+        if 0 in complex.weights:
+            complex = complex.nonzero_part()
         if check:
             report = is_balanced(complex)
             if not report:
@@ -149,13 +152,6 @@ class Cycle:
     @property
     def is_empty(self):
         return self.complex.is_empty
-
-    @property
-    def reduced(self) -> bool:
-        return all(w != 0 for w in self.complex.weights)
-
-    def reduce(self) -> "Cycle":
-        return self if self.reduced else Cycle(self.complex.nonzero_part(), check=False)
 
     def __add__(self, other):
         return add(self, other)
@@ -276,15 +272,15 @@ def _weighted_sum(ambient_dim, dim, entries) -> Cycle:
     Every cell is refined along the hyperplanes of all of them, so pieces
     from different cells that share a sign vector over that arrangement,
     which :func:`refine_cell` returns with each piece, are the same set;
-    the first such piece stands for them.  Pieces come in sorted key order
-    and zero sums are dropped.
+    the first such piece stands for them.  Pieces come in sorted key order;
+    :class:`Cycle` drops those whose weights sum to zero.
     """
     forms = collect_hyperplanes([cell for cell, _ in entries])
     table = {}
     for cell, w in entries:
         for piece, signs in refine_cell(cell, forms):
             table.setdefault(signs, [piece, 0])[1] += w
-    kept = [table[key] for key in sorted(table) if table[key][1] != 0]
+    kept = [table[key] for key in sorted(table)]
     out = WeightedComplex(ambient_dim, dim, [p for p, _ in kept], [w for _, w in kept])
     return Cycle(out, check=False)
 
@@ -294,9 +290,9 @@ def add(a: Cycle, b: Cycle) -> Cycle:
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         raise ValueError("cannot add cycles of different dimension")
     if a.is_empty:
-        return b.reduce()
+        return b
     if b.is_empty:
-        return a.reduce()
+        return a
     ca, cb = a.complex, b.complex
     return _weighted_sum(a.ambient_dim, a.dim,
                          list(zip(ca.cells + cb.cells, ca.weights + cb.weights)))
@@ -307,19 +303,17 @@ def negate(a: Cycle) -> Cycle:
 
 
 def scale(a: Cycle, m: int) -> Cycle:
-    if m == 0:
-        return Cycle.empty(a.ambient_dim, a.dim)
     c = a.complex
     scaled = WeightedComplex(c.ambient_dim, c.dim, c.cells,
                              [m * w for w in c.weights])
-    return Cycle(scaled, check=False).reduce()
+    return Cycle(scaled, check=False)
 
 
 def cycles_equal(a: Cycle, b: Cycle) -> bool:
     """Equality up to refinement: the difference has empty nonzero part."""
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
-    return add(a.reduce(), negate(b)).is_empty
+    return add(a, negate(b)).is_empty
 
 
 # -- products, translations, standard cycles --------------------------------
@@ -337,7 +331,7 @@ def cartesian_product(a: Cycle, b: Cycle) -> Cycle:
             weights.append(w1 * w2)
     out = WeightedComplex(ca.ambient_dim + cb.ambient_dim, ca.dim + cb.dim,
                           cells, weights)
-    return Cycle(out, check=False).reduce()
+    return Cycle(out, check=False)
 
 
 def translate(a: Cycle, v) -> Cycle:

@@ -31,7 +31,6 @@ from .polyhedra import (
     form_vanishes_on,
     intersect,
     refine_cell,
-    strict_point,
 )
 
 
@@ -196,8 +195,7 @@ def _ridge_weights(phi, cycle: Cycle):
     the first adjacent cell).  The normals are those
     :meth:`~tropint.cycles.WeightedComplex.ridges` carries.
     """
-    base = cycle.reduce()
-    cx, (forms,) = linearize_many([phi], base.complex)
+    cx, (forms,) = linearize_many([phi], cycle.complex)
     out = []
     for ridge, idxs, scaled, s in _weighted_normals(cx):
         acc = sum(dot(forms[i].linear, u) for i, u in zip(idxs, scaled))
@@ -207,9 +205,8 @@ def _ridge_weights(phi, cycle: Cycle):
 
 
 def weil_divisor(phi, cycle: Cycle) -> Cycle:
-    """The divisor of a rational function on a cycle, reduced."""
-    full = weil_divisor_complex(phi, cycle)
-    return Cycle(full.nonzero_part(), check=False)
+    """The divisor of a rational function on a cycle."""
+    return Cycle(weil_divisor_complex(phi, cycle), check=False)
 
 
 def divisor_chain(divisors, cycle: Cycle) -> Cycle:
@@ -266,15 +263,11 @@ def is_bounded_on(phi, cycle: Cycle) -> bool:
     """True when the function is bounded on the support of the cycle.
 
     Equivalent test: on every maximal cell of a linearization, the linear
-    part pairs to zero with the whole recession cone of the cell.
+    part pairs to zero with the whole recession cone of the cell, that is
+    (the cone has a relative interior) vanishes on its span: no LP.
     """
-    base = cycle.reduce()
-    if base.is_empty:
+    if cycle.is_empty:
         return True
-    cx, (forms,) = linearize_many([phi], base.complex)
-    for cell, form in zip(cx.cells, forms):
-        rec = cell.recession_cone()
-        lam = AffineForm(form.linear, 0)
-        if strict_point(rec, lam) is not None or strict_point(rec, lam.negated()) is not None:
-            return False
-    return True
+    cx, (forms,) = linearize_many([phi], cycle.complex)
+    return all(form_vanishes_on(cell.recession_cone(), AffineForm(form.linear, 0))
+               for cell, form in zip(cx.cells, forms))

@@ -82,7 +82,7 @@ class Morphism:
         self.target = target
         if not _support_is_complete(target):
             preimages = [preimage_cell(map.matrix, cell) for cell in target.complex.cells]
-            if not _cells_inside_support(source.reduce().complex.cells,
+            if not _cells_inside_support(source.complex.cells,
                                          [pre for pre in preimages if pre is not None]):
                 raise ValueError("image of the source support leaves the target support")
 
@@ -158,7 +158,7 @@ def push_forward(f: Morphism, cycle: Cycle | None = None) -> Cycle:
     elif cycle is not f.source:
         if cycle.ambient_dim != f.source.ambient_dim:
             raise ValueError("subcycle lives in the wrong ambient space")
-        if not _cells_inside_support(cycle.reduce().complex.cells, f.source.complex.cells):
+        if not _cells_inside_support(cycle.complex.cells, f.source.complex.cells):
             raise ValueError("cycle is not supported inside the morphism source")
     return _push(f.map.matrix, cycle)
 
@@ -167,14 +167,13 @@ def _push(matrix, cycle: Cycle) -> Cycle:
     """The image cells of a cycle, each weighted by its source weight times
     the lattice index, summed over a common refinement.  Every piece of an
     image cell shares its direction lattice, so one index per cell serves."""
-    red = cycle.reduce()
     entries = []
-    for cell, w in zip(red.complex.cells, red.complex.weights):
+    for cell, w in zip(cycle.complex.cells, cycle.complex.weights):
         img = image_cell(matrix, cell)
         if img is not None:
             index = lattice_index(matrix, cell.direction_lattice, img.direction_lattice)
             entries.append((img, w * index))
-    return _weighted_sum(len(matrix), red.dim, entries)
+    return _weighted_sum(len(matrix), cycle.dim, entries)
 
 
 def pull_back(f, phi) -> CartierDivisor:

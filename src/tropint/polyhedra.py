@@ -316,10 +316,15 @@ class Cell:
     def canonical_key(self):
         """Hashable key equal for two cells iff they are the same set."""
         if self._canonical is None:
-            self._canonical, self._facet_points = self._canonicalize()
+            self.canonical_cell()
         return self._canonical
 
-    def _canonicalize(self):
+    def canonical_cell(self) -> "Cell":
+        """The same set with irredundant, canonically reduced constraints.
+        It and this cell hold the :attr:`canonical_key` and a relative
+        interior point of each facet; its own canonical cell is itself."""
+        if self._canonical_cell is not None:
+            return self._canonical_cell
         n, elim = self.ambient_dim, self._elimination
         canon_eqs = self._hull_forms()
         _, _, d, free, _ = elim
@@ -351,19 +356,10 @@ class Cell:
                 facets.append((point, facet_elim))
         key = (n, self.dim, tuple(f.sort_key() for f in canon_eqs),
                tuple(f.sort_key() for f in kept))
-        return key, tuple(facets)
-
-    def canonical_cell(self) -> "Cell":
-        """The same set with irredundant, canonically reduced constraints."""
-        if self._canonical_cell is None:
-            n, _, eq_keys, in_keys = self.canonical_key
-            cell = self._replace_geometry(
-                ineqs=tuple(AffineForm(lin, QQ(p, q)) for lin, (p, q) in in_keys),
-                eqs=tuple(AffineForm(lin, QQ(p, q)) for lin, (p, q) in eq_keys),
-            )
-            cell._canonical, cell._facet_points = self._canonical, self._facet_points
-            self._canonical_cell = cell
-        return self._canonical_cell
+        cell, facets = self._replace_geometry(ineqs=tuple(kept), eqs=canon_eqs), tuple(facets)
+        for c in (self, cell):
+            c._canonical, c._facet_points, c._canonical_cell = key, facets, cell
+        return cell
 
     def same_set(self, other: "Cell") -> bool:
         return self.canonical_key == other.canonical_key

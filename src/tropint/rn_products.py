@@ -51,7 +51,6 @@ from .polyhedra import (
     AffineForm,
     _eliminate,
     _relint_lp,
-    cell_contains_cell,
     collect_hyperplanes,
     intersect,
     refine_cell,
@@ -80,7 +79,7 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     m = c.dim + d.dim - n
     if c.is_empty or d.is_empty or m < 0:
         return Cycle.empty(n, m)
-    a, b = c.reduce().complex, d.reduce().complex
+    a, b = c.complex, d.complex
     meets = []
     for sigma, ws in zip(a.cells, a.weights):
         for tau, wt in zip(b.cells, b.weights):
@@ -150,13 +149,12 @@ def degree(c: Cycle) -> int:
     A k-cycle is paired against the standard (n-k)-skeleton; zero cycles
     are summed directly.
     """
-    red = c.reduce()
-    if red.is_empty:
+    if c.is_empty:
         return 0
-    if red.dim == 0:
-        return sum(red.complex.weights)
-    n = red.ambient_dim
-    return degree(stable_intersect(red, standard_skeleton(n, n - red.dim)))
+    if c.dim == 0:
+        return sum(c.complex.weights)
+    n = c.ambient_dim
+    return degree(stable_intersect(c, standard_skeleton(n, n - c.dim)))
 
 
 def is_pn_generic(c: Cycle) -> bool:
@@ -169,16 +167,20 @@ def is_pn_generic(c: Cycle) -> bool:
     skeleton's own hyperplane arrangement, which makes it a property of
     the refinement class: coarse cells spanning several standard cones are
     cut to pieces first.
+
+    A piece lies weakly on one side of each skeleton hyperplane; these are
+    linear (the cones have their apex at the origin), so its recession cone
+    does too.  As in :func:`~tropint.morphisms._cells_inside_support`, that
+    cone then lies in a skeleton cone exactly when its interior point does.
     """
-    red = c.reduce()
-    if red.is_empty:
+    if c.is_empty:
         return True
-    cones = standard_skeleton(red.ambient_dim, red.dim).complex.cells
+    cones = standard_skeleton(c.ambient_dim, c.dim).complex.cells
     forms = collect_hyperplanes(cones)
-    for cell in red.complex.cells:
+    for cell in c.complex.cells:
         for piece, _ in refine_cell(cell, forms):
-            rec = piece.recession_cone()
-            if not any(cell_contains_cell(cone, rec) for cone in cones):
+            p = piece.recession_cone().interior_point
+            if not any(cone.contains_point(p) for cone in cones):
                 return False
     return True
 

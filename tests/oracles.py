@@ -2,7 +2,14 @@
 helpers the tests share that no path of the library needs."""
 
 from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
-from tropint.cycles import Cycle, WeightedComplex, cartesian_product, rn_cycle, translate
+from tropint.cycles import (
+    Cycle,
+    WeightedComplex,
+    cartesian_product,
+    rn_cycle,
+    standard_skeleton,
+    translate,
+)
 from tropint.divisors import (
     CartierDivisor,
     PiecewisePL,
@@ -47,6 +54,7 @@ from tropint.polyhedra import (
     ray_cell,
     refine_cell,
     segment_cell,
+    strict_point,
 )
 from tropint.rn_products import degree, diagonal_divisors, stable_intersect
 
@@ -580,6 +588,33 @@ def reference_cells_inside_support(cells, targets):
                for cell in cells for piece in reference_refine_cell(cell, forms))
 
 
+def reference_is_pn_generic(c: Cycle) -> bool:
+    """Whether the recession cone of every piece of the cycle, refined along
+    the standard skeleton's hyperplanes, lies in a cone of the skeleton,
+    deciding containment by LPs constraint by constraint."""
+    if c.is_empty:
+        return True
+    cones = standard_skeleton(c.ambient_dim, c.dim).complex.cells
+    forms = collect_hyperplanes(cones)
+    return all(any(cell_contains_cell(cone, piece.recession_cone()) for cone in cones)
+               for cell in c.complex.cells for piece in reference_refine_cell(cell, forms))
+
+
+def reference_is_bounded_on(phi, c: Cycle) -> bool:
+    """Whether, on every cell of a linearization, the linear part of the
+    function has no point of either sign on the recession cone: two LPs
+    per cell."""
+    if c.is_empty:
+        return True
+    cx, (forms,) = linearize_many([phi], c.complex)
+    for cell, form in zip(cx.cells, forms):
+        rec = cell.recession_cone()
+        lam = AffineForm(form.linear, 0)
+        if strict_point(rec, lam) is not None or strict_point(rec, lam.negated()) is not None:
+            return False
+    return True
+
+
 def refine_complex(c: WeightedComplex, forms) -> WeightedComplex:
     """Refine every maximal cell along a hyperplane arrangement.
 
@@ -634,9 +669,8 @@ def reference_push_forward(matrix, cycle):
     index: the images of the cells on which the map is injective, refined
     along all their hyperplanes, pieces matched by sign vector, each adding
     source weight * [piece lattice : image of source lattice]."""
-    red = cycle.reduce()
     entries = []
-    for cell, w in zip(red.complex.cells, red.complex.weights):
+    for cell, w in zip(cycle.complex.cells, cycle.complex.weights):
         img = image_cell(matrix, cell)
         if img is not None:
             entries.append((cell, w, img))
@@ -648,7 +682,7 @@ def reference_push_forward(matrix, cycle):
             entry[1] += w * reference_lattice_index(matrix, cell.direction_lattice,
                                                     piece.direction_lattice)
     kept = [table[key] for key in sorted(table) if table[key][1] != 0]
-    out = WeightedComplex(len(matrix), red.dim, [p for p, _ in kept], [w for _, w in kept])
+    out = WeightedComplex(len(matrix), cycle.dim, [p for p, _ in kept], [w for _, w in kept])
     return Cycle(out, check=False)
 
 
@@ -788,7 +822,7 @@ def diagonal_stable_intersect(c, d):
     k, l = c.dim, d.dim
     if c.is_empty or d.is_empty or k + l < n:
         return Cycle.empty(n, k + l - n)
-    a, b = c.reduce().complex, d.reduce().complex
+    a, b = c.complex, d.complex
     cells, weights = [], []
     for sigma, ws in zip(a.cells, a.weights):
         for tau, wt in zip(b.cells, b.weights):
@@ -936,10 +970,9 @@ def divisors_equal(a, b, cycle: Cycle) -> bool:
     matches the per-cell differences on all cells and their positions, and
     decides solvability exactly.
     """
-    base = cycle.reduce()
-    if base.is_empty:
+    if cycle.is_empty:
         return True
-    cx, (fa, fb) = linearize_many([a, b], base.complex)
+    cx, (fa, fb) = linearize_many([a, b], cycle.complex)
     n = cx.ambient_dim
     diffs = [
         (tuple(x - y for x, y in zip(pa.linear, pb.linear)), pa.constant - pb.constant)

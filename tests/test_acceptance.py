@@ -313,4 +313,4 @@ def test_criterion_10_diagonal():
         for n in (1, 2, 3):
             d = diagonal_cycle(n)
             assert cycles_equal(d, diagonal_line(n))
-            assert set(d.reduce().complex.weights) == {1}
+            assert set(d.complex.weights) == {1}

@@ -81,6 +81,14 @@ def test_nonzero_part():
     assert again.cells == reduced.cells
 
 
+def test_cycle_drops_cells_of_weight_zero():
+    rays = [ray(-1, 0), ray(0, -1), ray(1, 1), ray(1, 0)]
+    line = Cycle(complex_of(1, list(zip(rays, (1, 1, 1, 0)))))
+    assert line.complex.cells == tuple(rays[:3]) and line.complex.weights == (1, 1, 1)
+    assert cycles_equal(line, standard_skeleton(2, 1))
+    assert Cycle(complex_of(1, list(zip(rays, (0, 0, 0, 0))))).is_empty
+
+
 def test_weighted_complex_rejects_non_integer_weights():
     with pytest.raises(ValueError):
         WeightedComplex(2, 1, [ray_cell((0, 0), (1, 0))], [QQ(3, 2)])

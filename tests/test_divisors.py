@@ -269,7 +269,7 @@ def test_divisor_weights_independent_of_normal_representative():
         (sawtooth_function(), pinwheel_curve()),
     ]:
         reference = weil_divisor_complex(phi, cyc)
-        cx, (forms,) = linearize_many([phi], cyc.reduce().complex)
+        cx, (forms,) = linearize_many([phi], cyc.complex)
         cx = WeightedComplex(cx.ambient_dim, cx.dim,
                              [c.canonical_cell() for c in cx.cells], cx.weights)
         n = cx.ambient_dim

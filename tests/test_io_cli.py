@@ -184,6 +184,26 @@ def test_cli_validate_rejects_overlapping_cells(capsys, tmp_path):
     assert "invalid complex: maximal cells 0 and 1 overlap in dimension 1" in out
 
 
+def test_cell_of_weight_zero_is_dropped_on_reading(capsys, tmp_path):
+    # The standard line plus a weight-0 copy of one of its rays.  The copy
+    # is no part of the cycle: it overlaps nothing and is not written back.
+    data = json.loads(serialize_document(standard_skeleton(2, 1)))
+    data["cells"].append(dict(data["cells"][-1], weight=0))
+    cycle = parse_document(json.dumps(data)).payload
+    assert cycle.complex.weights == (1, 1, 1)
+    assert '"weight": 0' not in serialize_document(cycle)
+    doc = tmp_path / "line.json"
+    doc.write_text(json.dumps(data))
+    assert main(["validate", str(doc)]) == 0
+    assert "balanced" in capsys.readouterr().out
+    assert main(["degree", str(doc)]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    # A dropped cell must still parse with the declared dimension.
+    data["cells"][-1] = {"ineqs": [], "eqs": [[1, 0, 0], [0, 1, 0]], "weight": 0}
+    with pytest.raises(DocumentError, match="cell has dimension 0"):
+        parse_document(json.dumps(data))
+
+
 def test_cli_math_commands_reject_invalid_cycles(capsys, tmp_path):
     ray = tmp_path / "ray.json"
     ray.write_text(json.dumps({
