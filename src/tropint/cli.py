@@ -63,12 +63,10 @@ def _build_parser():
         description="exact intersection calculus for balanced complexes in R^n")
     sub = parser.add_subparsers(required=True, metavar="command")
 
-    def cmd(name, help, handler, json_flag=True, output=False):
+    def cmd(name, help, handler, output=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        if json_flag:
-            p.add_argument("--json", action="store_true",
-                           help="machine-readable errors on stderr")
+        p.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
         if output:
             p.add_argument("-o", "--output", default=None, metavar="OUT",
                            help="write result here instead of stdout")

@@ -254,9 +254,10 @@ def is_balanced(c: WeightedComplex) -> BalanceReport:
     span of the ridge, that is, every equality of the ridge must vanish on
     it, so no choice of representatives matters.  Maximal cells must meet
     in faces (see :func:`validate_complex`), or the ridges are not matched
-    up correctly.
+    up correctly.  A complex with no zero weight is balanced as it is, so
+    it keeps the ridges it computes.
     """
-    for ridge, _, _, s in _weighted_normals(c.nonzero_part()):
+    for ridge, _, _, s in _weighted_normals(c.nonzero_part() if 0 in c.weights else c):
         if not all(f.eval_direction(s) == 0 for f in ridge.eqs):
             return BalanceReport(False, ridge, s)
     return BalanceReport(True)

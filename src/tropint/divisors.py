@@ -26,6 +26,7 @@ from .kernel import dot
 from .polyhedra import (
     AffineForm,
     Cell,
+    _nonconstant,
     _split_piece,
     collect_hyperplanes,
     form_vanishes_on,
@@ -119,9 +120,13 @@ def _split_one(cell: Cell, phi):
 
     For a tropical polynomial these are the intersections with the closed
     linearity regions, one per term that is maximal there (ties keep the
-    lowest term index, so pieces are not duplicated).  Piecewise functions
-    refine along all forms of their domain cells, which also resolves
-    overlapping domain covers.
+    lowest term index, so pieces are not duplicated).  Each difference of
+    the term and another is read once as its line over the cell's affine
+    hull (:func:`~tropint.polyhedra._line`).  A negative constant means the
+    term never wins, another constant holds on the whole hull and is
+    dropped, and the rest cut the cell into the region, which keeps the
+    cell's equalities.  Piecewise functions refine along all forms of their
+    domain cells, which also resolves overlapping domain covers.
     """
     f = pl_rep(phi)
     if isinstance(f, TropicalPolynomial):
@@ -131,17 +136,10 @@ def _split_one(cell: Cell, phi):
             diffs = [AffineForm(tuple(a - b for a, b in zip(term.linear, other.linear)),
                                 term.constant - other.constant)
                      for j, other in enumerate(terms) if j != i]
-            if any(not any(d.linear) and d.constant < 0 for d in diffs):
-                continue  # another term is larger everywhere
-            # Differences that vanish on the cell hold with equality on all of
-            # the region; the others must be strict somewhere in it.
-            strict, vanishing = {}, {}
-            for d in diffs:
-                if any(d.linear):
-                    d = d.scaled_primitive()
-                    side = vanishing if form_vanishes_on(cell, d) else strict
-                    side.setdefault(d.sort_key(), d)
-            region = _split_piece(cell, tuple(strict.values()), tuple(vanishing.values()))
+            cuts = _nonconstant(diffs, cell._elim)
+            if cuts is None:
+                continue  # another term is larger on the whole hull
+            region = _split_piece(cell, tuple(cuts))
             if region is None:
                 continue
             values = [t.value_at(region.interior_point) for t in terms]

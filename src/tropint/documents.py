@@ -61,6 +61,10 @@ def parse_document(text: str) -> Document:
         raise _too_long("$") from None
     if not isinstance(data, dict):
         raise DocumentError("$", "document must be a JSON object")
+    version = data.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise DocumentError("$.format_version",
+                            f"unsupported format version {version!r}, expected {FORMAT_VERSION!r}")
     kind = data.get("kind")
     if kind == "cycle":
         return Document("cycle", _parse_cycle(data))

@@ -3,19 +3,20 @@
 A :class:`Cell` is a nonempty rational polyhedron in R^n described by
 integer-linear inequalities and equalities, with a relative interior point.
 Its affine hull is derived from the equalities: each cell eliminates them
-once (:func:`_eliminate`), and its dimension and the lattice of its
-direction space are read from that elimination.  All geometric predicates
-are decided exactly by one slack program, :func:`_slack_lp`, over such an
-elimination.  It is solved in closed form when at most one variable is
-free, as for cells of dimension one or less and the facets of cells of
-dimension two, and otherwise by the rational simplex over the free
-variables.  There is no vertex enumeration anywhere.
+once, when it is built (:func:`_eliminate`), keeps the primitive rows of
+the elimination as its equalities, and reads its dimension and the lattice
+of its direction space from it.  All geometric predicates are decided
+exactly by one slack program, :func:`_slack_lp`, over such an elimination.
+It is solved in closed form when at most one variable is free, as for
+cells of dimension one or less and the facets of cells of dimension two,
+and otherwise by the rational simplex over the free variables.  There is
+no vertex enumeration anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from ._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_max
 from .kernel import (
@@ -113,8 +114,15 @@ class Cell:
     interior of g's facet, so :meth:`faces_of_codim_one` builds the facets
     from those points with no further solve.
 
-    The dimension, the direction lattice and :attr:`hull_key` are read from
-    one elimination of the equalities (:func:`_eliminate`) per affine hull.
+    The affine hull has one description.  Every constructor, the public
+    one included, eliminates the equalities once (:func:`_eliminate`, whose
+    result depends only on their solution set), and :attr:`eqs` are the
+    rows of that elimination made primitive, whatever equalities were
+    passed in.  The dimension, the direction lattice and :attr:`hull_key`
+    are read from the elimination.  Pieces and the canonical cell share the
+    elimination and the equality tuple of the cell they are cut from; each
+    face takes the elimination its facet program made.  Inconsistent
+    equalities raise :class:`EmptyCellError`.
     """
 
     __slots__ = (
@@ -123,12 +131,20 @@ class Cell:
     )
 
     def __init__(self, ambient_dim, ineqs, eqs, interior_point):
-        self.ambient_dim = ambient_dim
+        elim = _eliminate(ambient_dim, eqs)
+        if elim is None:
+            raise EmptyCellError("inconsistent equalities")
+        self._set(ambient_dim, ineqs, interior_point, elim)
+
+    def _set(self, ambient_dim, ineqs, interior_point, elim, eqs=None, lattice=None):
+        n = self.ambient_dim = ambient_dim
         self.ineqs = tuple(ineqs)
-        self.eqs = tuple(eqs)
+        self.eqs = eqs if eqs is not None else tuple(
+            AffineForm(row[:n], row[n]).scaled_primitive() for row in elim[4])
         self.interior_point = tuple(QQ(x) for x in interior_point)
-        self._elim = self._lattice = self._canonical = self._facet_points = None
-        self._canonical_cell = self._faces = self._recession = None
+        self._elim, self._lattice = elim, lattice
+        self._canonical = self._facet_points = self._canonical_cell = None
+        self._faces = self._recession = None
 
     # -- construction -----------------------------------------------------
 
@@ -136,38 +152,21 @@ class Cell:
     def try_from_constraints(cls, ambient_dim, ineqs=(), eqs=()) -> "Cell | None":
         """Canonicalize a constraint system; None if it is infeasible.
 
-        Detects implied equalities and migrates them to the equality list,
-        then caches a relative interior point and the elimination of the
-        equalities, which gives the dimension and the direction lattice.
-        Every form must have ``ambient_dim`` coefficients.
+        Eliminates the equalities as given, then reads each inequality as
+        its line over their solutions (:func:`_line`).  A constant line
+        needs no probe: it is dropped when >= 0 and makes the cell empty
+        when < 0.  The rest are probed for a relative interior point, and
+        implied equalities among them migrate to the equalities, which are
+        then eliminated again.  Every form must have ``ambient_dim``
+        coefficients.
         """
         ineqs, eqs = tuple(ineqs), tuple(eqs)
         if any(len(f.linear) != ambient_dim for f in ineqs + eqs):
             raise ValueError(f"a form of the wrong length in R^{ambient_dim}")
-        ceq, eq_keys = [], set()
-        for f in eqs:
-            h = hyperplane_form(f)
-            if h is None:
-                if f.constant != 0:
-                    return None
-                continue
-            if h.sort_key() not in eq_keys:
-                eq_keys.add(h.sort_key())
-                ceq.append(h)
-        cin, seen = [], set()
-        for f in ineqs:
-            f = f.scaled_primitive()
-            if all(a == 0 for a in f.linear):
-                if f.constant < 0:
-                    return None
-                continue
-            # An inequality on the hyperplane of a listed equality is implied
-            # by it and needs no probe.
-            if f.sort_key() not in seen and hyperplane_form(f).sort_key() not in eq_keys:
-                seen.add(f.sort_key())
-                cin.append(f)
-
-        elim = _eliminate(ambient_dim, ceq)
+        elim = _eliminate(ambient_dim, eqs)
+        cin = _nonconstant(ineqs, elim)
+        if cin is None:
+            return None
         point, slack = _relint_lp(cin, elim)
         if point is None:
             return None
@@ -180,20 +179,22 @@ class Cell:
                     implied.append(g)
                 else:
                     strict.append(g)
-            ceq, cin = ceq + implied, strict
-            elim = _eliminate(ambient_dim, ceq)
+            elim = _eliminate(ambient_dim, eqs + tuple(implied))
+            cin = _nonconstant(strict, elim)
             point, slack = _relint_lp(cin, elim)
             if point is None or slack <= 0:
                 raise RuntimeError("relative-interior LP found no strict point "
                                    "after moving implied equalities")
-        return cls._with_hull(ambient_dim, cin, ceq, point, elim)
+        return cls._with_hull(ambient_dim, cin, point, elim)
 
     @classmethod
-    def _with_hull(cls, ambient_dim, ineqs, eqs, point, elim, lattice=None):
-        """The cell at a point where every inequality is strict, with the
-        elimination and the direction lattice given (None: computed on read)."""
-        cell = cls(ambient_dim, ineqs, eqs, point)
-        cell._elim, cell._lattice = elim, lattice
+    def _with_hull(cls, ambient_dim, ineqs, point, elim, eqs=None, lattice=None):
+        """The cell at a point where every inequality is strict, on the
+        solutions of the elimination ``elim``, whose primitive rows are
+        ``eqs`` (None: computed here), with the direction lattice given
+        (None: computed on read)."""
+        cell = cls.__new__(cls)
+        cell._set(ambient_dim, ineqs, point, elim, eqs, lattice)
         return cell
 
     @classmethod
@@ -207,28 +208,20 @@ class Cell:
     def full_space(cls, n) -> "Cell":
         return cls(n, (), (), (QQ(0),) * n)
 
-    def _replace_geometry(self, ineqs=None, eqs=None, interior_point=None):
-        """Variant with the same affine hull, sharing this cell's elimination
-        and direction lattice; equalities it adds must vanish on the hull."""
+    def _replace_geometry(self, ineqs=None, interior_point=None):
+        """Variant with the same affine hull, sharing this cell's
+        elimination, equalities and direction lattice."""
         return Cell._with_hull(
             self.ambient_dim,
             self.ineqs if ineqs is None else ineqs,
-            self.eqs if eqs is None else eqs,
             self.interior_point if interior_point is None else interior_point,
-            self._elimination, self._lattice,
+            self._elim, self.eqs, self._lattice,
         )
-
-    @property
-    def _elimination(self):
-        """:func:`_eliminate` of the equalities, computed on the first read."""
-        if self._elim is None:
-            self._elim = _eliminate(self.ambient_dim, self.eqs)
-        return self._elim
 
     @property
     def dim(self) -> int:
         """The number of free variables of the elimination."""
-        return len(self._elimination[1])
+        return len(self._elim[1])
 
     @property
     def direction_lattice(self) -> LatticeBasis:
@@ -236,7 +229,7 @@ class Cell:
         of the one direction of the elimination when there is at most one,
         else the integer kernel of the equalities."""
         if self._lattice is None:
-            n, ws = self.ambient_dim, self._elimination[1]
+            n, ws = self.ambient_dim, self._elim[1]
             if len(ws) <= 1:
                 vectors = tuple(tuple(x // vec_gcd(w) for x in w) for w in ws)
             else:
@@ -244,18 +237,11 @@ class Cell:
             self._lattice = LatticeBasis(n, vectors)
         return self._lattice
 
-    def _hull_forms(self):
-        """The rows of the elimination made primitive: canonical equalities
-        of the affine hull, read with no LP."""
-        n = self.ambient_dim
-        return tuple(AffineForm(row[:n], row[n]).scaled_primitive()
-                     for row in self._elimination[4])
-
     @property
     def hull_key(self):
         """Hashable key equal for two cells of R^n iff their affine hulls
         are equal."""
-        return tuple(f.sort_key() for f in self._hull_forms())
+        return tuple(f.sort_key() for f in self.eqs)
 
     # -- predicates -------------------------------------------------------
 
@@ -271,15 +257,14 @@ class Cell:
 
         Each canonical inequality g defines its own facet, on which g = 0 is
         the only new equality; canonicalization left a point of its relative
-        interior, so no LP is needed here, and the elimination of its
-        equalities, which the face keeps.
+        interior, so no LP is needed here, and the elimination of the
+        equalities with g, whose rows are the face's equalities.
         """
         if self._faces is None:
             cell = self.canonical_cell()
             self._faces = tuple(
-                Cell._with_hull(self.ambient_dim, cell.ineqs[:i] + cell.ineqs[i + 1:],
-                                cell.eqs + (hyperplane_form(g),), point, elim)
-                for i, (g, (point, elim)) in enumerate(zip(cell.ineqs, cell._facet_points)))
+                Cell._with_hull(self.ambient_dim, cell.ineqs[:i] + cell.ineqs[i + 1:], point, elim)
+                for i, (point, elim) in enumerate(cell._facet_points))
         return self._faces
 
     def recession_cone(self) -> "Cell":
@@ -300,14 +285,16 @@ class Cell:
         return Cell.from_constraints(self.ambient_dim, tight, eqs)
 
     def translate(self, v) -> "Cell":
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"translation by a vector of length {len(v)} in R^{self.ambient_dim}")
+        """The cell shifted by v.  The shifted equalities keep their primitive
+        linear parts, so they are still the rows of their elimination."""
+        n = self.ambient_dim
+        if len(v) != n:
+            raise ValueError(f"translation by a vector of length {len(v)} in R^{n}")
+        eqs = tuple(f.translate(v) for f in self.eqs)
         return Cell._with_hull(
-            self.ambient_dim,
-            tuple(f.translate(v) for f in self.ineqs),
-            tuple(f.translate(v) for f in self.eqs),
+            n, tuple(f.translate(v) for f in self.ineqs),
             tuple(QQ(a) + QQ(b) for a, b in zip(self.interior_point, v)),
-            None, self._lattice,
+            _eliminate(n, eqs), eqs, self._lattice,
         )
 
     # -- canonical form ---------------------------------------------------
@@ -325,38 +312,33 @@ class Cell:
         interior point of each facet; its own canonical cell is itself."""
         if self._canonical_cell is not None:
             return self._canonical_cell
-        n, elim = self.ambient_dim, self._elimination
-        canon_eqs = self._hull_forms()
-        _, _, d, free, _ = elim
+        n, elim = self.ambient_dim, self._elim
         reduced = {}
         for g in self.ineqs:
             # d times the coset representative of g modulo the equalities:
-            # the line of g, placed on the free columns.
+            # the line of g, placed on the free columns.  A constant line is
+            # positive on the hull, so g is redundant.
             A, G = _line(g, elim)
-            linear = [0] * n
-            for j, a in zip(free, A):
-                linear[j] = a
             if any(A):
+                linear = [0] * n
+                for j, a in zip(elim[3], A):
+                    linear[j] = a
                 h = AffineForm(linear, G).scaled_primitive()
-            else:
-                # Constant on the hull; there is no gcd to divide d out by.
-                h = AffineForm(linear, G / d)
-            reduced.setdefault(h.sort_key(), h)
+                reduced.setdefault(h.sort_key(), h)
         candidates = [reduced[k] for k in sorted(reduced)]
         kept, facets = list(candidates), []
         for g in candidates:
             # No other candidate is a positive multiple of g on the hull, so
             # the others are strict somewhere on g = 0 exactly when g cuts out
-            # a facet; a g constant on the hull makes g = 0 infeasible.
-            facet_elim = _eliminate(n, canon_eqs + (g,))
+            # a facet.
+            facet_elim = _eliminate(n, self.eqs + (g,))
             point, slack = _relint_lp([h for h in kept if h is not g], facet_elim)
             if point is None or slack <= 0:
                 kept.remove(g)
             else:
                 facets.append((point, facet_elim))
-        key = (n, self.dim, tuple(f.sort_key() for f in canon_eqs),
-               tuple(f.sort_key() for f in kept))
-        cell, facets = self._replace_geometry(ineqs=tuple(kept), eqs=canon_eqs), tuple(facets)
+        key = (n, self.dim, self.hull_key, tuple(f.sort_key() for f in kept))
+        cell, facets = self._replace_geometry(ineqs=tuple(kept)), tuple(facets)
         for c in (self, cell):
             c._canonical, c._facet_points, c._canonical_cell = key, facets, cell
         return cell
@@ -386,15 +368,18 @@ def _eliminate(n, eqs):
     x = (c + sum_j z_j ws[j]) / d over z in Q^k, with integer vectors c and
     ws[j] and d > 0, and z_j is the coordinate x_{free[j]}.  The rows,
     linear part then constant, are d times the reduced row echelon form of
-    the equalities, which is unique for the solution set; the row of pivot
-    p says d x_p = c_p + sum_j ws[j][p] z_j.  Everything is a tuple.
+    the equalities, the least such d, so the whole result depends only on
+    the solution set; the row of pivot p says d x_p = c_p + sum_j ws[j][p]
+    z_j.  Everything is a tuple.
     """
     rows, pivots, d = echelon([f.linear + (f.constant,) for f in eqs])
     if pivots and pivots[-1] == n:
         return None
     rows = rows[:len(pivots)]
+    g = gcd(d, *(x for row in rows for x in row))
     if d < 0:
-        d, rows = -d, [[-x for x in row] for row in rows]
+        g = -g
+    d, rows = d // g, [[x // g for x in row] for row in rows]
     free = tuple(j for j in range(n) if j not in pivots)
     c, ws = [0] * n, [[d if i == j else 0 for i in range(n)] for j in free]
     for row, p in zip(rows, pivots):
@@ -410,6 +395,26 @@ def _line(f, elim):
     rational."""
     c, ws, d = elim[:3]
     return tuple(dot(f.linear, w) for w in ws), dot(f.linear, c) + d * f.constant
+
+
+def _nonconstant(ineqs, elim):
+    """The inequalities whose line over the elimination ``elim`` is not
+    constant, made primitive and without repeats; None when there is no
+    solution: ``elim`` is None, or a constant line is negative."""
+    if elim is None:
+        return None
+    out, seen = [], set()
+    for f in ineqs:
+        A, G = _line(f, elim)
+        if not any(A):
+            if G < 0:
+                return None
+            continue
+        f = f.scaled_primitive()
+        if f.sort_key() not in seen:
+            seen.add(f.sort_key())
+            out.append(f)
+    return out
 
 
 def _slack_lp(plain, slack, elim, start=None):
@@ -516,8 +521,12 @@ def _relint_lp(ineqs, elim):
 
     Returns (point, t0) or (None, None) when infeasible.  t0 > 0 certifies
     that no inequality is an implied equality and the point is relatively
-    interior.
+    interior.  With no inequality there is nothing to solve: the solution
+    with z = 0 is interior at t0 = 1.
     """
+    if elim is not None and not ineqs:
+        c, _, d = elim[:3]
+        return tuple(QQ(x, d) for x in c), QQ(1)
     res = _slack_lp((), ineqs, elim)
     if res.status == INFEASIBLE or (res.status == OPTIMAL and res.value < 0):
         # A negative best slack means the relaxed system only meets the
@@ -541,19 +550,14 @@ def _max_capped(form, ineqs, elim, start):
 
 def strict_point(cell, form) -> tuple | None:
     """A point of the cell with form > 0, or None if form <= 0 on the cell."""
-    res = _max_capped(form, cell.ineqs, cell._elimination, cell.interior_point)
+    res = _max_capped(form, cell.ineqs, cell._elim, cell.interior_point)
     return res.point if res.value > 0 else None
-
-
-def form_nonnegative_on(cell, form) -> bool:
-    """Exact validity of form >= 0 over the cell."""
-    return strict_point(cell, form.negated()) is None
 
 
 def form_vanishes_on(cell, form) -> bool:
     """Exact validity of form == 0 over the cell: its line over the cell's
     elimination (:func:`_line`) is zero."""
-    A, G = _line(form, cell._elimination)
+    A, G = _line(form, cell._elim)
     return G == 0 and not any(A)
 
 
@@ -561,29 +565,22 @@ def cell_contains_cell(outer: Cell, inner: Cell) -> bool:
     """Set containment inner <= outer, decided constraint by constraint."""
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    for f in outer.eqs:
-        if not form_vanishes_on(inner, f):
-            return False
-    for f in outer.ineqs:
-        if not form_nonnegative_on(inner, f):
-            return False
-    return True
+    return (all(form_vanishes_on(inner, f) for f in outer.eqs)
+            and all(strict_point(inner, f.negated()) is None for f in outer.ineqs))
 
 
-def _split_piece(cell, forms, eqs=()) -> Cell | None:
+def _split_piece(cell, forms) -> Cell | None:
     """The piece of the cell where all forms are >= 0 if it has the cell's
     dimension, else None.
 
     The slack program certifies a point where every inequality of the cell
     and every new form are simultaneously strict, so the piece has the
-    cell's affine hull and shares its elimination.  ``eqs`` are forms that
-    vanish on the cell; they join the piece's equalities.
+    cell's affine hull and shares its elimination and equalities.
     """
-    point, slack = _relint_lp(cell.ineqs + forms, cell._elimination)
+    point, slack = _relint_lp(cell.ineqs + forms, cell._elim)
     if point is None or slack <= 0:
         return None
-    return cell._replace_geometry(ineqs=cell.ineqs + forms, eqs=cell.eqs + eqs,
-                                  interior_point=point)
+    return cell._replace_geometry(ineqs=cell.ineqs + forms, interior_point=point)
 
 
 # -- operations on cells --------------------------------------------------
@@ -624,7 +621,7 @@ def _hull_box(cell):
     of each free variable z_j over the cell, None on an unbounded side: the
     interval the lines of the inequalities cut out for one free variable,
     else two LPs per variable from the interior point."""
-    elim = cell._elimination
+    elim = cell._elim
     lines = [_line(f, elim) for f in cell.ineqs]
     k = len(elim[1])
     if k == 1:

@@ -516,7 +516,8 @@ def reference_linearity_regions(cell, terms):
     """(region, term index) for each term of a max-polynomial that is
     maximal on a part of the cell of full dimension, each region built as a
     new cell from the cell's constraints and the term differences; ties go
-    to the lowest index."""
+    to the lowest index.  A difference that is constant on the cell's hull
+    adds no constraint: the region keeps the cell's equalities."""
     n = cell.ambient_dim
     out = []
     for i, term in enumerate(terms):

@@ -1,0 +1,72 @@
+"""Exact slack-program and elimination counts of the seed-201 bench rounds.
+
+A fresh ``python -B`` process builds the seed-201 round of each workload
+from ``bench/workloads.py``, runs it once to warm up, and counts the calls
+of ``polyhedra._slack_lp`` and ``polyhedra._eliminate`` over a second
+round, rebound in every tropint module that holds them.  A round does the
+same work every time (``test_bench_rounds.py``), so the counts are exact
+gates: work that moves or grows shows here before it shows in a timing.
+"""
+
+import json
+import subprocess
+import sys
+
+from test_bench_digest import BENCH, DIGESTS, ROOT, _listing
+
+_COUNT = """
+import importlib, json, pkgutil, sys
+sys.path[:0] = sys.argv[1:3]
+import workloads
+import tropint, tropint.polyhedra as polyhedra
+
+def counted(real, counts):
+    def wrapper(*args, **kwargs):
+        counts[real.__name__] += 1
+        return real(*args, **kwargs)
+    return wrapper
+
+out = {}
+for workload in sys.argv[3:]:
+    ops = workloads.build(workload, 201)
+    workloads.warm_up()
+    for op in ops:
+        op.run()
+    counts = dict.fromkeys(["_slack_lp", "_eliminate"], 0)
+    bound = []
+    for real in (polyhedra._slack_lp, polyhedra._eliminate):
+        wrapper = counted(real, counts)
+        for info in pkgutil.iter_modules(tropint.__path__):
+            module = importlib.import_module(f"tropint.{info.name}")
+            if getattr(module, real.__name__, None) is real:
+                setattr(module, real.__name__, wrapper)
+                bound.append((module, real))
+    for op in ops:
+        op.run()
+    for module, real in bound:
+        setattr(module, real.__name__, real)
+    out[workload] = counts
+print(json.dumps(out))
+"""
+
+# Per seed-201 round after one warm round.  Every cell carries the canonical
+# elimination of its equalities from the start, and an inequality whose line
+# is constant on the hull is decided without a probe, so a cell with no
+# other inequality, such as a point where two curves cross, takes no slack
+# program.
+_COUNTS = {
+    "plane-intersect": {"_slack_lp": 121, "_eliminate": 224},
+    "curve-arith": {"_slack_lp": 468, "_eliminate": 301},
+    "space-chain": {"_slack_lp": 932, "_eliminate": 712},
+}
+
+
+def test_round_counts_are_pinned():
+    assert sorted(_COUNTS) == sorted(DIGESTS)
+    before = _listing()
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", _COUNT, str(BENCH), str(ROOT / "src"), *sorted(_COUNTS)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == _COUNTS
+    assert _listing() == before

@@ -127,6 +127,18 @@ def test_balanced_skeleta():
             assert report.balanced, (n, k, report.witness)
 
 
+def test_checked_cycle_keeps_the_ridges_it_balanced():
+    # Balancing reads the ridges of the complex itself, so the first
+    # divisor of the cycle matches no ridge again.
+    cx = complex_of(1, [(ray(1, 0), 1), (ray(0, 1), 1), (ray(-1, -1), 1)])
+    assert cx._ridges is None
+    c = Cycle(cx)
+    assert c.complex is cx and cx._ridges is not None
+    # A complex with a zero weight is balanced without it.
+    zeros = complex_of(1, [(ray(1, 0), 1), (ray(0, 1), 1), (ray(-1, -1), 1), (ray(1, 1), 0)])
+    assert is_balanced(zeros) and zeros._ridges is None
+
+
 def test_unbalanced_opposite_rays():
     c = complex_of(1, [(ray(1), 1), (ray(-1), 2)])
     report = is_balanced(c)

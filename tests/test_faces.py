@@ -254,4 +254,6 @@ def test_regions_of_a_cell_inside_a_tie_hyperplane():
     terms = (AffineForm((1, 0), 0), AffineForm((0, 1), 0), AffineForm((0, 0), -1))
     (region, term), = _split_one(origin, TropicalPolynomial(terms))
     assert term == terms[0] and region.same_set(origin)
-    assert AffineForm((1, -1), 0) in collect_hyperplanes([region])
+    # The tie holds on the whole hull, so it adds no equality: the region
+    # keeps the origin's canonical ones.
+    assert region.eqs == (AffineForm((1, 0), 0), AffineForm((0, 1), 0)) == origin.eqs

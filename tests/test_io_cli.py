@@ -75,6 +75,23 @@ def test_parse_example_function_document():
     assert cycles_equal(div, standard_skeleton(2, 1))
 
 
+def test_document_of_another_format_version_is_an_input_error(capsys, tmp_path):
+    # A document in a future format is not read as if it were format "1";
+    # a document with no format_version still is.
+    data = {"format_version": "7", "kind": "function", "type": "max_affine",
+            "terms": [{"linear": [1, 0], "constant": 0}, {"linear": [0, 0], "constant": 0}]}
+    with pytest.raises(DocumentError, match=r"\$\.format_version"):
+        parse_document(json.dumps(data))
+    doc = tmp_path / "future.json"
+    doc.write_text(json.dumps(data))
+    assert main(["divisor", str(doc), "Lnk:2:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "format_version" in captured.err
+    del data["format_version"]
+    doc.write_text(json.dumps(data))
+    assert main(["divisor", str(doc), "Lnk:2:2"]) == 0
+
+
 def test_rationals_as_strings_and_floats_rejected():
     text = json.dumps({
         "kind": "cycle", "ambient_dim": 1, "dim": 1,

@@ -130,9 +130,9 @@ def test_refine_cell_matches_reference(n, dim, kind, data):
     probed = []
     split = polyhedra._split_piece
 
-    def recording(c, fs, eqs=()):
+    def recording(c, fs):
         probed.extend(fs)
-        return split(c, fs, eqs)
+        return split(c, fs)
 
     with mock.patch.object(polyhedra, "_split_piece", recording):
         pairs = refine_cell(cell, forms)
