@@ -405,9 +405,10 @@ def _nonconstant(ineqs, elim):
         return None
     out, seen = [], set()
     for f in ineqs:
-        A, G = _line(f, elim)
-        if not any(A):
-            if G < 0:
+        # The integer slopes decide constancy; the rational constant of the
+        # line is needed only for a constant one.
+        if not any(dot(f.linear, w) for w in elim[1]):
+            if _line(f, elim)[1] < 0:
                 return None
             continue
         f = f.scaled_primitive()

@@ -168,7 +168,8 @@ def test_every_cell_lists_the_rows_of_its_elimination(case, data):
         return
     ref = Cell.try_from_constraints(n, (), base)
     # The equalities and the elimination depend on the solution set only.
-    for cell in (Cell.try_from_constraints(n, (), variant), Cell(n, (), variant, p)):
+    cells = [ref, Cell.try_from_constraints(n, (), variant), Cell(n, (), variant, p)]
+    for cell in cells:
         assert (cell.eqs, cell._elim) == (ref.eqs, ref._elim)
         assert cell.contains_point(p)
     ineqs = data.draw(st.lists(st.builds(AffineForm, _vector(n), _x), max_size=3))
@@ -176,8 +177,8 @@ def test_every_cell_lists_the_rows_of_its_elimination(case, data):
     if data.draw(st.booleans()):
         ineqs += [f, f.negated()]  # an implied equality
     cell = Cell.try_from_constraints(n, ineqs, variant) or ref
-    cells = [ref, cell, cell.translate(data.draw(st.tuples(*[_x] * n))),
-             product_cell(segment_cell((0,), (1,)), cell), *cell.faces_of_codim_one()]
+    cells += [cell, cell.translate(data.draw(st.tuples(*[_x] * n))),
+              product_cell(segment_cell((0,), (1,)), cell), *cell.faces_of_codim_one()]
     forms = data.draw(st.lists(st.builds(AffineForm, _vector(n), _x), max_size=2))
     cells += [piece for piece, _ in refine_cell(cell, forms)]
     matrix = data.draw(st.lists(_vector(n), min_size=1, max_size=3))
