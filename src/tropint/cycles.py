@@ -9,7 +9,7 @@ identical weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -87,31 +87,29 @@ class WeightedComplex:
                 f"{len(self.cells)} maximal cells)")
 
 
-@dataclass(frozen=True)
-class NormalVector:
+class NormalVector(namedtuple("NormalVector", "facet ridge representative")):
     """Lattice normal of a facet relative to a ridge: ``representative``
     generates the facet lattice modulo the ridge lattice and points into the
     facet; :func:`normal_vector` says which representative it is."""
 
-    facet: Cell
-    ridge: Cell
-    representative: tuple
+    __slots__ = ()
 
 
-@dataclass
-class BalanceReport:
-    balanced: bool
-    witness: Cell | None = None
-    defect: tuple | None = None
+class BalanceReport(namedtuple("BalanceReport", "balanced witness defect",
+                               defaults=(None, None))):
+    """Whether a complex is balanced; if not, a ridge ``witness`` and the
+    ``defect`` there, the weighted sum of its normals."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.balanced
 
 
-@dataclass
-class Diagnostics:
-    valid: bool
-    problems: list = field(default_factory=list)
+class Diagnostics(namedtuple("Diagnostics", "valid problems")):
+    """Whether a complex is valid, and the list of its problems."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.valid

@@ -19,7 +19,7 @@ chosen normal representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cycles import Cycle, WeightedComplex, _weighted_normals
 from .kernel import dot
@@ -35,35 +35,36 @@ from .polyhedra import (
 )
 
 
-@dataclass(frozen=True)
-class TropicalPolynomial:
+class TropicalPolynomial(namedtuple("TropicalPolynomial", "terms")):
     """max of integer-affine terms; the value at x is max_t t(x)."""
 
-    terms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("a tropical polynomial needs at least one term")
-        object.__setattr__(self, "terms", tuple(self.terms))
+        return super().__new__(cls, terms)
 
     def value(self, x):
         return max(t.value_at(x) for t in self.terms)
 
 
-@dataclass(frozen=True)
-class PiecewisePL:
-    """Affine forms on a finite cell cover; forms must agree on overlaps.
+class PiecewisePL(namedtuple("PiecewisePL", "pieces")):
+    """Affine forms on a finite cell cover, as (Cell, AffineForm) pieces;
+    forms must agree on overlaps.
 
     The cover need not be a polyhedral complex, only a collection of cells
     whose union contains the support the function will be used on.
     """
 
-    pieces: tuple  # of (Cell, AffineForm)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not self.pieces:
+    def __new__(cls, pieces):
+        pieces = tuple(pieces)
+        if not pieces:
             raise ValueError("empty piecewise function")
+        return super().__new__(cls, pieces)
 
     def value(self, x):
         for cell, form in self.pieces:
@@ -87,11 +88,11 @@ class PiecewisePL:
         return self
 
 
-@dataclass(frozen=True)
-class CartierDivisor:
-    """A rational function considered modulo globally affine functions."""
+class CartierDivisor(namedtuple("CartierDivisor", "rep")):
+    """A rational function, a TropicalPolynomial or a PiecewisePL ``rep``,
+    considered modulo globally affine functions."""
 
-    rep: object  # TropicalPolynomial | PiecewisePL
+    __slots__ = ()
 
 
 def pl_rep(phi):

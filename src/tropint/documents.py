@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cycles import Cycle, WeightedComplex
 from .divisors import CartierDivisor, PiecewisePL, TropicalPolynomial
@@ -32,10 +32,10 @@ class DocumentError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class Document:
-    kind: str  # cycle | function | map
-    payload: object
+class Document(namedtuple("Document", "kind payload")):
+    """A parsed document: its kind, cycle, function or map, and its payload."""
+
+    __slots__ = ()
 
 
 def _reject_float(value):

@@ -30,7 +30,7 @@ never truncated: :func:`int_vector` rejects a non-integer one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as QQ
 from math import gcd, lcm, prod
 
@@ -390,22 +390,20 @@ def subspace_lattice(spanning, ambient_dim: int) -> "LatticeBasis":
     return LatticeBasis(ambient_dim, kernel_lattice(perp, ambient_dim))
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(namedtuple("LatticeBasis", "ambient_dim vectors")):
     """A saturated sublattice of Z^n, stored by its canonical HNF basis.
 
     Two bases represent the same lattice exactly when their HNF rows agree,
-    so equality of this dataclass is lattice equality.
+    so equality of this record is lattice equality.
     """
 
-    ambient_dim: int
-    vectors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        canon = hnf_basis(self.vectors) if self.vectors else ()
-        if len(canon) != len(self.vectors):
+    def __new__(cls, ambient_dim, vectors):
+        canon = hnf_basis(vectors) if vectors else ()
+        if len(canon) != len(vectors):
             raise ValueError("basis vectors are linearly dependent")
-        object.__setattr__(self, "vectors", canon)
+        return super().__new__(cls, ambient_dim, canon)
 
     @property
     def rank(self) -> int:

@@ -14,7 +14,7 @@ formula, which is exposed as a first-class check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cycles import Cycle, _weighted_sum, cycles_equal
 from .divisors import (
@@ -43,14 +43,13 @@ from .polyhedra import (
 )
 
 
-@dataclass(frozen=True)
-class IntegerLinearMap:
+class IntegerLinearMap(namedtuple("IntegerLinearMap", "matrix")):
     """Z-linear map given by an integer matrix (target_dim x source_dim)."""
 
-    matrix: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", tuple(int_vector(row) for row in self.matrix))
+    def __new__(cls, matrix):
+        return super().__new__(cls, tuple(int_vector(row) for row in matrix))
 
     @property
     def target_dim(self):

@@ -9,13 +9,15 @@ of its direction space from it.  All geometric predicates are decided
 exactly by one slack program, :func:`_slack_lp`, over such an elimination.
 It is solved in closed form when at most one variable is free, as for
 cells of dimension one or less and the facets of cells of dimension two,
-and otherwise by the rational simplex over the free variables.  There is
-no vertex enumeration anywhere.
+and otherwise by the rational simplex over the free variables.  Refinement
+of a cell of dimension one needs no such program: its arrangement is the
+sorted list of the points where the forms cross it (:func:`refine_cell`).
+There is no vertex enumeration anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 from ._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_max
@@ -38,20 +40,18 @@ class EmptyCellError(ValueError):
     """Raised when a constraint system has no solutions."""
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """An affine functional a . x + c with integer linear part a.
+class AffineForm(namedtuple("AffineForm", "linear constant")):
+    """An affine functional a . x + c with integer linear part a and an
+    exact rational constant c.
 
     Used both as an inequality (meaning value >= 0) and as an equality
     (value == 0), depending on which list of a cell it sits in.
     """
 
-    linear: tuple
-    constant: object  # exact rational
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "linear", int_vector(self.linear))
-        object.__setattr__(self, "constant", QQ(self.constant))
+    def __new__(cls, linear, constant):
+        return super().__new__(cls, int_vector(linear), QQ(constant))
 
     def value_at(self, point):
         return dot(self.linear, point) + self.constant
@@ -310,8 +310,10 @@ class Cell:
         """The same set with irredundant, canonically reduced constraints.
         It and this cell hold the :attr:`canonical_key` and a relative
         interior point of each facet; its own canonical cell is itself."""
-        if self._canonical_cell is not None:
-            return self._canonical_cell
+        if self._canonical is not None:
+            # A canonical cell keeps no reference to itself, so reference
+            # counting alone frees it, without the cycle collector.
+            return self if self._canonical_cell is None else self._canonical_cell
         n, elim = self.ambient_dim, self._elim
         reduced = {}
         for g in self.ineqs:
@@ -340,7 +342,8 @@ class Cell:
         key = (n, self.dim, self.hull_key, tuple(f.sort_key() for f in kept))
         cell, facets = self._replace_geometry(ineqs=tuple(kept)), tuple(facets)
         for c in (self, cell):
-            c._canonical, c._facet_points, c._canonical_cell = key, facets, cell
+            c._canonical, c._facet_points = key, facets
+        self._canonical_cell = cell
         return cell
 
     def same_set(self, other: "Cell") -> bool:
@@ -665,25 +668,32 @@ def refine_cell(cell: Cell, forms) -> list:
     Returns (piece, signs) pairs for the full-dimensional closed pieces,
     which tile the cell; ``signs[i]`` is the sign, 1, -1 or 0, of
     ``forms[i]`` on the piece's relative interior, so two pieces of one
-    arrangement are the same set exactly when their signs agree.
+    arrangement are the same set exactly when their signs agree.  A cell
+    no form cuts comes back as itself.
 
-    Only the forms that take both signs on a box around the cell are
-    probed.  The box bounds each free variable z_j of the cell's affine
-    hull x = (c + sum z_j w_j) / d (:func:`_eliminate`), by two LPs per
-    variable; on a cell of dimension one it is the cell itself, read from
-    its lines with no LP, and each probe is a closed-form slack program.
-    A form whose line A . z + G is >= 0 or <= 0 over the box keeps that
-    sign on every piece, so skipping it is exact.  Its sign is 0 when the
-    line is zero; otherwise the form cannot vanish at a relative interior
-    point of a piece, where it would take a minimum inside the hull.
-    A probed form is 1 on its positive side and -1 on its negative one.  A
-    piece gains it only when it cuts the piece: if the other side is empty,
-    the piece stays as it was, with the sign of its own side.
+    Both paths start from a box around the cell: the bounds of each free
+    variable z_j of its affine hull x = (c + sum z_j w_j) / d
+    (:func:`_eliminate`), by two LPs per variable, or with no LP on a cell
+    of dimension one, where the box is the cell's interval.  A form whose
+    line A . z + G is >= 0 or <= 0 over the box keeps that sign on every
+    piece.  Its sign is 0 when the line is zero; otherwise the form cannot
+    vanish at a relative interior point of a piece, where it would take a
+    minimum inside the hull.
+
+    On a cell of dimension one the arrangement is a sorted list of points
+    (:func:`_refine_interval`), and nothing is probed.  On other cells
+    only the forms that take both signs on the box are probed, by at most
+    one slack program per side and piece.  A probed form is 1 on its
+    positive side and -1 on its negative one.  A piece gains it only when
+    it cuts the piece: if the other side is empty, the piece stays as it
+    was, with the sign of its own side.
     """
     forms = tuple(forms)
     if not forms:
         return [(cell, ())]
     elim, box = _hull_box(cell)
+    if len(box) == 1:
+        return _refine_interval(cell, forms, elim, box[0])
     pieces = [(cell, ())]
     for f in forms:
         sign = _sign_on_box(f, elim, box)
@@ -701,6 +711,58 @@ def refine_cell(cell: Cell, forms) -> list:
             else:
                 out += [(pos, signs + (1,)), (neg, signs + (-1,))]
         pieces = out
+    return pieces
+
+
+def _refine_interval(cell, forms, elim, box):
+    """:func:`refine_cell` on a cell of dimension one, whose free variable
+    z runs over the interval ``box`` = (lo, hi) (:func:`_interval`).
+
+    A form with line A z + G, A != 0, crosses at z = -G / A, and the
+    crossings strictly inside (lo, hi), sorted and without repeats, are the
+    cuts.  The pieces are the intervals between consecutive cuts and the
+    ends.  Each piece adds to the cell's inequalities the first form that
+    crosses at each of its inner ends, oriented to be >= 0 on the piece;
+    its interior point is the midpoint, or one step from its cut on an
+    unbounded side.  The rank r of a crossing is the number of pieces
+    below it: the index of its cut plus one, 0 at or below lo, and m + 1
+    at or above hi, for m cuts.  So the form's sign on piece i is sign(A)
+    when i >= r and -sign(A) otherwise; a form with A = 0 keeps sign(G).
+    """
+    lo, hi = box
+    lines = []
+    for f in forms:
+        (a,), G = _line(f, elim)
+        lines.append((a, -G / a if a else (G > 0) - (G < 0)))
+    cuts = sorted({z for a, z in lines if a and (lo is None or z > lo) and (hi is None or z < hi)})
+    m = len(cuts)
+    rank = {z: i + 1 for i, z in enumerate(cuts)}
+    ranked = [(0, z) if a == 0 else
+             (1 if a > 0 else -1, rank.get(z, 0 if lo is not None and z <= lo else m + 1))
+             for a, z in lines]
+
+    def signs(i):
+        return tuple(v if s == 0 else (s if i >= v else -s) for s, v in ranked)
+
+    if not cuts:
+        return [(cell, signs(0))]
+    # The first form crossing at each cut, oriented >= 0 above it.
+    above = {}
+    for f, (s, r) in zip(forms, ranked):
+        if s and 1 <= r <= m:
+            above.setdefault(r, f if s > 0 else f.negated())
+    c, (w,), d = elim[:3]
+    pieces = []
+    for i in range(m + 1):
+        ineqs = cell.ineqs
+        if i > 0:
+            ineqs += (above[i],)
+        if i < m:
+            ineqs += (above[i + 1].negated(),)
+        left, right = cuts[i - 1] if i else lo, cuts[i] if i < m else hi
+        z = right - 1 if left is None else left + 1 if right is None else (left + right) / 2
+        point = tuple((ci + z * wi) / d for ci, wi in zip(c, w))
+        pieces.append((cell._replace_geometry(ineqs=ineqs, interior_point=point), signs(i)))
     return pieces
 
 

@@ -28,7 +28,7 @@ of bounded functions on curves are all built on this product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 
 from .cycles import (
@@ -80,10 +80,15 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     if c.is_empty or d.is_empty or m < 0:
         return Cycle.empty(n, m)
     a, b = c.complex, d.complex
-    meets = []
+    meets, spans = [], {}
     for sigma, ws in zip(a.cells, a.weights):
         for tau, wt in zip(b.cells, b.weights):
-            index = _span_index(sigma, tau)
+            # The index depends only on the two direction lattices, and most
+            # pairs of cells repeat the lattices of an earlier pair.
+            lattices = (sigma.direction_lattice.vectors, tau.direction_lattice.vectors)
+            if lattices not in spans:
+                spans[lattices] = _span_index(sigma, tau)
+            index = spans[lattices]
             if index is None:
                 continue
             rho = intersect(sigma, tau)
@@ -185,13 +190,12 @@ def is_pn_generic(c: Cycle) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BezoutReport:
-    degree_first: int
-    degree_second: int
-    degree_product: int
-    first_generic: bool
-    second_generic: bool
+class BezoutReport(namedtuple("BezoutReport", "degree_first degree_second degree_product "
+                                               "first_generic second_generic")):
+    """The degrees of two cycles and of their product, and whether each
+    cycle is P^n-generic."""
+
+    __slots__ = ()
 
     @property
     def applicable(self) -> bool:

@@ -53,10 +53,11 @@ print(json.dumps(out))
 # elimination of its equalities from the start, and an inequality whose line
 # is constant on the hull is decided without a probe, so a cell with no
 # other inequality, such as a point where two curves cross, takes no slack
-# program.
+# program.  A cell of dimension one is refined by sorting the crossings of
+# the forms, with no slack program and no elimination.
 _COUNTS = {
-    "plane-intersect": {"_slack_lp": 121, "_eliminate": 224},
-    "curve-arith": {"_slack_lp": 468, "_eliminate": 301},
+    "plane-intersect": {"_slack_lp": 112, "_eliminate": 224},
+    "curve-arith": {"_slack_lp": 286, "_eliminate": 281},
     "space-chain": {"_slack_lp": 932, "_eliminate": 712},
 }
 

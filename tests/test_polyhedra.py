@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -297,3 +298,21 @@ def test_random_refinement_properties():
             for j in range(i + 1, len(pieces)):
                 c = intersect(pieces[i], pieces[j])
                 assert c is None or c.dim < 2
+
+
+def test_canonical_cells_are_freed_without_the_cycle_collector():
+    # A canonical cell is its own canonical cell without holding a reference
+    # to itself, so the cells of an operation are freed as soon as it ends.
+    gc.collect()
+    gc.disable()
+    try:
+        cube = mk(3, ge=[(tuple(s if j == i else 0 for j in range(3)), 1)
+                         for i in range(3) for s in (1, -1)])
+        canon = cube.canonical_cell()
+        assert canon.canonical_cell() is canon and cube.canonical_cell() is canon
+        assert canon.canonical_key == cube.canonical_key
+        assert len(cube.faces_of_codim_one()) == 6
+        del cube, canon
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,10 +1,11 @@
 """Refinement with the hull-box cull against the probe-every-form reference.
 
 ``refine_cell`` bounds the cell once in its hull coordinates and probes only
-the forms that take both signs on that box; the reference probes every form
-that does not vanish on a piece.  Both must give the same pieces, as sets
-and as sign vectors over the arrangement, and the signs ``refine_cell``
-returns with each piece must be its sign vector.
+the forms that take both signs on that box; on a cell of dimension one it
+sorts the crossings of the forms instead and probes nothing.  The reference
+probes every form that does not vanish on a piece.  Both must give the same
+pieces, as sets and as sign vectors over the arrangement, and the signs
+``refine_cell`` returns with each piece must be its sign vector.
 """
 
 from collections import Counter
@@ -158,6 +159,34 @@ def test_refine_cell_matches_reference(n, dim, kind, data):
         assert _crosses(cell, f) if cell.dim <= 1 else not form_vanishes_on(cell, f)
 
 
+@pytest.mark.parametrize("n, kind", [(n, kind) for n, dim, kind in _CELL_KINDS if dim == 1])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cell_of_dimension_one_is_refined_without_probes(n, kind, data):
+    cell = data.draw(cells(n, 1, kind))
+    forms = data.draw(arrangements(cell))
+    calls = []
+
+    def recording(name):
+        real = getattr(polyhedra, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return record
+
+    with mock.patch.object(polyhedra, "_slack_lp", recording("_slack_lp")), \
+            mock.patch.object(polyhedra, "_split_piece", recording("_split_piece")):
+        pairs = refine_cell(cell, forms)
+    assert calls == []
+    # The pieces meet only at their ends, so each interior point lies in
+    # its own piece only.
+    for piece, _ in pairs:
+        assert piece.contains_point(piece.interior_point)
+        assert all(not other.contains_point(piece.interior_point)
+                   for other, _ in pairs if other is not piece)
+
+
 def test_segment_missed_by_every_line_takes_no_lp(monkeypatch):
     seg = segment_cell((0, 0), (2, 1))
     lines = [AffineForm((1, 0), -5), AffineForm((0, 1), 3), AffineForm((1, 1), -10),
@@ -185,10 +214,12 @@ def test_point_cell_takes_no_lp(monkeypatch):
     assert not calls
 
 
-# Slack solves of add(conic, line) on fresh copies, all in closed form, so
-# no LP; with the simplex on every program they were 44 and 62 LPs, and
-# refining along every form, as the reference does, took 140 and 240.
-_ADD_SOLVES = {"conic+line": 20, "conic+(line+v)": 38}
+# Slack solves of add(conic, line) on fresh copies.  Every cell is a segment
+# or a ray, so refinement sorts crossings and solves nothing.  Probing each
+# cut with a closed-form slack program took 20 and 38 solves; with the
+# simplex on every program they were 44 and 62 LPs, and refining along
+# every form, as the reference does, took 140 and 240.
+_ADD_SOLVES = {"conic+line": 0, "conic+(line+v)": 0}
 
 
 @pytest.mark.parametrize("name, shift", [
@@ -201,3 +232,18 @@ def test_add_lp_budget(monkeypatch, name, shift):
     add(c, d)
     assert len(calls) == 0
     assert len(solves) == _ADD_SOLVES[name]
+
+
+def test_adding_plane_curves_splits_no_piece_by_a_probe(monkeypatch):
+    c, d = conic_curve(), translate(standard_skeleton(2, 1), ("1/2", "1/3"))
+    splits = []
+    real = polyhedra._split_piece
+
+    def recording(*args):
+        splits.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_split_piece", recording)
+    total = add(c, d)
+    assert not splits
+    assert len(total.complex.cells) > len(c.complex.cells) + len(d.complex.cells)

@@ -1,12 +1,14 @@
 import pytest
 from oracles import (
     bump_function_on_r1,
+    diagonal_stable_intersect,
     origin_cycle,
     relative_interior_contains,
     tent_function_on_line,
     translation_invariance_check,
 )
 
+from tropint import rn_products
 from tropint.cycles import (
     Cycle,
     WeightedComplex,
@@ -289,3 +291,20 @@ def test_diagonal_divisor_choice_does_not_matter():
     cut = divisor_chain(flipped, prod)
     alt = push_forward(Morphism(projection_map(n), cut, rn_cycle(n)))
     assert cycles_equal(alt, stable_intersect(c, d))
+
+
+def test_span_index_once_per_pair_of_lattices(monkeypatch):
+    c = conic_curve()
+    pairs = []
+    real = rn_products._span_index
+
+    def recording(sigma, tau):
+        pairs.append((sigma.direction_lattice.vectors, tau.direction_lattice.vectors))
+        return real(sigma, tau)
+
+    monkeypatch.setattr(rn_products, "_span_index", recording)
+    got = stable_intersect(c, c)
+    assert pairs and len(pairs) == len(set(pairs))
+    assert len(pairs) < len(c.complex.cells) ** 2
+    monkeypatch.undo()
+    assert cycles_equal(got, diagonal_stable_intersect(c, c))

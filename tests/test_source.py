@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import tropint
@@ -29,3 +31,15 @@ def test_no_module_imports_gmpy2():
              for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
              if name.split(".")[0] == "gmpy2"]
     assert SOURCES and not found
+
+
+def test_import_loads_no_dataclasses_machinery():
+    # Records are named tuples: dataclasses imports inspect, ast and dis,
+    # about 1.2 MiB resident in every process that imports tropint.
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import tropint; "
+         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))",
+         str(Path(tropint.__file__).parents[1])],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
