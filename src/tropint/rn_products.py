@@ -16,6 +16,20 @@ by v, meets that of sigma.  It contributes w_sigma w_tau [Z^n : L_sigma +
 L_tau].  The contributions of all pairs, added on a common refinement,
 give the product.  No cell of R^2n is built and no divisor is cut.
 
+In complementary dimension, m = 0, the rule is linear algebra over Z and
+builds no cell per pair.  The linear parts of the equalities of sigma and
+tau stack to an invertible integer matrix M, inverted once per pair of
+lattices as d M^-1 with d > 0 (one :func:`~tropint.kernel.echelon`).  The
+two affine hulls meet in the one point p = P / D, with P and D integers,
+and an inequality a . x + r / q >= 0 has the sign of q (a . P) + r D
+there.  A v splits as v = a + b, a in L_sigma and b in L_tau, and d a is
+d M^-1 applied to (0, E_tau v), once per pair of lattices and v.  The
+pair counts when every inequality of sigma tight at p is positive on a
+and every one of tau tight at p is positive on -b, and only then is its
+point built as a cell.  For m > 0 the meeting cell rho is built by
+:func:`~tropint.polyhedra.intersect` and the cones are compared by a slack
+program; the closed form is its case m = 0.
+
 A displacement v on the wall of a pair (its cones then meet only on their
 boundaries) tells nothing, and the next v is tried.  The candidates run
 along the moment curve (1, s, ..., s^(n-1)), s = 3, 4, ...: a hyperplane
@@ -30,6 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import count
+from math import lcm
 
 from .cycles import (
     Cycle,
@@ -45,10 +60,11 @@ from .divisors import (
     is_bounded_on,
     weil_divisor,
 )
-from .kernel import hnf_basis, hnf_index
+from .kernel import QQ, dot, echelon, hnf_basis, hnf_index
 from .library import diagonal_line
 from .polyhedra import (
     AffineForm,
+    Cell,
     _eliminate,
     _relint_lp,
     collect_hyperplanes,
@@ -71,6 +87,10 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     """Intersection product of cycles in the same R^n, by the fan
     displacement rule (see the module docstring).
 
+    In complementary dimension each pair of cells is decided by integer
+    solves and sign tests at the one point where their affine hulls meet,
+    and only the pairs that count become cells; in excess dimension the
+    pairs meet in cells built by :func:`~tropint.polyhedra.intersect`.
     Empty in dimensions below zero (complementary defect); always balanced.
     """
     if c.ambient_dim != d.ambient_dim:
@@ -84,16 +104,26 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     for sigma, ws in zip(a.cells, a.weights):
         for tau, wt in zip(b.cells, b.weights):
             # The index depends only on the two direction lattices, and most
-            # pairs of cells repeat the lattices of an earlier pair.
+            # pairs of cells repeat the lattices of an earlier pair.  So does
+            # the inverse of their stacked equalities: a cell's equalities
+            # are the primitive rows of its elimination, whose linear parts
+            # depend only on its direction lattice.
             lattices = (sigma.direction_lattice.vectors, tau.direction_lattice.vectors)
             if lattices not in spans:
-                spans[lattices] = _span_index(sigma, tau)
-            index = spans[lattices]
+                index = _span_index(sigma, tau)
+                inverse = _Inverse.of(sigma, tau) if m == 0 and index is not None else None
+                spans[lattices] = index, inverse
+            index, inverse = spans[lattices]
             if index is None:
                 continue
-            rho = intersect(sigma, tau)
-            if rho is not None and rho.dim == m:
-                meets.append((rho, ws * wt * index, sigma, tau))
+            if inverse is not None:
+                meet = _crossing(sigma, tau, ws * wt * index, inverse)
+                if meet is not None:
+                    meets.append(meet)
+            else:
+                rho = intersect(sigma, tau)
+                if rho is not None and rho.dim == m:
+                    meets.append((rho, ws * wt * index, sigma, tau))
     for s in count(3):
         entries = _displaced(meets, tuple(s ** i for i in range(n)))
         if entries is not None:
@@ -109,20 +139,103 @@ def _span_index(sigma, tau):
     return hnf_index(rows)
 
 
-def _displaced(meets, v):
-    """The (rho, weight) entries of the pairs whose tangent cones at the
-    interior point p of rho meet once tau's is moved by v, or None when v
-    lies on a wall of one of them.
+class _Inverse(namedtuple("_Inverse", "rows det split tau_linear")):
+    """d M^-1 as integer rows, and d > 0, for M the linear parts of the
+    equalities of sigma stacked on those of tau, two cells of
+    complementary dimension whose lattices span R^n.  ``split`` is the
+    number of sigma's equalities and ``tau_linear`` the linear parts of
+    tau's."""
 
-    The slack program asks for x with the inequalities of sigma tight at p
-    and those of tau tight at p, shifted by v, all >= t, on the equalities
-    of sigma and the shifted ones of tau.  These cut out the tangent cones
-    with apexes p and p + v, so t > 0 exactly when their relative interiors
-    meet, t = 0 when they meet only on their boundaries, and there is no
-    point, or t < 0, when they are disjoint.
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, sigma, tau):
+        n = sigma.ambient_dim
+        rows = [f.linear + tuple(int(i == j) for j in range(n))
+                for i, f in enumerate(sigma.eqs + tau.eqs)]
+        work, _, det = echelon(rows)
+        # [M | I] reduces to [I | M^-1], so row i of the work is det times
+        # (e_i, row i of M^-1).
+        sign = -1 if det < 0 else 1
+        return cls(tuple(tuple(sign * x for x in row[n:]) for row in work), sign * det,
+                   len(sigma.eqs), tuple(f.linear for f in tau.eqs))
+
+    def parts(self, v):
+        """(d a, -d b) for v = a + b with a in L_sigma and b in L_tau: d a
+        is d M^-1 applied to (0, E_tau v), and -d b is d a - d v."""
+        tv = [dot(f, v) for f in self.tau_linear]
+        da = tuple(dot(row[self.split:], tv) for row in self.rows)
+        return da, tuple(x - self.det * y for x, y in zip(da, v))
+
+
+# A pair of cells whose affine hulls meet at the one point p = P / D:
+# their equalities, P and D, the pair's weight, the inequalities of sigma
+# and of tau tight at p, and the :class:`_Inverse` of their lattices.
+_Crossing = namedtuple("_Crossing", "eqs numer denom weight sigma_tight tau_tight inverse")
+
+
+def _crossing(sigma, tau, weight, inverse):
+    """The :class:`_Crossing` of two cells of complementary dimension, or
+    None when the point where their affine hulls meet lies outside one of
+    them.  The equality constants are brought to one denominator L, so
+    p = P / D with D = d L, and an inequality with constant r / q has the
+    sign of q (a . P) + r D at p."""
+    eqs = sigma.eqs + tau.eqs
+    den = lcm(*(f.constant.denominator for f in eqs))
+    rhs = [-f.constant.numerator * (den // f.constant.denominator) for f in eqs]
+    numer = tuple(dot(row, rhs) for row in inverse.rows)
+    denom = inverse.det * den
+    tight = []
+    for cell in (sigma, tau):
+        forms = []
+        for f in cell.ineqs:
+            value = dot(f.linear, numer) * f.constant.denominator + f.constant.numerator * denom
+            if value < 0:
+                return None
+            if value == 0:
+                forms.append(f)
+        tight.append(forms)
+    return _Crossing(eqs, numer, denom, weight, *tight, inverse)
+
+
+def _displaced(meets, v):
+    """The (rho, weight) entries of the pairs whose tangent cones at a
+    point p of rho = sigma ∩ tau meet once tau's is moved by v, or None
+    when v lies on a wall of one of them.
+
+    A :class:`_Crossing` (m = 0) is decided by signs.  With v = a + b, a
+    in L_sigma and b in L_tau (:meth:`_Inverse.parts`, once per pair of
+    lattices), the moved cones meet at p + a, where each inequality of
+    sigma tight at p has the sign of its linear part on a, and each one of
+    tau the sign of its linear part on -b.  The least of these values, or
+    1 when there is none, plays the part of t below, and a pair that
+    counts becomes the point cell on the equalities of sigma and tau.
+
+    For m > 0 the slack program asks for x with the inequalities of sigma
+    tight at p and those of tau tight at p, shifted by v, all >= t, on the
+    equalities of sigma and the shifted ones of tau, with p the interior
+    point of rho.  These cut out the tangent cones with apexes p and
+    p + v, so t > 0 exactly when their relative interiors meet, t = 0 when
+    they meet only on their boundaries, and there is no point, or t < 0,
+    when they are disjoint.
     """
-    entries = []
-    for rho, w, sigma, tau in meets:
+    entries, parts = [], {}
+    for meet in meets:
+        if type(meet) is _Crossing:
+            # One _Inverse serves every pair of its lattices.
+            key = id(meet.inverse)
+            if key not in parts:
+                parts[key] = meet.inverse.parts(v)
+            da, mdb = parts[key]
+            t = min([dot(f.linear, da) for f in meet.sigma_tight]
+                    + [dot(f.linear, mdb) for f in meet.tau_tight], default=1)
+            if t == 0:
+                return None
+            if t > 0:
+                p = tuple(QQ(x, meet.denom) for x in meet.numer)
+                entries.append((Cell(len(p), (), meet.eqs, p), meet.weight))
+            continue
+        rho, w, sigma, tau = meet
         p = rho.interior_point
         ineqs = [f for f in sigma.ineqs if f.value_at(p) == 0]
         ineqs += [f.translate(v) for f in tau.ineqs if f.value_at(p) == 0]

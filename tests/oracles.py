@@ -890,6 +890,41 @@ def transversal_intersection(c, d):
     return {p: w for p, w in points.items() if w != 0}
 
 
+def twice_hull_area(points):
+    """Twice the area of the convex hull of integer points in the plane, an
+    integer: Andrew's monotone chain, then the shoelace formula."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return 0
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    hull = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull.extend(chain[:-1])
+    return abs(sum(hull[i - 1][0] * hull[i][1] - hull[i][0] * hull[i - 1][1]
+                   for i in range(len(hull))))
+
+
+def mixed_area(p, q):
+    """The mixed area MV(P, Q) = area(P + Q) - area(P) - area(Q) of the
+    convex hulls of two sets of integer points in the plane, exactly and
+    with no tropint code.  Bernstein's count: the stable intersection of
+    the curves of two max-polynomials with supports P and Q has degree
+    MV(P, Q), with no genericity assumption."""
+    twice = (twice_hull_area([(a + c, b + d) for a, b in p for c, d in q])
+             - twice_hull_area(p) - twice_hull_area(q))
+    if twice % 2:
+        raise ArithmeticError("odd twice mixed area")
+    return twice // 2
+
+
 # -- small accessors ---------------------------------------------------------
 
 

@@ -54,11 +54,13 @@ print(json.dumps(out))
 # is constant on the hull is decided without a probe, so a cell with no
 # other inequality, such as a point where two curves cross, takes no slack
 # program.  A cell of dimension one is refined by sorting the crossings of
-# the forms, with no slack program and no elimination.
+# the forms, with no slack program and no elimination.  In complementary
+# dimension stable_intersect decides each pair of cells by integer solves
+# and sign tests, and only a pair that counts is eliminated, as its point.
 _COUNTS = {
-    "plane-intersect": {"_slack_lp": 112, "_eliminate": 224},
+    "plane-intersect": {"_slack_lp": 80, "_eliminate": 84},
     "curve-arith": {"_slack_lp": 286, "_eliminate": 281},
-    "space-chain": {"_slack_lp": 932, "_eliminate": 712},
+    "space-chain": {"_slack_lp": 908, "_eliminate": 666},
 }
 
 

@@ -4,18 +4,26 @@
 the cut forward.  For k + l = n it writes the same cycle as the displacement
 rule, byte for byte; for k + l > n the two may refine their outputs
 differently, so they are compared as cycles.  Mikhalkin's count checks
-transversal plane curves, and the wall case checks that a displacement
-lying on a wall is replaced by the next one.
+transversal plane curves and Bernstein's count (the mixed area of the
+Newton polygons, computed with no tropint code) any two plane curves of
+sparse polynomials; the wall case checks that a displacement lying on a
+wall is replaced by the next one.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import diagonal_stable_intersect, reference_stable_intersect, transversal_intersection
+from oracles import (
+    diagonal_stable_intersect,
+    mixed_area,
+    reference_stable_intersect,
+    transversal_intersection,
+)
 from test_diagonal_locality import _fresh, plane_curves
 from test_faces import _count_lps, _count_slack_solves
+from test_hull import _count_calls
 
-from tropint import rn_products
+from tropint import polyhedra, rn_products
 from tropint.cycles import (
     Cycle,
     WeightedComplex,
@@ -26,10 +34,11 @@ from tropint.cycles import (
     standard_skeleton,
     translate,
 )
+from tropint.divisors import TropicalPolynomial, weil_divisor
 from tropint.documents import serialize_document
 from tropint.library import conic_curve
-from tropint.polyhedra import cone_from_rays
-from tropint.rn_products import stable_intersect
+from tropint.polyhedra import AffineForm, cone_from_rays
+from tropint.rn_products import degree, stable_intersect
 
 _shift = st.fractions(-2, 2, max_denominator=3)
 _generic = st.fractions(-2, 2, max_denominator=7)
@@ -120,20 +129,105 @@ def test_r0_empty_inputs_and_complementary_defect():
 
 # Slack programs of stable_intersect on the inputs of
 # test_diagonal_locality.test_lp_budget; the diagonal route takes 414, 50,
-# 237 and 534 there, and 66, 12, 190 and 510 LPs.
-_SLACK_BUDGET = {"conic.conic": 118, "L31.(L32+v)": 13, "L31.L32": 56, "L32.L32": 156}
+# 237 and 534 there, and 66, 12, 190 and 510 LPs.  In complementary
+# dimension the pairs are decided by integer solves and sign tests.
+_SLACK_BUDGET = {"conic.conic": 0, "L31.(L32+v)": 0, "L31.L32": 0, "L32.L32": 156}
 
-
-@pytest.mark.parametrize("name, make", [
+_INPUTS = [
     ("conic.conic", lambda: (_fresh(conic_curve()), _fresh(conic_curve()))),
     ("L31.(L32+v)", lambda: (_fresh(standard_skeleton(3, 1)),
                              _fresh(standard_skeleton(3, 2), (1, "1/2", -2)))),
     ("L31.L32", lambda: (_fresh(standard_skeleton(3, 1)), _fresh(standard_skeleton(3, 2)))),
     ("L32.L32", lambda: (_fresh(standard_skeleton(3, 2)), _fresh(standard_skeleton(3, 2)))),
-])
+]
+
+
+@pytest.mark.parametrize("name, make", _INPUTS)
 def test_no_lp_and_slack_budget(monkeypatch, name, make):
     c, d = make()
     lps, solves = _count_lps(monkeypatch), _count_slack_solves(monkeypatch)
     stable_intersect(c, d)
     assert not lps
     assert len(solves) <= _SLACK_BUDGET[name]
+
+
+def _count_pair_work(monkeypatch):
+    """Slack programs, eliminations and cell intersections, counted."""
+    return (_count_slack_solves(monkeypatch), _count_calls(monkeypatch, polyhedra._eliminate),
+            _count_calls(monkeypatch, polyhedra.intersect))
+
+
+# Output points of the complementary-dimension inputs above.
+_POINTS = {"conic.conic": 4, "L31.(L32+v)": 1, "L31.L32": 1}
+
+
+@pytest.mark.parametrize("name, make", [case for case in _INPUTS if case[0] in _POINTS])
+def test_complementary_dimension_builds_only_the_output_points(monkeypatch, name, make):
+    c, d = make()
+    solves, eliminations, intersections = _count_pair_work(monkeypatch)
+    got = stable_intersect(c, d)
+    assert not solves and not intersections
+    assert len(eliminations) == len(got.complex.cells) == _POINTS[name]
+
+
+def test_excess_dimension_keeps_the_slack_programs(monkeypatch):
+    c, d = dict(_INPUTS)["L32.L32"]()
+    solves, eliminations, intersections = _count_pair_work(monkeypatch)
+    stable_intersect(c, d)
+    assert (len(solves), len(eliminations), len(intersections)) == (78, 60, 30)
+
+
+_exponent = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_directions = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, -1), (1, 3))
+
+
+def _on_grid(e):
+    return 0 <= min(e) and max(e) <= 3
+
+
+@st.composite
+def _sparse_polynomials(draw, direction=None):
+    """A max-polynomial with rational coefficients and at least two terms,
+    so its curve is not empty.  Its support is a random set in [0, 3]^2, or
+    one on a line of the given direction when there is one."""
+    if direction is None:
+        support = draw(st.sets(_exponent, min_size=2, max_size=6))
+    else:
+        def step(e, t):
+            return (e[0] + t * direction[0], e[1] + t * direction[1])
+
+        base = draw(st.sampled_from([(i, j) for i in range(4) for j in range(4)
+                                     if _on_grid(step((i, j), 1))]))
+        line = [e for e in (step(base, t) for t in range(-3, 4)) if _on_grid(e)]
+        support = {base, step(base, 1)} | draw(st.sets(st.sampled_from(line)))
+    return TropicalPolynomial(
+        AffineForm(e, draw(st.fractions(-3, 3, max_denominator=4))) for e in sorted(support))
+
+
+def _vertex_step(curve):
+    """The difference of two vertices of a plane curve, so that the curve
+    and its translate by it share a vertex; (1, 0) when it has fewer."""
+    vertices = sorted({face.interior_point for cell in curve.complex.cells
+                       for face in cell.faces_of_codim_one()})
+    if len(vertices) < 2:
+        return (1, 0)
+    return tuple(b - a for a, b in zip(*vertices[:2]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(("pair", "self", "translate", "collinear", "parallel")))
+def test_degree_is_bernsteins_count(data, kind):
+    # "collinear" pairs a curve of parallel lines with any curve, and
+    # "parallel" two such curves of one direction, whose product is zero.
+    direction = None
+    if kind in ("collinear", "parallel"):
+        direction = data.draw(st.sampled_from(_directions))
+    f = data.draw(_sparse_polynomials(direction))
+    c = weil_divisor(f, rn_cycle(2))
+    if kind in ("self", "translate"):
+        g, d = f, (c if kind == "self" else translate(c, _vertex_step(c)))
+    else:
+        g = data.draw(_sparse_polynomials(direction if kind == "parallel" else None))
+        d = weil_divisor(g, rn_cycle(2))
+    supports = [[t.linear for t in h.terms] for h in (f, g)]
+    assert degree(stable_intersect(c, d)) == mixed_area(*supports)

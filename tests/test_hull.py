@@ -219,10 +219,10 @@ def _no_smith_form(*args):
 
 
 # Eliminations of the operation on fresh copies, the copying included:
-# ``translate`` eliminates the shifted equalities of each cell once.  The
-# product still eliminates once per tangent-cone program, whose equalities
-# are new each time.
-_ELIMINATIONS = {"conic.conic": 96, "conic+line": 12}
+# ``translate`` eliminates the shifted equalities of each cell once.  In
+# complementary dimension the product builds no cell per pair of cells and
+# solves no tangent-cone program: it eliminates once per output point.
+_ELIMINATIONS = {"conic.conic": 22, "conic+line": 12}
 
 
 @pytest.mark.parametrize("name, op, make", [
