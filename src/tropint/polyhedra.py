@@ -5,14 +5,18 @@ integer-linear inequalities and equalities, with a relative interior point.
 Its affine hull is derived from the equalities: each cell eliminates them
 once, when it is built (:func:`_eliminate`), keeps the primitive rows of
 the elimination as its equalities, and reads its dimension and the lattice
-of its direction space from it.  All geometric predicates are decided
-exactly by one slack program, :func:`_slack_lp`, over such an elimination.
-It is solved in closed form when at most one variable is free, as for
-cells of dimension one or less and the facets of cells of dimension two,
-and otherwise by the rational simplex over the free variables.  Refinement
-of a cell of dimension one needs no such program: its arrangement is the
-sorted list of the points where the forms cross it (:func:`refine_cell`).
-There is no vertex enumeration anywhere.
+of its direction space from it.
+
+A cell whose elimination leaves one free variable z, such as a ray, a
+segment or a point cut from a line, is read once as the interval of z its
+inequalities cut out (:func:`_interval_of`).  Its construction, canonical
+form, facets, recession cone and refinement come from that interval and
+the sorted points where forms cross it, with no slack program.  Every other
+geometric predicate is decided exactly by one slack program,
+:func:`_slack_lp`, over an elimination.  It is solved in closed form when
+at most one variable is free, as for the facets of cells of dimension two,
+and otherwise by the rational simplex over the free variables.  There is
+no vertex enumeration anywhere.
 """
 
 from __future__ import annotations
@@ -108,11 +112,14 @@ class Cell:
     among the inequalities, so every listed inequality is strict on the
     relative interior, which is all the predicates here rely on.  The list
     may still hold redundant members.  :meth:`canonical_cell` drops them,
-    lazily and at one slack program per inequality g: "g = 0, the others
-    >= t", an LP only on cells of dimension three or more.  The program
-    keeps g exactly when t > 0, and its point then lies in the relative
-    interior of g's facet, so :meth:`faces_of_codim_one` builds the facets
-    from those points with no further solve.
+    lazily.  On a cell of dimension one it keeps the two forms that bound
+    the interval of its free variable (:func:`_interval_of`), and each end
+    of the interval is its facet.  On other cells it solves one slack
+    program per inequality g: "g = 0, the others >= t", an LP only on cells
+    of dimension three or more.  The program keeps g exactly when t > 0,
+    and its point then lies in the relative interior of g's facet.  Either
+    way :meth:`faces_of_codim_one` builds the facets from those points with
+    no further solve.
 
     The affine hull has one description.  Every constructor, the public
     one included, eliminates the equalities once (:func:`_eliminate`, whose
@@ -121,8 +128,11 @@ class Cell:
     passed in.  The dimension, the direction lattice and :attr:`hull_key`
     are read from the elimination.  Pieces and the canonical cell share the
     elimination and the equality tuple of the cell they are cut from; each
-    face takes the elimination its facet program made.  Inconsistent
-    equalities raise :class:`EmptyCellError`.
+    face takes the elimination of its facet, written down directly when the
+    facet is a point.  The public constructor raises
+    :class:`EmptyCellError` on inconsistent equalities and ValueError
+    unless every equality is 0 and every inequality is > 0 at the given
+    point.
     """
 
     __slots__ = (
@@ -131,10 +141,15 @@ class Cell:
     )
 
     def __init__(self, ambient_dim, ineqs, eqs, interior_point):
+        ineqs, eqs = tuple(ineqs), tuple(eqs)
         elim = _eliminate(ambient_dim, eqs)
         if elim is None:
             raise EmptyCellError("inconsistent equalities")
-        self._set(ambient_dim, ineqs, interior_point, elim)
+        point = tuple(QQ(x) for x in interior_point)
+        if (any(f.value_at(point) != 0 for f in eqs)
+                or any(f.value_at(point) <= 0 for f in ineqs)):
+            raise ValueError("the point is not in the relative interior of the cell")
+        self._set(ambient_dim, ineqs, point, elim)
 
     def _set(self, ambient_dim, ineqs, interior_point, elim, eqs=None, lattice=None):
         n = self.ambient_dim = ambient_dim
@@ -155,15 +170,19 @@ class Cell:
         Eliminates the equalities as given, then reads each inequality as
         its line over their solutions (:func:`_line`).  A constant line
         needs no probe: it is dropped when >= 0 and makes the cell empty
-        when < 0.  The rest are probed for a relative interior point, and
-        implied equalities among them migrate to the equalities, which are
-        then eliminated again.  Every form must have ``ambient_dim``
+        when < 0.  When one variable is free the rest bound it to an
+        interval, read with no probe (:meth:`_from_interval`).  Otherwise
+        they are probed for a relative interior point, and implied
+        equalities among them migrate to the equalities, which are then
+        eliminated again.  Every form must have ``ambient_dim``
         coefficients.
         """
         ineqs, eqs = tuple(ineqs), tuple(eqs)
         if any(len(f.linear) != ambient_dim for f in ineqs + eqs):
             raise ValueError(f"a form of the wrong length in R^{ambient_dim}")
         elim = _eliminate(ambient_dim, eqs)
+        if elim is not None and len(elim[1]) == 1:
+            return cls._from_interval(ambient_dim, ineqs, elim)
         cin = _nonconstant(ineqs, elim)
         if cin is None:
             return None
@@ -186,6 +205,40 @@ class Cell:
                 raise RuntimeError("relative-interior LP found no strict point "
                                    "after moving implied equalities")
         return cls._with_hull(ambient_dim, cin, point, elim)
+
+    @classmethod
+    def _from_interval(cls, ambient_dim, ineqs, elim):
+        """:meth:`try_from_constraints` on the solutions of an elimination
+        with one free variable z, from the interval [lo, hi] of z that the
+        inequalities cut out (:func:`_interval_of`).
+
+        An empty interval gives None.  When lo = hi, the forms that vanish
+        there are implied equalities and the cell is the point at z = lo,
+        with the elimination of that point (:func:`_point_elimination`).
+        Otherwise the inequalities are the nonconstant ones, made primitive
+        and without repeats, and the interior point is where their lines
+        reach the best common slack (:func:`_slack_closed_form`).
+        """
+        lines, box = _interval_of(ineqs, elim)
+        if box is None:
+            return None
+        lo, hi = box
+        if lo is not None and lo == hi:
+            point = _point_at(elim, lo)
+            return cls._with_hull(ambient_dim, (), point, _point_elimination(point))
+        cin, slack, seen = [], [], set()
+        for f, (a, G) in zip(ineqs, lines):
+            if a == 0:
+                continue
+            g = vec_gcd(f.linear)
+            if g > 1:
+                f, a, G = f.scaled_primitive(), a // g, G / g
+            if f.sort_key() not in seen:
+                seen.add(f.sort_key())
+                cin.append(f)
+                slack.append(((a,), G))
+        (z,) = _slack_closed_form((), slack, elim[2]).point
+        return cls._with_hull(ambient_dim, cin, _point_at(elim, z), elim)
 
     @classmethod
     def _with_hull(cls, ambient_dim, ineqs, point, elim, eqs=None, lattice=None):
@@ -268,13 +321,47 @@ class Cell:
         return self._faces
 
     def recession_cone(self) -> "Cell":
-        """Directions v with cell + R_{>=0} v inside the cell."""
+        """Directions v with cell + R_{>=0} v inside the cell.
+
+        On a cell of dimension at most one it is read from the interval of
+        the free variable (:func:`_interval_of`), with no constraint system
+        to solve: the origin when the cell is bounded, the ray of +w or -w
+        when it is unbounded on one side only, and the line through 0 when
+        it is unbounded on both, for w the primitive direction of the
+        cell's elimination.  Other cells solve the homogenized system.
+        """
         if self._recession is None:
-            self._recession = Cell.from_constraints(
-                self.ambient_dim,
-                [AffineForm(f.linear, 0) for f in self.ineqs],
-                [AffineForm(f.linear, 0) for f in self.eqs])
+            if self.dim <= 1:
+                self._recession = self._interval_recession()
+            else:
+                self._recession = Cell.from_constraints(
+                    self.ambient_dim,
+                    [AffineForm(f.linear, 0) for f in self.ineqs],
+                    [AffineForm(f.linear, 0) for f in self.eqs])
         return self._recession
+
+    def _interval_recession(self) -> "Cell":
+        """:meth:`recession_cone` of a cell of dimension at most one.  The
+        ray and the line take the cell's elimination with its constants
+        dropped and the direction made primitive, which is the elimination
+        of the homogenized equalities."""
+        n, elim = self.ambient_dim, self._elim
+        origin = (QQ(0),) * n
+        lo, hi = _interval_of(self.ineqs, elim)[1] if self.dim else (0, 0)
+        if lo is not None and hi is not None:
+            return Cell._with_hull(n, (), origin, _point_elimination(origin))
+        (w,), d, free = elim[1:4]
+        g = vec_gcd(w)
+        w = tuple(x // g for x in w)
+        rows = tuple(tuple(x // g for x in row[:n]) + (0,) for row in elim[4])
+        cone_elim = ((0,) * n, (w,), d // g, free, rows)
+        if lo is None and hi is None:
+            ineqs, point = (), origin
+        else:
+            sign = 1 if hi is None else -1
+            ineqs = (AffineForm(tuple(sign if i == free[0] else 0 for i in range(n)), 0),)
+            point = tuple(QQ(sign * x) for x in w)
+        return Cell._with_hull(n, ineqs, point, cone_elim, lattice=self._lattice)
 
     def tangent_cone(self, p) -> "Cell":
         """Cone of directions entering the cell at a point of it."""
@@ -309,17 +396,55 @@ class Cell:
     def canonical_cell(self) -> "Cell":
         """The same set with irredundant, canonically reduced constraints.
         It and this cell hold the :attr:`canonical_key` and a relative
-        interior point of each facet; its own canonical cell is itself."""
+        interior point of each facet; its own canonical cell is itself.
+
+        Each inequality g is reduced to its coset representative modulo
+        the equalities: d times it is the line of g, placed on the free
+        columns, made primitive.  On a cell of dimension one that leaves
+        x_j - lo >= 0 and hi - x_j >= 0 for the interval [lo, hi] of the
+        free coordinate x_j, and the kept ones are those with a finite end,
+        each with the point of its end as its facet.  On other cells a
+        reduced g is kept when the others are strict somewhere on g = 0,
+        decided by one slack program."""
         if self._canonical is not None:
             # A canonical cell keeps no reference to itself, so reference
             # counting alone frees it, without the cycle collector.
             return self if self._canonical_cell is None else self._canonical_cell
+        n = self.ambient_dim
+        if self.dim == 1:
+            kept, facets = self._interval_facets()
+        else:
+            kept, facets = self._probed_facets()
+        key = (n, self.dim, self.hull_key, tuple(f.sort_key() for f in kept))
+        cell, facets = self._replace_geometry(ineqs=tuple(kept)), tuple(facets)
+        for c in (self, cell):
+            c._canonical, c._facet_points = key, facets
+        self._canonical_cell = cell
+        return cell
+
+    def _interval_facets(self):
+        """The canonical inequalities of a cell of dimension one, in sort
+        order, and the (point, elimination) of the facet each cuts out:
+        hi - x_j >= 0 for a finite upper end hi of the free coordinate x_j,
+        then x_j - lo >= 0 for a finite lower end lo."""
+        n, (j,) = self.ambient_dim, self._elim[3]
+        lo, hi = _interval_of(self.ineqs, self._elim)[1]
+        kept, facets = [], []
+        for end, sign in ((hi, -1), (lo, 1)):
+            if end is not None:
+                kept.append(AffineForm(tuple(sign if i == j else 0 for i in range(n)), -sign * end))
+                point = _point_at(self._elim, end)
+                facets.append((point, _point_elimination(point)))
+        return kept, facets
+
+    def _probed_facets(self):
+        """The canonical inequalities of a cell, in sort order, and the
+        (point, elimination) of the facet each cuts out, one slack program
+        per reduced inequality."""
         n, elim = self.ambient_dim, self._elim
         reduced = {}
         for g in self.ineqs:
-            # d times the coset representative of g modulo the equalities:
-            # the line of g, placed on the free columns.  A constant line is
-            # positive on the hull, so g is redundant.
+            # A constant line is positive on the hull, so g is redundant.
             A, G = _line(g, elim)
             if any(A):
                 linear = [0] * n
@@ -339,12 +464,7 @@ class Cell:
                 kept.remove(g)
             else:
                 facets.append((point, facet_elim))
-        key = (n, self.dim, self.hull_key, tuple(f.sort_key() for f in kept))
-        cell, facets = self._replace_geometry(ineqs=tuple(kept)), tuple(facets)
-        for c in (self, cell):
-            c._canonical, c._facet_points = key, facets
-        self._canonical_cell = cell
-        return cell
+        return kept, facets
 
     def same_set(self, other: "Cell") -> bool:
         return self.canonical_key == other.canonical_key
@@ -475,6 +595,42 @@ def _interval(lines):
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
+
+
+def _interval_of(forms, elim):
+    """Inequalities read on the solutions of an elimination with one free
+    variable z (:func:`_eliminate`): each form's line (A, G), with
+    d f(x) = A z + G, and the interval of z they cut out (:func:`_interval`,
+    None when empty).  This is the one reading of a cell of dimension one:
+    its construction, canonical form, facets, recession cone and refinement
+    box all come from it."""
+    c, (w,), d = elim[:3]
+    lines = [(dot(f.linear, w),
+              QQ(dot(f.linear, c) * f.constant.denominator + d * f.constant.numerator,
+                 f.constant.denominator)) for f in forms]
+    return lines, _interval(lines)
+
+
+def _point_at(elim, z):
+    """The point x = (c + z w) / d of an elimination with one free
+    variable (:func:`_eliminate`) at a rational z, one fraction a
+    coordinate."""
+    c, (w,), d = elim[:3]
+    p, q = z.numerator, z.denominator
+    return tuple(QQ(ci * q + p * wi, q * d) for ci, wi in zip(c, w))
+
+
+def _point_elimination(point):
+    """:func:`_eliminate` of equalities whose one solution is the rational
+    point, written down: for the point P / D, with D the lcm of the
+    denominators, c = P, d = D, no free variable, and the row of x_i is
+    D e_i | -P_i.  The rows have gcd 1, so this is the gcd-normalised
+    result of any such equalities."""
+    n = len(point)
+    D = lcm(*(x.denominator for x in point))
+    P = tuple(x.numerator * (D // x.denominator) for x in point)
+    rows = tuple(tuple(D if j == i else 0 for j in range(n)) + (-p,) for i, p in enumerate(P))
+    return P, (), D, (), rows
 
 
 def _slack_closed_form(plain, slack, d):
@@ -626,10 +782,10 @@ def _hull_box(cell):
     interval the lines of the inequalities cut out for one free variable,
     else two LPs per variable from the interior point."""
     elim = cell._elim
-    lines = [_line(f, elim) for f in cell.ineqs]
     k = len(elim[1])
     if k == 1:
-        return elim, [_interval([(A[0], G) for A, G in lines])]
+        return elim, [_interval_of(cell.ineqs, elim)[1]]
+    lines = [_line(f, elim) for f in cell.ineqs]
     rows = [(A, -G) for A, G in lines]
     start = tuple(cell.interior_point[j] for j in elim[3])
     box = []
@@ -751,7 +907,6 @@ def _refine_interval(cell, forms, elim, box):
     for f, (s, r) in zip(forms, ranked):
         if s and 1 <= r <= m:
             above.setdefault(r, f if s > 0 else f.negated())
-    c, (w,), d = elim[:3]
     pieces = []
     for i in range(m + 1):
         ineqs = cell.ineqs
@@ -761,8 +916,8 @@ def _refine_interval(cell, forms, elim, box):
             ineqs += (above[i + 1].negated(),)
         left, right = cuts[i - 1] if i else lo, cuts[i] if i < m else hi
         z = right - 1 if left is None else left + 1 if right is None else (left + right) / 2
-        point = tuple((ci + z * wi) / d for ci, wi in zip(c, w))
-        pieces.append((cell._replace_geometry(ineqs=ineqs, interior_point=point), signs(i)))
+        pieces.append((cell._replace_geometry(ineqs=ineqs, interior_point=_point_at(elim, z)),
+                       signs(i)))
     return pieces
 
 

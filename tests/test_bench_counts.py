@@ -1,8 +1,10 @@
-"""Exact slack-program and elimination counts of the seed-201 bench rounds.
+"""Exact slack-program, elimination and probe counts of the seed-201 bench
+rounds.
 
 A fresh ``python -B`` process builds the seed-201 round of each workload
 from ``bench/workloads.py``, runs it once to warm up, and counts the calls
-of ``polyhedra._slack_lp`` and ``polyhedra._eliminate`` over a second
+of ``polyhedra._slack_lp``, ``polyhedra._eliminate`` and the
+implied-equality probe ``polyhedra._max_capped`` over a second
 round, rebound in every tropint module that holds them.  A round does the
 same work every time (``test_bench_rounds.py``), so the counts are exact
 gates: work that moves or grows shows here before it shows in a timing.
@@ -32,9 +34,9 @@ for workload in sys.argv[3:]:
     workloads.warm_up()
     for op in ops:
         op.run()
-    counts = dict.fromkeys(["_slack_lp", "_eliminate"], 0)
+    counts = dict.fromkeys(["_slack_lp", "_eliminate", "_max_capped"], 0)
     bound = []
-    for real in (polyhedra._slack_lp, polyhedra._eliminate):
+    for real in (polyhedra._slack_lp, polyhedra._eliminate, polyhedra._max_capped):
         wrapper = counted(real, counts)
         for info in pkgutil.iter_modules(tropint.__path__):
             module = importlib.import_module(f"tropint.{info.name}")
@@ -57,10 +59,15 @@ print(json.dumps(out))
 # the forms, with no slack program and no elimination.  In complementary
 # dimension stable_intersect decides each pair of cells by integer solves
 # and sign tests, and only a pair that counts is eliminated, as its point.
+# A cell with one free variable is built, canonicalized and cut into facets
+# from the interval of that variable, and so is its recession cone: no slack
+# program, no probe, and a point's elimination is written down.  The slack
+# programs left in curve-arith are the linearity-region splits of
+# divisors._split_one.
 _COUNTS = {
-    "plane-intersect": {"_slack_lp": 80, "_eliminate": 84},
-    "curve-arith": {"_slack_lp": 286, "_eliminate": 281},
-    "space-chain": {"_slack_lp": 908, "_eliminate": 666},
+    "plane-intersect": {"_slack_lp": 0, "_eliminate": 66, "_max_capped": 0},
+    "curve-arith": {"_slack_lp": 42, "_eliminate": 98, "_max_capped": 0},
+    "space-chain": {"_slack_lp": 756, "_eliminate": 598, "_max_capped": 16},
 }
 
 

@@ -144,8 +144,8 @@ def test_inequality_on_a_listed_equality_needs_no_probe(monkeypatch):
     calls, solves = _count_lps(monkeypatch), _count_slack_solves(monkeypatch)
     x, y = AffineForm((1, 0), 0), AffineForm((0, 1), 0)
     cell = Cell.try_from_constraints(2, [x, x.negated(), y], [AffineForm((-2, 0), 0)])
-    # One relative-interior solve, in closed form: one variable is free.
-    assert len(calls) == 0 and len(solves) == 1
+    # One variable is free, so the cell is read from its interval: no solve.
+    assert len(calls) == 0 and len(solves) == 0
     assert cell.eqs == (x,) and cell.ineqs == (y,) and cell.dim == 1
 
 

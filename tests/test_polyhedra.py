@@ -98,6 +98,20 @@ def test_constraints_reject_a_form_of_the_wrong_length():
                 build(2, ineqs, eqs)
 
 
+def test_public_constructor_checks_its_point():
+    x, y = AffineForm((1, 0), 0), AffineForm((0, 1), 0)
+    # The point is outside the ray {x >= 0, y = 0}; then it is not strict on
+    # x >= 0, -x >= 0, which cut out a point, not a segment; then it is off
+    # the equality.
+    for ineqs, eqs, point in (([x], [y], (-1, 0)), ([x, x.negated()], [y], (0, 0)),
+                              ([x], [y], (1, QQ(1, 2)))):
+        with pytest.raises(ValueError, match="relative interior"):
+            Cell(2, ineqs, eqs, point)
+    cell = Cell(2, iter([x]), iter([y]), ("1/2", 0))
+    assert cell.dim == 1 and cell.interior_point == (QQ(1, 2), 0)
+    assert cell.canonical_key == mk(2, ge=[((1, 0), 0)], eq=[((0, 1), 0)]).canonical_key
+
+
 def test_empty_cell():
     assert Cell.try_from_constraints(1, [AffineForm((1,), -1), AffineForm((-1,), 0)]) is None
     with pytest.raises(EmptyCellError):
