@@ -27,8 +27,10 @@ from .polyhedra import (
 class WeightedComplex:
     """Pure-dimensional collection of maximal cells with integer weights.
 
-    The empty complex is allowed in every dimension.  Instances are
-    immutable; derived data (ridge lists) is cached.
+    The empty complex is allowed in every dimension.  Every cell must lie
+    in R^ambient_dim; construction raises ValueError, naming the first
+    cell that does not.  Instances are immutable; derived data (ridge
+    lists) is cached.
     """
 
     __slots__ = ("ambient_dim", "dim", "cells", "weights", "_ridges")
@@ -40,6 +42,9 @@ class WeightedComplex:
         self.weights = int_vector(weights)
         if len(self.cells) != len(self.weights):
             raise ValueError("one weight per maximal cell required")
+        for i, cell in enumerate(self.cells):
+            if cell.ambient_dim != ambient_dim:
+                raise ValueError(f"cell {i} lies in R^{cell.ambient_dim}, not in R^{ambient_dim}")
         self._ridges = None
 
     @property
@@ -177,8 +182,6 @@ def validate_complex(c: WeightedComplex) -> Diagnostics:
     """
     problems = []
     for cell in c.cells:
-        if cell.ambient_dim != c.ambient_dim:
-            problems.append(f"cell {cell!r} has wrong ambient dimension")
         if cell.dim != c.dim:
             problems.append(f"cell {cell!r} breaks pure dimension {c.dim}")
     cells = c.cells

@@ -36,7 +36,8 @@ from .polyhedra import (
 
 
 class TropicalPolynomial(namedtuple("TropicalPolynomial", "terms")):
-    """max of integer-affine terms; the value at x is max_t t(x)."""
+    """max of integer-affine terms, all of one length; the value at x is
+    max_t t(x)."""
 
     __slots__ = ()
 
@@ -44,6 +45,10 @@ class TropicalPolynomial(namedtuple("TropicalPolynomial", "terms")):
         terms = tuple(terms)
         if not terms:
             raise ValueError("a tropical polynomial needs at least one term")
+        n = len(terms[0].linear)
+        for i, t in enumerate(terms):
+            if len(t.linear) != n:
+                raise ValueError(f"term {i} has {len(t.linear)} coefficients, term 0 has {n}")
         return super().__new__(cls, terms)
 
     def value(self, x):
@@ -51,11 +56,12 @@ class TropicalPolynomial(namedtuple("TropicalPolynomial", "terms")):
 
 
 class PiecewisePL(namedtuple("PiecewisePL", "pieces")):
-    """Affine forms on a finite cell cover, as (Cell, AffineForm) pieces;
-    forms must agree on overlaps.
+    """Affine forms on a finite cell cover, as (Cell, AffineForm) pieces.
 
     The cover need not be a polyhedral complex, only a collection of cells
-    whose union contains the support the function will be used on.
+    whose union contains the support the function will be used on.  The
+    function must be continuous: construction raises ValueError unless the
+    forms of every two pieces agree on the intersection of their cells.
     """
 
     __slots__ = ()
@@ -64,28 +70,29 @@ class PiecewisePL(namedtuple("PiecewisePL", "pieces")):
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("empty piecewise function")
+        for i, (ci, fi) in enumerate(pieces):
+            for cj, fj in pieces[i + 1:]:
+                common = intersect(ci, cj)
+                if common is None:
+                    continue
+                diff = AffineForm(tuple(a - b for a, b in zip(fi.linear, fj.linear)),
+                                  fi.constant - fj.constant)
+                if not form_vanishes_on(common, diff):
+                    raise ValueError("piecewise forms disagree on an overlap")
         return super().__new__(cls, pieces)
+
+    @classmethod
+    def _continuous(cls, pieces):
+        """The function on pieces made from continuous functions, such as
+        a pull-back or a sum, which agree on overlaps by construction; no
+        pair of pieces is checked."""
+        return super().__new__(cls, tuple(pieces))
 
     def value(self, x):
         for cell, form in self.pieces:
             if cell.contains_point(x):
                 return form.value_at(x)
         raise ValueError("point outside the domain of the piecewise function")
-
-    def check_continuity(self):
-        """Verify forms agree on pairwise intersections of domain cells."""
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                (ci, fi), (cj, fj) = self.pieces[i], self.pieces[j]
-                common = intersect(ci, cj)
-                if common is None:
-                    continue
-                diff = AffineForm(
-                    tuple(a - b for a, b in zip(fi.linear, fj.linear)),
-                    fi.constant - fj.constant)
-                if not form_vanishes_on(common, diff):
-                    raise ValueError("piecewise forms disagree on an overlap")
-        return self
 
 
 class CartierDivisor(namedtuple("CartierDivisor", "rep")):

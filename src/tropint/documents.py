@@ -244,9 +244,10 @@ def _parse_function(data) -> CartierDivisor:
             linear = _int_vector(t.get("linear"), f"{path}.linear")
             constant = _rat_from_json(t.get("constant", 0), f"{path}.constant")
             terms.append(AffineForm(linear, constant))
-        if len({len(t.linear) for t in terms}) != 1:
-            raise DocumentError("$.terms", "terms have inconsistent dimensions")
-        return CartierDivisor(TropicalPolynomial(tuple(terms)))
+        try:
+            return CartierDivisor(TropicalPolynomial(tuple(terms)))
+        except ValueError as exc:
+            raise DocumentError("$.terms", str(exc)) from None
     if ftype == "piecewise":
         raw = data.get("pieces")
         if not isinstance(raw, list) or not raw:
@@ -259,7 +260,7 @@ def _parse_function(data) -> CartierDivisor:
             cell = _parse_cell(entry, len(linear), path)
             pieces.append((cell, AffineForm(linear, constant)))
         try:
-            return CartierDivisor(PiecewisePL(tuple(pieces)).check_continuity())
+            return CartierDivisor(PiecewisePL(tuple(pieces)))
         except ValueError as exc:
             raise DocumentError("$.pieces", str(exc)) from None
     raise DocumentError("$.type", f"unknown function type {ftype!r}")

@@ -51,7 +51,7 @@ def _cone_function_from_ray_values(ray_sets, values):
         if lam is None:
             raise ValueError(f"no integer covector matches values on {rays}")
         pieces.append((cone, AffineForm(lam, 0)))
-    return PiecewisePL(tuple(pieces)).check_continuity()
+    return PiecewisePL(tuple(pieces))
 
 
 def rigid_function() -> CartierDivisor:
@@ -152,7 +152,7 @@ def sawtooth_function() -> CartierDivisor:
         pieces.append((segment_cell(p, q), AffineForm(lam, c)))
     for i in range(4):
         pieces.append((ray_cell(v[i], v[i]), AffineForm((0, 0), heights[i])))
-    return CartierDivisor(PiecewisePL(tuple(pieces)).check_continuity())
+    return CartierDivisor(PiecewisePL(tuple(pieces)))
 
 
 def diagonal_line(n: int = 1) -> Cycle:

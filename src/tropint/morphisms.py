@@ -193,7 +193,7 @@ def pull_back(f, phi) -> CartierDivisor:
             pieces.append((pre, _compose(form, matrix)))
     if not pieces:
         raise ValueError("pull-back has empty domain")
-    return CartierDivisor(PiecewisePL(tuple(pieces)))
+    return CartierDivisor(PiecewisePL._continuous(pieces))
 
 
 def check_projection_formula(f: Morphism, cycle: Cycle, phi) -> bool:

@@ -7,16 +7,17 @@ once, when it is built (:func:`_eliminate`), keeps the primitive rows of
 the elimination as its equalities, and reads its dimension and the lattice
 of its direction space from it.
 
-A cell whose elimination leaves one free variable z, such as a ray, a
-segment or a point cut from a line, is read once as the interval of z its
-inequalities cut out (:func:`_interval_of`).  Its construction, canonical
-form, facets, recession cone and refinement come from that interval and
-the sorted points where forms cross it, with no slack program.  Every other
-geometric predicate is decided exactly by one slack program,
-:func:`_slack_lp`, over an elimination.  It is solved in closed form when
-at most one variable is free, as for the facets of cells of dimension two,
-and otherwise by the rational simplex over the free variables.  There is
-no vertex enumeration anywhere.
+Every geometric predicate comes down to one question: do some
+inequalities have a strict point on the solutions of an elimination?
+:func:`_relint_lp` is the one place it is answered.  When the elimination
+leaves at most one free variable z, as for a ray, a segment, a point cut
+from a line or a facet of a cell of dimension two, the inequalities cut
+out an interval of z (:func:`_interval_of`), and the answer is read from
+it with no program.  Otherwise one slack program, :func:`_slack_lp`,
+decides it by the rational simplex over the free variables.  A cell of
+dimension one also takes its canonical form, facets, recession cone and
+refinement from its interval and the sorted points where forms cross it.
+There is no vertex enumeration anywhere.
 """
 
 from __future__ import annotations
@@ -114,12 +115,13 @@ class Cell:
     may still hold redundant members.  :meth:`canonical_cell` drops them,
     lazily.  On a cell of dimension one it keeps the two forms that bound
     the interval of its free variable (:func:`_interval_of`), and each end
-    of the interval is its facet.  On other cells it solves one slack
-    program per inequality g: "g = 0, the others >= t", an LP only on cells
-    of dimension three or more.  The program keeps g exactly when t > 0,
-    and its point then lies in the relative interior of g's facet.  Either
-    way :meth:`faces_of_codim_one` builds the facets from those points with
-    no further solve.
+    of the interval is its facet.  On other cells it asks
+    :func:`_relint_lp` once per inequality g for a strict point of "g = 0,
+    the others >= 0", read from an interval on cells of dimension two and
+    an LP on cells of dimension three or more.  It keeps g exactly when
+    there is one, and the point then lies in the relative interior of g's
+    facet.  Either way :meth:`faces_of_codim_one` builds the facets from
+    those points with no further solve.
 
     The affine hull has one description.  Every constructor, the public
     one included, eliminates the equalities once (:func:`_eliminate`, whose
@@ -156,7 +158,7 @@ class Cell:
         self.ineqs = tuple(ineqs)
         self.eqs = eqs if eqs is not None else tuple(
             AffineForm(row[:n], row[n]).scaled_primitive() for row in elim[4])
-        self.interior_point = tuple(QQ(x) for x in interior_point)
+        self.interior_point = tuple(interior_point)
         self._elim, self._lattice = elim, lattice
         self._canonical = self._facet_points = self._canonical_cell = None
         self._faces = self._recession = None
@@ -170,19 +172,17 @@ class Cell:
         Eliminates the equalities as given, then reads each inequality as
         its line over their solutions (:func:`_line`).  A constant line
         needs no probe: it is dropped when >= 0 and makes the cell empty
-        when < 0.  When one variable is free the rest bound it to an
-        interval, read with no probe (:meth:`_from_interval`).  Otherwise
-        they are probed for a relative interior point, and implied
-        equalities among them migrate to the equalities, which are then
-        eliminated again.  Every form must have ``ambient_dim``
-        coefficients.
+        when < 0.  The rest are probed for a relative interior point
+        (:func:`_relint_lp`).  When they have no strict point and one
+        variable is free, their interval is a single point, which is the
+        cell.  Otherwise implied equalities among them migrate to the
+        equalities, which are then eliminated again.  Every form must have
+        ``ambient_dim`` coefficients.
         """
         ineqs, eqs = tuple(ineqs), tuple(eqs)
         if any(len(f.linear) != ambient_dim for f in ineqs + eqs):
             raise ValueError(f"a form of the wrong length in R^{ambient_dim}")
         elim = _eliminate(ambient_dim, eqs)
-        if elim is not None and len(elim[1]) == 1:
-            return cls._from_interval(ambient_dim, ineqs, elim)
         cin = _nonconstant(ineqs, elim)
         if cin is None:
             return None
@@ -190,6 +190,9 @@ class Cell:
         if point is None:
             return None
         if slack == 0:
+            if len(elim[1]) <= 1:
+                # The interval of the free variable is one point.
+                return cls._with_hull(ambient_dim, (), point, _point_elimination(point))
             # Only inequalities tight at the best-slack witness can be
             # implied equalities; the rest are strict somewhere already.
             implied, strict = [], []
@@ -205,40 +208,6 @@ class Cell:
                 raise RuntimeError("relative-interior LP found no strict point "
                                    "after moving implied equalities")
         return cls._with_hull(ambient_dim, cin, point, elim)
-
-    @classmethod
-    def _from_interval(cls, ambient_dim, ineqs, elim):
-        """:meth:`try_from_constraints` on the solutions of an elimination
-        with one free variable z, from the interval [lo, hi] of z that the
-        inequalities cut out (:func:`_interval_of`).
-
-        An empty interval gives None.  When lo = hi, the forms that vanish
-        there are implied equalities and the cell is the point at z = lo,
-        with the elimination of that point (:func:`_point_elimination`).
-        Otherwise the inequalities are the nonconstant ones, made primitive
-        and without repeats, and the interior point is where their lines
-        reach the best common slack (:func:`_slack_closed_form`).
-        """
-        lines, box = _interval_of(ineqs, elim)
-        if box is None:
-            return None
-        lo, hi = box
-        if lo is not None and lo == hi:
-            point = _point_at(elim, lo)
-            return cls._with_hull(ambient_dim, (), point, _point_elimination(point))
-        cin, slack, seen = [], [], set()
-        for f, (a, G) in zip(ineqs, lines):
-            if a == 0:
-                continue
-            g = vec_gcd(f.linear)
-            if g > 1:
-                f, a, G = f.scaled_primitive(), a // g, G / g
-            if f.sort_key() not in seen:
-                seen.add(f.sort_key())
-                cin.append(f)
-                slack.append(((a,), G))
-        (z,) = _slack_closed_form((), slack, elim[2]).point
-        return cls._with_hull(ambient_dim, cin, _point_at(elim, z), elim)
 
     @classmethod
     def _with_hull(cls, ambient_dim, ineqs, point, elim, eqs=None, lattice=None):
@@ -546,29 +515,24 @@ def _slack_lp(plain, slack, elim, start=None):
     over the solutions of some equalities, given by their elimination
     ``elim`` (:func:`_eliminate`; None when there is no solution).
 
-    Every form becomes a line over the free variables z (:func:`_line`).  With at
-    most one free variable the program is solved in closed form by
-    :func:`_slack_closed_form`; otherwise the simplex maximizes t over
-    (z, t), with the rows the plain lines, the slack lines and the cap, in
-    this order, and no equality row.  It starts at z0, the free coordinates
-    of ``start`` (a solution where every plain form is >= 0, needed only
-    when there are plain forms) or else 0, and at t0, the least of 1 and
-    the slack lines at z0 over d.  The result carries t as its value and x
-    as its point.
+    Every form becomes a line over the free variables z (:func:`_line`),
+    and the simplex maximizes t over (z, t), with the rows the plain lines,
+    the slack lines and the cap, in this order, and no equality row.  It
+    starts at z0, the free coordinates of ``start`` (a solution where every
+    plain form is >= 0, needed only when there are plain forms) or else 0,
+    and at t0, the least of 1 and the slack lines at z0 over d.  The result
+    carries t as its value and x as its point.
     """
     if elim is None:
         return LPResult(INFEASIBLE)
     c, ws, d, free = elim[:4]
     k = len(ws)
     plain, slack = ([_line(f, elim) for f in fs] for fs in (plain, slack))
-    if k <= 1:
-        res = _slack_closed_form(plain, slack, d)
-    else:
-        z0 = (0,) * k if start is None else tuple(start[j] for j in free)
-        t0 = min([QQ(1)] + [QQ(dot(A, z0) + G, d) for A, G in slack])
-        ineqs = [(A + (0,), -G) for A, G in plain] + [(A + (-d,), -G) for A, G in slack]
-        ineqs.append(((0,) * k + (-1,), -1))
-        res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, start=z0 + (t0,))
+    z0 = (0,) * k if start is None else tuple(start[j] for j in free)
+    t0 = min([QQ(1)] + [QQ(dot(A, z0) + G, d) for A, G in slack])
+    ineqs = [(A + (0,), -G) for A, G in plain] + [(A + (-d,), -G) for A, G in slack]
+    ineqs.append(((0,) * k + (-1,), -1))
+    res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, start=z0 + (t0,))
     if res.status == OPTIMAL:
         z = res.point[:k]
         res.point = tuple(QQ(ci + sum(zj * w[i] for zj, w in zip(z, ws)), d)
@@ -598,13 +562,15 @@ def _interval(lines):
 
 
 def _interval_of(forms, elim):
-    """Inequalities read on the solutions of an elimination with one free
-    variable z (:func:`_eliminate`): each form's line (A, G), with
-    d f(x) = A z + G, and the interval of z they cut out (:func:`_interval`,
-    None when empty).  This is the one reading of a cell of dimension one:
-    its construction, canonical form, facets, recession cone and refinement
-    box all come from it."""
-    c, (w,), d = elim[:3]
+    """Inequalities read on the solutions of an elimination with at most
+    one free variable z (:func:`_eliminate`): each form's line (A, G), with
+    d f(x) = A z + G and A = 0 when no variable is free, and the interval
+    of z they cut out (:func:`_interval`, None when empty).  This is the
+    one reading of a system with at most one free variable: the decision
+    of :func:`_relint_lp`, and the canonical form, facets, recession cone
+    and refinement box of a cell of dimension one, all come from it."""
+    c, ws, d = elim[:3]
+    (w,) = ws or ((0,) * len(c),)
     lines = [(dot(f.linear, w),
               QQ(dot(f.linear, c) * f.constant.denominator + d * f.constant.numerator,
                  f.constant.denominator)) for f in forms]
@@ -612,12 +578,26 @@ def _interval_of(forms, elim):
 
 
 def _point_at(elim, z):
-    """The point x = (c + z w) / d of an elimination with one free
+    """The point x = (c + z w) / d of an elimination with at most one free
     variable (:func:`_eliminate`) at a rational z, one fraction a
-    coordinate."""
-    c, (w,), d = elim[:3]
+    coordinate; c / d when no variable is free."""
+    c, ws, d = elim[:3]
+    (w,) = ws or ((0,) * len(c),)
     p, q = z.numerator, z.denominator
     return tuple(QQ(ci * q + p * wi, q * d) for ci, wi in zip(c, w))
+
+
+def _interval_point(elim, lo, hi):
+    """The point of an elimination with at most one free variable z
+    (:func:`_eliminate`) that stands for the interval [lo, hi] of z, None
+    on an unbounded side (:func:`_point_at`): z at the midpoint, one step
+    from the finite end when one side is unbounded, or 0 when both are,
+    which is c / d when no variable is free."""
+    if lo is None or hi is None:
+        z = QQ(0) if lo is None and hi is None else hi - 1 if lo is None else lo + 1
+    else:
+        z = (lo + hi) / 2
+    return _point_at(elim, z)
 
 
 def _point_elimination(point):
@@ -633,58 +613,34 @@ def _point_elimination(point):
     return P, (), D, (), rows
 
 
-def _slack_closed_form(plain, slack, d):
-    """The slack program of :func:`_slack_lp` on the lines (A, G) of at most
-    one free variable z, solved without the simplex: plain lines
-    A z + G >= 0 and slack lines A z + G >= d t, with t <= 1.
-
-    The plain lines bound z to an interval, and the slack lines with A = 0
-    fold into the cap d t <= min(d, G).  The lowest increasing line meets
-    the lowest decreasing one at max_u min_d z_ud, which maximizes the
-    concave minimum of the lines; with lines of one slope sign only, the
-    first z where all of them reach the cap does.  Clamped into the
-    interval, z maximizes t.  The point of the result is (z,), whatever the
-    number of free variables.
-    """
-    box = _interval([(A[0] if A else 0, G) for A, G in plain])
-    if box is None:
-        return LPResult(INFEASIBLE)
-    cap, up, down = d, [], []
-    for A, G in slack:
-        A = A[0] if A else 0
-        if A > 0:
-            up.append((A, G))
-        elif A < 0:
-            down.append((A, G))
-        elif G < cap:
-            cap = G
-    if up and down:
-        z = max(min((Gd - Gu) / (Au - Ad) for Ad, Gd in down) for Au, Gu in up)
-    elif up:
-        z = max((cap - G) / A for A, G in up)
-    elif down:
-        z = min((cap - G) / A for A, G in down)
-    else:
-        z = QQ(0)
-    lo, hi = box
-    if lo is not None and z < lo:
-        z = lo
-    if hi is not None and z > hi:
-        z = hi
-    value = min([cap] + [A * z + G for A, G in up + down])
-    return LPResult(OPTIMAL, QQ(value, d), (z,))
-
-
 def _relint_lp(ineqs, elim):
-    """Point with all inequalities at slack >= t0 for the best t0 <= 1, on
-    the solutions of the elimination ``elim``.
+    """Whether the inequalities have a strict point on the solutions of the
+    elimination ``elim``: (point, t) with a common point, or (None, None)
+    when they have none.  Callers read only the sign of t: t > 0 certifies
+    that every inequality is strict at the point, which is then relatively
+    interior, and t = 0 that some inequality vanishes on every common
+    point.
 
-    Returns (point, t0) or (None, None) when infeasible.  t0 > 0 certifies
-    that no inequality is an implied equality and the point is relatively
-    interior.  With no inequality there is nothing to solve: the solution
-    with z = 0 is interior at t0 = 1.
+    With at most one free variable z the lines of the inequalities are
+    read once (:func:`_interval_of`), with no program.  A strict point
+    exists exactly when every constant line is > 0 and the interval of z
+    has lo < hi or an unbounded side; t is then 1, else 0, and the point is
+    :func:`_interval_point`.  Otherwise one slack program
+    (:func:`_slack_lp`) gives the best t <= 1 and a point where every
+    inequality is >= t, or the solution with z = 0 and t = 1 when there is
+    no inequality.
     """
-    if elim is not None and not ineqs:
+    if elim is None:
+        return None, None
+    if len(elim[1]) <= 1:
+        lines, box = _interval_of(ineqs, elim)
+        if box is None:
+            return None, None
+        lo, hi = box
+        strict = (all(G > 0 for A, G in lines if A == 0)
+                  and (lo is None or hi is None or lo < hi))
+        return _interval_point(elim, lo, hi), QQ(1) if strict else QQ(0)
+    if not ineqs:
         c, _, d = elim[:3]
         return tuple(QQ(x, d) for x in c), QQ(1)
     res = _slack_lp((), ineqs, elim)
@@ -778,9 +734,10 @@ def collect_hyperplanes(cells) -> tuple:
 
 def _hull_box(cell):
     """The elimination of the cell's equalities and the bounds (lo_j, hi_j)
-    of each free variable z_j over the cell, None on an unbounded side: the
-    interval the lines of the inequalities cut out for one free variable,
-    else two LPs per variable from the interior point."""
+    of each free variable z_j over the cell, None on an unbounded side: on
+    a cell of dimension one the interval of its free variable
+    (:func:`_interval_of`), with no program, and on other cells two LPs per
+    variable from the interior point."""
     elim = cell._elim
     k = len(elim[1])
     if k == 1:
@@ -878,12 +835,12 @@ def _refine_interval(cell, forms, elim, box):
     crossings strictly inside (lo, hi), sorted and without repeats, are the
     cuts.  The pieces are the intervals between consecutive cuts and the
     ends.  Each piece adds to the cell's inequalities the first form that
-    crosses at each of its inner ends, oriented to be >= 0 on the piece;
-    its interior point is the midpoint, or one step from its cut on an
-    unbounded side.  The rank r of a crossing is the number of pieces
-    below it: the index of its cut plus one, 0 at or below lo, and m + 1
-    at or above hi, for m cuts.  So the form's sign on piece i is sign(A)
-    when i >= r and -sign(A) otherwise; a form with A = 0 keeps sign(G).
+    crosses at each of its inner ends, oriented to be >= 0 on the piece,
+    and takes the point of its interval (:func:`_interval_point`).  The
+    rank r of a crossing is the number of pieces below it: the index of its
+    cut plus one, 0 at or below lo, and m + 1 at or above hi, for m cuts.
+    So the form's sign on piece i is sign(A) when i >= r and -sign(A)
+    otherwise; a form with A = 0 keeps sign(G).
     """
     lo, hi = box
     lines = []
@@ -914,10 +871,8 @@ def _refine_interval(cell, forms, elim, box):
             ineqs += (above[i],)
         if i < m:
             ineqs += (above[i + 1].negated(),)
-        left, right = cuts[i - 1] if i else lo, cuts[i] if i < m else hi
-        z = right - 1 if left is None else left + 1 if right is None else (left + right) / 2
-        pieces.append((cell._replace_geometry(ineqs=ineqs, interior_point=_point_at(elim, z)),
-                       signs(i)))
+        point = _interval_point(elim, cuts[i - 1] if i else lo, cuts[i] if i < m else hi)
+        pieces.append((cell._replace_geometry(ineqs=ineqs, interior_point=point), signs(i)))
     return pieces
 
 

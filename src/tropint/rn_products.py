@@ -27,8 +27,10 @@ d M^-1 applied to (0, E_tau v), once per pair of lattices and v.  The
 pair counts when every inequality of sigma tight at p is positive on a
 and every one of tau tight at p is positive on -b, and only then is its
 point built as a cell.  For m > 0 the meeting cell rho is built by
-:func:`~tropint.polyhedra.intersect` and the cones are compared by a slack
-program; the closed form is its case m = 0.
+:func:`~tropint.polyhedra.intersect` and whether the cones meet is asked
+of :func:`~tropint.polyhedra._relint_lp`: read from an interval with no
+program when m = 1, as for two surfaces in R^3, and by one slack program for
+m >= 2.
 
 A displacement v on the wall of a pair (its cones then meet only on their
 boundaries) tells nothing, and the next v is tried.  The candidates run
@@ -211,13 +213,15 @@ def _displaced(meets, v):
     1 when there is none, plays the part of t below, and a pair that
     counts becomes the point cell on the equalities of sigma and tau.
 
-    For m > 0 the slack program asks for x with the inequalities of sigma
-    tight at p and those of tau tight at p, shifted by v, all >= t, on the
-    equalities of sigma and the shifted ones of tau, with p the interior
-    point of rho.  These cut out the tangent cones with apexes p and
-    p + v, so t > 0 exactly when their relative interiors meet, t = 0 when
-    they meet only on their boundaries, and there is no point, or t < 0,
-    when they are disjoint.
+    For m > 0, :func:`~tropint.polyhedra._relint_lp` asks for x with the
+    inequalities of sigma tight at p and those of tau tight at p, shifted
+    by v, all >= t, on the equalities of sigma and the shifted ones of tau,
+    with p the interior point of rho.  These cut out the tangent cones with
+    apexes p and p + v, so t > 0 exactly when their relative interiors
+    meet, t = 0 when they meet only on their boundaries, and there is no
+    point when they are disjoint.  The equalities leave m free variables,
+    so for m = 1 the answer is read from an interval, with no slack
+    program.
     """
     entries, parts = [], {}
     for meet in meets:

@@ -839,8 +839,9 @@ def diagonal_stable_intersect(c, d):
 
 def _cells_meet(sigma, tau) -> bool:
     """Whether two closed cells of one R^n meet; two cones meet at the
-    origin, anything else takes one feasibility program, solved in closed
-    form when the equalities of both leave at most one free variable."""
+    origin, anything else takes one feasibility question
+    (``polyhedra._relint_lp``), read from an interval with no program when
+    the equalities of both leave at most one free variable."""
     forms = sigma.ineqs + sigma.eqs + tau.ineqs + tau.eqs
     if all(f.constant == 0 for f in forms):
         return True
@@ -1053,7 +1054,7 @@ def pl_add(a, b):
             if common is not None:
                 pieces.append((common, AffineForm(vec_add(pa.linear, pb.linear),
                                                   pa.constant + pb.constant)))
-    return PiecewisePL(tuple(pieces))
+    return PiecewisePL._continuous(pieces)
 
 
 def pl_negate(a):
@@ -1061,9 +1062,9 @@ def pl_negate(a):
     if isinstance(f, TropicalPolynomial) and len(f.terms) == 1:
         t = f.terms[0]
         return TropicalPolynomial((AffineForm(tuple(-x for x in t.linear), -t.constant),))
-    return PiecewisePL(tuple(
+    return PiecewisePL._continuous(
         (cell, AffineForm(tuple(-x for x in form.linear), -form.constant))
-        for cell, form in _pieces_of(f)))
+        for cell, form in _pieces_of(f))
 
 
 def pl_scale(a, m: int):
@@ -1073,9 +1074,9 @@ def pl_scale(a, m: int):
     if isinstance(f, TropicalPolynomial):
         return TropicalPolynomial(tuple(
             AffineForm(vec_scale(m, t.linear), m * t.constant) for t in f.terms))
-    return PiecewisePL(tuple(
+    return PiecewisePL._continuous(
         (cell, AffineForm(vec_scale(m, form.linear), m * form.constant))
-        for cell, form in f.pieces))
+        for cell, form in f.pieces)
 
 
 def _pieces_of(f):
@@ -1118,7 +1119,7 @@ def tent_function_on_line() -> CartierDivisor:
         (segment_cell((0, 0), (1, 1)), AffineForm((1, 0), 0)),
         (ray_cell((1, 1), (1, 1)), AffineForm((0, 0), 1)),
     )
-    return CartierDivisor(PiecewisePL(pieces).check_continuity())
+    return CartierDivisor(PiecewisePL(pieces))
 
 
 def bump_function_on_r1() -> CartierDivisor:
@@ -1128,7 +1129,7 @@ def bump_function_on_r1() -> CartierDivisor:
         (segment_cell((0,), (1,)), AffineForm((1,), 0)),
         (Cell.from_constraints(1, [AffineForm((1,), -1)]), AffineForm((0,), 1)),
     )
-    return CartierDivisor(PiecewisePL(pieces).check_continuity())
+    return CartierDivisor(PiecewisePL(pieces))
 
 
 def origin_cycle(n: int, weight: int = 1) -> Cycle:

@@ -5,7 +5,9 @@ A fresh ``python -B`` process builds the seed-201 round of each workload
 from ``bench/workloads.py``, runs it once to warm up, and counts the calls
 of ``polyhedra._slack_lp``, ``polyhedra._eliminate`` and the
 implied-equality probe ``polyhedra._max_capped`` over a second
-round, rebound in every tropint module that holds them.  A round does the
+round, rebound in every tropint module that holds them, and among the
+slack programs those whose elimination leaves fewer than two free
+variables, which ``polyhedra._relint_lp`` reads from an interval instead.  A round does the
 same work every time (``test_bench_rounds.py``), so the counts are exact
 gates: work that moves or grows shows here before it shows in a timing.
 """
@@ -25,6 +27,8 @@ import tropint, tropint.polyhedra as polyhedra
 def counted(real, counts):
     def wrapper(*args, **kwargs):
         counts[real.__name__] += 1
+        if real.__name__ == "_slack_lp" and (args[2] is None or len(args[2][1]) < 2):
+            counts["_slack_lp k<2"] += 1
         return real(*args, **kwargs)
     return wrapper
 
@@ -34,7 +38,7 @@ for workload in sys.argv[3:]:
     workloads.warm_up()
     for op in ops:
         op.run()
-    counts = dict.fromkeys(["_slack_lp", "_eliminate", "_max_capped"], 0)
+    counts = dict.fromkeys(["_slack_lp", "_slack_lp k<2", "_eliminate", "_max_capped"], 0)
     bound = []
     for real in (polyhedra._slack_lp, polyhedra._eliminate, polyhedra._max_capped):
         wrapper = counted(real, counts)
@@ -61,13 +65,15 @@ print(json.dumps(out))
 # and sign tests, and only a pair that counts is eliminated, as its point.
 # A cell with one free variable is built, canonicalized and cut into facets
 # from the interval of that variable, and so is its recession cone: no slack
-# program, no probe, and a point's elimination is written down.  The slack
-# programs left in curve-arith are the linearity-region splits of
-# divisors._split_one.
+# program, no probe, and a point's elimination is written down.  Every
+# system with at most one free variable, such as a facet of a cell of
+# dimension two or a linearity region of divisors._split_one on a curve, is
+# decided from its interval, so no slack program has fewer than two free
+# variables.
 _COUNTS = {
-    "plane-intersect": {"_slack_lp": 0, "_eliminate": 66, "_max_capped": 0},
-    "curve-arith": {"_slack_lp": 42, "_eliminate": 98, "_max_capped": 0},
-    "space-chain": {"_slack_lp": 756, "_eliminate": 598, "_max_capped": 16},
+    "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 66, "_max_capped": 0},
+    "curve-arith": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 98, "_max_capped": 0},
+    "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 598, "_max_capped": 16},
 }
 
 

@@ -1,22 +1,29 @@
-"""Closed-form slack programs against the simplex.
+"""Systems with at most one free variable, read from their interval, and
+slack programs, against the reference simplex.
 
-``polyhedra._slack_lp`` takes the elimination of its equalities and solves
-every program that leaves at most one free variable without the simplex.  On random
-programs of that shape, some with the equalities of a cell, it must give
-the status and value of the two-phase reference simplex
-(``oracles.reference_lp_max``), and its point must be exact, satisfy every
-row and attain the value; so must the one-phase simplex on the programs
-that leave more variables free.  The box of a cell of dimension one, read
-from the lines of its inequalities, must be the one two LPs per side give.
-Sums, equality, push-forward and the projection formula of plane curves
-then run no LP at all, and no equality ever reaches the simplex.
+``polyhedra._relint_lp`` decides whether inequalities have a strict point
+on the solutions of an elimination.  When the elimination leaves at most
+one free variable it reads the interval of that variable and solves
+nothing.  On random such systems, some with the equalities of a point, a
+segment, a ray or a line, some empty, some a single point and some with a
+constant row that is zero, it must agree with the two-phase reference
+simplex (``oracles.reference_lp_max``) on the emptiness of the system and
+the sign of the best slack, and its point must be exact, satisfy every row
+and be strict for every inequality when the slack is positive.  On
+programs that leave two or more variables free, ``polyhedra._slack_lp``
+must give the status and value of the reference, and its point must be
+exact, satisfy every row and attain the value.  The box of a cell of
+dimension one, read from the lines of its inequalities, must be the one
+two LPs per side give.  Sums, equality, push-forward and the projection
+formula of plane curves then run no LP at all, and no equality ever
+reaches the simplex.
 """
 
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import reference_lp_max
 from test_faces import _count_lps
@@ -43,18 +50,20 @@ def _form(n):
 
 
 @st.composite
-def programs(draw):
-    """(n, plain, slack, eqs, start) over Q^n, n <= 3, with at least n - 1
-    equalities: some repeated or scaled (so a variable may stay free after
-    all), some contradicting another, some constant rows.
+def programs(draw, low=True):
+    """(n, plain, slack, eqs, start) over Q^n: with ``low``, n <= 3 and at
+    least n - 1 equalities, else n in {2, 3} and at most n - 2 of them.
+    Some equalities are repeated or scaled (so with ``low`` a variable may
+    stay free after all), some contradict another; some rows are constant.
 
     When the equalities leave two or more variables free, the simplex needs
     a start: the point drawn first, at which the equalities and plain rows
     are then shifted to hold (a plain row it breaks becomes tight there).
     Otherwise start is None, and the plain rows may be infeasible."""
-    n = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3) if low else st.integers(2, 3))
     p = draw(st.tuples(*[_x] * n))
-    eqs = draw(st.lists(_form(n), min_size=max(0, n - 1), max_size=n))
+    eqs = draw(st.lists(_form(n), min_size=max(0, n - 1) if low else 0,
+                        max_size=n if low else n - 2))
     if eqs and draw(st.booleans()):
         e = draw(st.sampled_from(eqs))
         kind = draw(st.sampled_from(("repeat", "scale", "shift")))
@@ -110,17 +119,23 @@ def _check_point(res, plain, slack, eqs):
     assert min([QQ(1)] + [f.value_at(x) for f in slack]) == res.value
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(programs())
-def test_closed_form_matches_simplex(program):
+def _free(n, eqs):
+    """The number of variables consistent equalities leave free, or None
+    when they are inconsistent."""
+    rank = mat_rank([f.linear for f in eqs]) if eqs else 0
+    if eqs and mat_rank([f.linear + (f.constant,) for f in eqs]) != rank:
+        return None
+    return n - rank
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(programs(low=False))
+def test_simplex_matches_reference(program):
     n, plain, slack, eqs, start = program
     with _spy() as spy:
         res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, eqs), start)
-    rank = mat_rank([f.linear for f in eqs]) if eqs else 0
-    consistent = not eqs or mat_rank([f.linear + (f.constant,) for f in eqs]) == rank
-    # The simplex runs only when consistent equalities leave two variables
-    # free.
-    assert spy.call_count == (1 if consistent and n - rank > 1 else 0)
+    # The simplex runs exactly when the equalities are consistent.
+    assert spy.call_count == (_free(n, eqs) is not None)
     status, value, _ = _reference(n, plain, slack, eqs)
     assert status != UNBOUNDED
     assert (res.status, res.value) == (status, value)
@@ -148,20 +163,48 @@ def low_cells(draw):
     return Cell.from_constraints(n, (), ray_cell(p, d).eqs)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_closed_form_on_a_hull_matches_simplex(data):
-    cell = data.draw(low_cells())
-    n = cell.ambient_dim
-    plain = list(cell.ineqs) + data.draw(st.lists(_form(n), max_size=2))
-    slack = data.draw(st.lists(_form(n), max_size=4))
+@st.composite
+def low_systems(draw):
+    """(n, ineqs, eqs) with at most one free variable: the rows of a
+    program, or the equalities of a low cell with its inequalities, up to
+    two more forms, the opposite side of one of them, shifted by 0 (a
+    single point) or -1 (empty), and perhaps an equality shifted into a
+    constant row, zero, positive or negative."""
+    if draw(st.booleans()):
+        n, plain, slack, eqs, _ = draw(programs())
+        assume(_free(n, eqs) is None or _free(n, eqs) <= 1)
+        return n, plain + slack, eqs
+    cell = draw(low_cells())
+    n, eqs = cell.ambient_dim, list(cell.eqs)
+    ineqs = list(cell.ineqs) + draw(st.lists(_form(n), max_size=2))
+    if ineqs and draw(st.booleans()):
+        f = draw(st.sampled_from(ineqs))
+        ineqs.append(AffineForm(tuple(-a for a in f.linear),
+                                -f.constant + draw(st.sampled_from((0, -1)))))
+    if draw(st.booleans()):
+        e = draw(st.sampled_from(eqs))
+        ineqs.append(AffineForm(e.linear, e.constant + draw(st.sampled_from((0, 0, 1, -1)))))
+    return n, draw(st.permutations(ineqs)), eqs
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(low_systems())
+def test_relint_reads_low_systems_from_their_interval(system):
+    n, ineqs, eqs = system
     with _spy() as spy:
-        res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, cell.eqs))
+        point, t = polyhedra._relint_lp(ineqs, polyhedra._eliminate(n, eqs))
     assert not spy.called
-    status, value, _ = _reference(n, plain, slack, cell.eqs)
-    assert (res.status, res.value) == (status, value)
-    if res.status == OPTIMAL:
-        _check_point(res, plain, slack, cell.eqs)
+    status, value, _ = _reference(n, (), ineqs, eqs)
+    assert status != UNBOUNDED
+    assert (point is None) == (status == INFEASIBLE or value < 0)
+    if point is None:
+        assert t is None
+        return
+    assert type(t) is Fraction and t in (0, 1)
+    assert (t > 0) == (value > 0)
+    assert all(type(x) is Fraction for x in point)
+    assert all(f.value_at(point) == 0 for f in eqs)
+    assert all(f.value_at(point) > 0 if t > 0 else f.value_at(point) >= 0 for f in ineqs)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -96,6 +96,11 @@ def test_weighted_complex_rejects_non_integer_weights():
     assert cx.weights == (2,) and type(cx.weights[0]) is int
 
 
+def test_weighted_complex_rejects_a_cell_of_another_ambient_space():
+    with pytest.raises(ValueError, match="cell 1 lies in R\\^3, not in R\\^2"):
+        WeightedComplex(2, 0, [point_cell((0, 0)), point_cell((0, 0, 0))], [1, 1])
+
+
 def test_normal_vector_ray_over_origin():
     nv = normal_vector(ray(-1, 0), point_cell((0, 0)))
     assert nv.representative == (-1, 0)

@@ -129,12 +129,11 @@ def test_r0_empty_inputs_and_complementary_defect():
 
 # Slack programs of stable_intersect on the inputs of
 # test_diagonal_locality.test_lp_budget; the diagonal route takes 414, 50,
-# 237 and 534 there, and 66, 12, 190 and 510 LPs.  In complementary
-# dimension the pairs are decided by integer solves and sign tests.  In
-# L32.L32 every pairwise intersection has one free variable and is read
-# from its interval; the 24 left are the tangent-cone programs of
-# _displaced.
-_SLACK_BUDGET = {"conic.conic": 0, "L31.(L32+v)": 0, "L31.L32": 0, "L32.L32": 24}
+# 237 and 534 there, and 66, 12, 190 and 510 LPs; stable_intersect takes
+# none.  In complementary dimension the pairs are decided by integer solves
+# and sign tests.  In L32.L32 every pairwise intersection and every pair of
+# tangent cones of _displaced leaves one free variable and is read from its
+# interval.
 
 _INPUTS = [
     ("conic.conic", lambda: (_fresh(conic_curve()), _fresh(conic_curve()))),
@@ -150,8 +149,7 @@ def test_no_lp_and_slack_budget(monkeypatch, name, make):
     c, d = make()
     lps, solves = _count_lps(monkeypatch), _count_slack_solves(monkeypatch)
     stable_intersect(c, d)
-    assert not lps
-    assert len(solves) <= _SLACK_BUDGET[name]
+    assert not lps and not solves
 
 
 def _count_pair_work(monkeypatch):
@@ -173,11 +171,11 @@ def test_complementary_dimension_builds_only_the_output_points(monkeypatch, name
     assert len(eliminations) == len(got.complex.cells) == _POINTS[name]
 
 
-def test_excess_dimension_keeps_the_slack_programs(monkeypatch):
+def test_excess_dimension_takes_no_slack_program(monkeypatch):
     c, d = dict(_INPUTS)["L32.L32"]()
     solves, eliminations, intersections = _count_pair_work(monkeypatch)
     stable_intersect(c, d)
-    assert (len(solves), len(eliminations), len(intersections)) == (24, 54, 30)
+    assert (len(solves), len(eliminations), len(intersections)) == (0, 54, 30)
 
 
 _exponent = st.tuples(st.integers(0, 3), st.integers(0, 3))

@@ -37,7 +37,7 @@ from tropint.library import (
     rigid_surface,
     sawtooth_function,
 )
-from tropint.polyhedra import AffineForm, cone_from_rays, point_cell
+from tropint.polyhedra import AffineForm, cone_from_rays, point_cell, ray_cell
 
 
 def test_pl_values():
@@ -69,6 +69,22 @@ def test_linearize_diagonal_split():
     psi = TropicalPolynomial((AffineForm((0, 0), 0), AffineForm((1, -1), 0)))
     refined, (forms,) = linearize_many([psi], rn_cycle(2).complex)
     assert len(refined.cells) == 2
+
+
+def test_discontinuous_function_is_rejected_when_built():
+    # x on the ray along (1, 0) and 1 on the ray along (-1, 0) jump at the
+    # origin; unchecked, its divisor on the x-axis was a point of weight 1.
+    pieces = ((ray_cell((0, 0), (1, 0)), AffineForm((1, 0), 0)),
+              (ray_cell((0, 0), (-1, 0)), AffineForm((0, 0), 1)))
+    with pytest.raises(ValueError, match="disagree on an overlap"):
+        PiecewisePL(pieces)
+    # Agreeing at the origin, the same rays carry a function.
+    assert PiecewisePL(pieces[:1] + ((pieces[1][0], AffineForm((0, 0), 0)),))
+
+
+def test_polynomial_terms_of_different_lengths_are_rejected():
+    with pytest.raises(ValueError, match="term 2 has 1 coefficients, term 0 has 2"):
+        TropicalPolynomial((AffineForm((1, 0), 0), AffineForm((0, 1), 0), AffineForm((1,), 0)))
 
 
 def test_linearize_undefined_domain_errors():

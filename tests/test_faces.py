@@ -113,7 +113,7 @@ def _count_lps(monkeypatch):
 
 
 def _count_slack_solves(monkeypatch):
-    """Count ``polyhedra._slack_lp`` solves, in closed form or by the simplex."""
+    """Count ``polyhedra._slack_lp`` programs."""
     calls = []
     real = polyhedra._slack_lp
 

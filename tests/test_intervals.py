@@ -11,8 +11,11 @@ rational references of ``tests/oracles.py``: emptiness and dimension by the
 two-phase reference simplex, the canonical key and the faces by their
 general constructions, and the recession cone by the boundedness of +w and
 -w.  A point's elimination, written down, must be the one ``_eliminate``
-computes.
+computes.  Every interior point is a tuple of ``Fraction``s as built, with
+no conversion by the cell.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +139,8 @@ def test_one_free_variable_matches_the_references(system):
     assert cone.contains_point(tuple(-x for x in w)) == (ends[1][0] == UNBOUNDED)
     assert cone.dim == (0 if all(st_ == OPTIMAL for st_, _, _ in ends) else 1)
     assert relative_interior_contains(cone, cone.interior_point)
+    for c in (cell, cell.canonical_cell(), cone, *faces):
+        assert all(type(x) is Fraction for x in c.interior_point)
     # Its elimination is that of the homogenized equalities, with w . x = 0
     # when it is the origin.
     hull = [AffineForm(f.linear, 0) for f in cell.eqs] + ([] if cone.dim else [AffineForm(w, 0)])

@@ -148,6 +148,26 @@ def test_malformed_document_is_a_parse_error(name, capsys, tmp_path):
     assert captured.out == "" and "expected" in captured.err
 
 
+_INCONSISTENT_FUNCTIONS = {
+    # x on the ray along (1, 0), 1 on the ray along (-1, 0): a jump at 0.
+    "jump": ({"kind": "function", "type": "piecewise", "pieces": [
+        {"ineqs": [[1, 0, 0]], "eqs": [[0, 1, 0]], "linear": [1, 0], "constant": 0},
+        {"ineqs": [[-1, 0, 0]], "eqs": [[0, 1, 0]], "linear": [0, 0], "constant": 1}]},
+        r"^\$\.pieces: piecewise forms disagree on an overlap$"),
+    "term-lengths": ({"kind": "function", "type": "max_affine",
+                      "terms": [{"linear": [1, 0]}, {"linear": [1]}]},
+                     r"^\$\.terms: term 1 has 1 coefficients, term 0 has 2$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INCONSISTENT_FUNCTIONS))
+def test_inconsistent_function_is_a_parse_error(name):
+    # The constructors reject these; the parser names the field.
+    data, message = _INCONSISTENT_FUNCTIONS[name]
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(data))
+
+
 def test_empty_product_of_negative_dimension_roundtrips(tmp_path):
     # A point and a line in R^3 meet stably in the empty cycle of dimension
     # 0 + 1 - 3 = -2, which reads back as it was written.
