@@ -62,6 +62,8 @@ class PiecewisePL(namedtuple("PiecewisePL", "pieces")):
     whose union contains the support the function will be used on.  The
     function must be continuous: construction raises ValueError unless the
     forms of every two pieces agree on the intersection of their cells.
+    Two pieces with equal forms agree anywhere, and their cells are not
+    intersected.
     """
 
     __slots__ = ()
@@ -72,6 +74,8 @@ class PiecewisePL(namedtuple("PiecewisePL", "pieces")):
             raise ValueError("empty piecewise function")
         for i, (ci, fi) in enumerate(pieces):
             for cj, fj in pieces[i + 1:]:
+                if fi == fj:
+                    continue
                 common = intersect(ci, cj)
                 if common is None:
                     continue

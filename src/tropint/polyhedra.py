@@ -665,9 +665,30 @@ def _max_capped(form, ineqs, elim, start):
 
 
 def strict_point(cell, form) -> tuple | None:
-    """A point of the cell with form > 0, or None if form <= 0 on the cell."""
-    res = _max_capped(form, cell.ineqs, cell._elim, cell.interior_point)
-    return res.point if res.value > 0 else None
+    """A point of the cell with form > 0, or None if form <= 0 on the cell.
+
+    On a cell of dimension at most one the form's line A z + G is read over
+    the interval [lo, hi] of the free variable (:func:`_interval_of`) with
+    no program: its maximum is at hi when A > 0 and at lo when A < 0, it
+    is positive somewhere when that side is unbounded, and it is G when
+    A = 0.  Other cells take one capped slack program (:func:`_max_capped`).
+    """
+    elim = cell._elim
+    if cell.dim > 1:
+        res = _max_capped(form, cell.ineqs, elim, cell.interior_point)
+        return res.point if res.value > 0 else None
+    ((A, G),), _ = _interval_of((form,), elim)
+    if A == 0:
+        return cell.interior_point if G > 0 else None
+    lo, hi = _interval_of(cell.ineqs, elim)[1]
+    z, other = (hi, lo) if A > 0 else (lo, hi)
+    if z is None:
+        # The line grows without bound on this side: one step past its root,
+        # or the other end if that lies further out, is a strict point.
+        z = -G / A + (1 if A > 0 else -1)
+        if other is not None and (other - z) * A > 0:
+            z = other
+    return _point_at(elim, z) if A * z + G > 0 else None
 
 
 def form_vanishes_on(cell, form) -> bool:

@@ -17,16 +17,22 @@ L_tau].  The contributions of all pairs, added on a common refinement,
 give the product.  No cell of R^2n is built and no divisor is cut.
 
 In complementary dimension, m = 0, the rule is linear algebra over Z and
-builds no cell per pair.  The linear parts of the equalities of sigma and
-tau stack to an invertible integer matrix M, inverted once per pair of
-lattices as d M^-1 with d > 0 (one :func:`~tropint.kernel.echelon`).  The
-two affine hulls meet in the one point p = P / D, with P and D integers,
-and an inequality a . x + r / q >= 0 has the sign of q (a . P) + r D
-there.  A v splits as v = a + b, a in L_sigma and b in L_tau, and d a is
-d M^-1 applied to (0, E_tau v), once per pair of lattices and v.  The
-pair counts when every inequality of sigma tight at p is positive on a
+builds no cell per pair.  The saturated bases of L_sigma and L_tau stack
+to a square integer matrix B, and one :func:`~tropint.kernel.echelon` of
+[B | I] per pair of lattices tells whether they span R^n (B has rank n)
+and gives the index d = |det B| and d B^-1.  The sigma-columns of d B^-1,
+multiplied back by sigma's basis, are the integer matrix C = d pi, for pi
+the projection onto L_sigma along L_tau.  A v splits as v = a + b, a in
+L_sigma and b in L_tau, with d a = v C.  The two affine hulls meet in the
+one point p = P / (d L): with the interior points of sigma and tau written
+Q_sigma / L and Q_tau / L, P = d Q_sigma + (Q_tau - Q_sigma) C.  An
+inequality a . x + r / q >= 0 has the sign of q (a . P) + r d L there.
+The pair counts when every inequality of sigma tight at p is positive on a
 and every one of tau tight at p is positive on -b, and only then is its
-point built as a cell.  For m > 0 the meeting cell rho is built by
+point written down as a cell, with no elimination.
+
+For m > 0 the index is read from a Hermite normal form of the stacked
+bases, the meeting cell rho is built by
 :func:`~tropint.polyhedra.intersect` and whether the cones meet is asked
 of :func:`~tropint.polyhedra._relint_lp`: read from an interval with no
 program when m = 1, as for two surfaces in R^3, and by one slack program for
@@ -68,6 +74,7 @@ from .polyhedra import (
     AffineForm,
     Cell,
     _eliminate,
+    _point_elimination,
     _relint_lp,
     collect_hyperplanes,
     intersect,
@@ -89,9 +96,10 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     """Intersection product of cycles in the same R^n, by the fan
     displacement rule (see the module docstring).
 
-    In complementary dimension each pair of cells is decided by integer
-    solves and sign tests at the one point where their affine hulls meet,
-    and only the pairs that count become cells; in excess dimension the
+    In complementary dimension each pair of cells is decided by sign tests
+    at the one point where their affine hulls meet, read from one integer
+    inverse per pair of lattices (:class:`_Inverse`), and only the points
+    of the pairs that count become cells; in excess dimension the
     pairs meet in cells built by :func:`~tropint.polyhedra.intersect`.
     Empty in dimensions below zero (complementary defect); always balanced.
     """
@@ -105,87 +113,93 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     meets, spans = [], {}
     for sigma, ws in zip(a.cells, a.weights):
         for tau, wt in zip(b.cells, b.weights):
-            # The index depends only on the two direction lattices, and most
-            # pairs of cells repeat the lattices of an earlier pair.  So does
-            # the inverse of their stacked equalities: a cell's equalities
-            # are the primitive rows of its elimination, whose linear parts
-            # depend only on its direction lattice.
+            # What the rule reads from a pair of cells' lattices depends only
+            # on the lattices, and most pairs repeat those of an earlier pair.
             lattices = (sigma.direction_lattice.vectors, tau.direction_lattice.vectors)
             if lattices not in spans:
-                index = _span_index(sigma, tau)
-                inverse = _Inverse.of(sigma, tau) if m == 0 and index is not None else None
-                spans[lattices] = index, inverse
-            index, inverse = spans[lattices]
-            if index is None:
+                spans[lattices] = (_Inverse.of if m == 0 else _span_index)(n, *lattices)
+            span = spans[lattices]
+            if span is None:
                 continue
-            if inverse is not None:
-                meet = _crossing(sigma, tau, ws * wt * index, inverse)
+            if m == 0:
+                meet = _crossing(sigma, tau, ws * wt * span.det, span)
                 if meet is not None:
                     meets.append(meet)
             else:
                 rho = intersect(sigma, tau)
                 if rho is not None and rho.dim == m:
-                    meets.append((rho, ws * wt * index, sigma, tau))
+                    meets.append((rho, ws * wt * span, sigma, tau))
     for s in count(3):
         entries = _displaced(meets, tuple(s ** i for i in range(n)))
         if entries is not None:
             return _weighted_sum(n, m, entries)
 
 
-def _span_index(sigma, tau):
-    """[Z^n : L_sigma + L_tau] for the direction lattices of two cells, or
-    None when they do not span R^n."""
-    rows = hnf_basis(sigma.direction_lattice.vectors + tau.direction_lattice.vectors)
-    if len(rows) < sigma.ambient_dim:
+def _span_index(n, sigma_basis, tau_basis):
+    """[Z^n : L_sigma + L_tau] for two direction lattices of R^n given by
+    bases, or None when they do not span R^n, by a Hermite normal form.
+    Only excess dimension (m > 0) asks for it; in complementary dimension
+    :meth:`_Inverse.of` reads the index as a determinant."""
+    rows = hnf_basis(sigma_basis + tau_basis)
+    if len(rows) < n:
         return None
     return hnf_index(rows)
 
 
-class _Inverse(namedtuple("_Inverse", "rows det split tau_linear")):
-    """d M^-1 as integer rows, and d > 0, for M the linear parts of the
-    equalities of sigma stacked on those of tau, two cells of
-    complementary dimension whose lattices span R^n.  ``split`` is the
-    number of sigma's equalities and ``tau_linear`` the linear parts of
-    tau's."""
+class _Inverse(namedtuple("_Inverse", "det columns")):
+    """What the fan displacement rule reads from two direction lattices
+    L_sigma and L_tau of complementary ranks that span R^n, with B their
+    saturated bases stacked: ``det`` is d = |det B| = [Z^n : L_sigma +
+    L_tau], and ``columns`` are those of the integer matrix C = d pi, for
+    pi the projection onto L_sigma along L_tau, so that d a = v C when
+    v = a + b with a in L_sigma and b in L_tau."""
 
     __slots__ = ()
 
     @classmethod
-    def of(cls, sigma, tau):
-        n = sigma.ambient_dim
-        rows = [f.linear + tuple(int(i == j) for j in range(n))
-                for i, f in enumerate(sigma.eqs + tau.eqs)]
-        work, _, det = echelon(rows)
-        # [M | I] reduces to [I | M^-1], so row i of the work is det times
-        # (e_i, row i of M^-1).
-        sign = -1 if det < 0 else 1
-        return cls(tuple(tuple(sign * x for x in row[n:]) for row in work), sign * det,
-                   len(sigma.eqs), tuple(f.linear for f in tau.eqs))
+    def of(cls, n, sigma_basis, tau_basis):
+        """The record of two lattices given by saturated bases, or None when
+        they do not span R^n, from one echelon of [B | I]."""
+        basis = sigma_basis + tau_basis
+        work, pivots, det = echelon([b + tuple(int(i == j) for j in range(n))
+                                     for i, b in enumerate(basis)])
+        # [B | I] has rank n, so B is singular exactly when a pivot falls in I.
+        if pivots and pivots[-1] >= n:
+            return None
+        # [B | I] reduces to [I | B^-1], so row i of the work is det times
+        # (e_i, row i of B^-1); C is d B^-1 on the sigma-columns times sigma's
+        # basis.
+        sign, k = (-1 if det < 0 else 1), len(sigma_basis)
+        inverse = [[sign * x for x in row[n:n + k]] for row in work]
+        columns = (tuple(b[j] for b in sigma_basis) for j in range(n))
+        return cls(sign * det, tuple(tuple(dot(row, col) for row in inverse) for col in columns))
 
     def parts(self, v):
         """(d a, -d b) for v = a + b with a in L_sigma and b in L_tau: d a
-        is d M^-1 applied to (0, E_tau v), and -d b is d a - d v."""
-        tv = [dot(f, v) for f in self.tau_linear]
-        da = tuple(dot(row[self.split:], tv) for row in self.rows)
+        is v C, and -d b is d a - d v."""
+        da = tuple(dot(col, v) for col in self.columns)
         return da, tuple(x - self.det * y for x, y in zip(da, v))
 
 
-# A pair of cells whose affine hulls meet at the one point p = P / D:
-# their equalities, P and D, the pair's weight, the inequalities of sigma
-# and of tau tight at p, and the :class:`_Inverse` of their lattices.
-_Crossing = namedtuple("_Crossing", "eqs numer denom weight sigma_tight tau_tight inverse")
+# A pair of cells whose affine hulls meet at the one point p = P / D: P
+# and D, the pair's weight, the inequalities of sigma and of tau tight at
+# p, and the :class:`_Inverse` of their lattices.
+_Crossing = namedtuple("_Crossing", "numer denom weight sigma_tight tau_tight inverse")
 
 
 def _crossing(sigma, tau, weight, inverse):
-    """The :class:`_Crossing` of two cells of complementary dimension, or
-    None when the point where their affine hulls meet lies outside one of
-    them.  The equality constants are brought to one denominator L, so
-    p = P / D with D = d L, and an inequality with constant r / q has the
-    sign of q (a . P) + r D at p."""
-    eqs = sigma.eqs + tau.eqs
-    den = lcm(*(f.constant.denominator for f in eqs))
-    rhs = [-f.constant.numerator * (den // f.constant.denominator) for f in eqs]
-    numer = tuple(dot(row, rhs) for row in inverse.rows)
+    """The :class:`_Crossing` of two cells of complementary dimension whose
+    lattices span R^n, or None when the point where their affine hulls meet
+    lies outside one of them.  The interior points are brought to one
+    denominator L, as Q_sigma / L and Q_tau / L, so p = P / D with
+    P = d Q_sigma + (Q_tau - Q_sigma) C and D = d L (:class:`_Inverse`),
+    and an inequality with constant r / q has the sign of q (a . P) + r D
+    at p."""
+    ps, pt = sigma.interior_point, tau.interior_point
+    den = lcm(*(x.denominator for x in ps + pt))
+    qs = [x.numerator * (den // x.denominator) for x in ps]
+    step = [x.numerator * (den // x.denominator) - q for x, q in zip(pt, qs)]
+    numer = tuple(inverse.det * q + dot(col, step) for q, col in zip(qs, inverse.columns))
     denom = inverse.det * den
     tight = []
     for cell in (sigma, tau):
@@ -197,7 +211,7 @@ def _crossing(sigma, tau, weight, inverse):
             if value == 0:
                 forms.append(f)
         tight.append(forms)
-    return _Crossing(eqs, numer, denom, weight, *tight, inverse)
+    return _Crossing(numer, denom, weight, *tight, inverse)
 
 
 def _displaced(meets, v):
@@ -211,7 +225,7 @@ def _displaced(meets, v):
     sigma tight at p has the sign of its linear part on a, and each one of
     tau the sign of its linear part on -b.  The least of these values, or
     1 when there is none, plays the part of t below, and a pair that
-    counts becomes the point cell on the equalities of sigma and tau.
+    counts becomes its point, written down as a cell with no elimination.
 
     For m > 0, :func:`~tropint.polyhedra._relint_lp` asks for x with the
     inequalities of sigma tight at p and those of tau tight at p, shifted
@@ -237,7 +251,8 @@ def _displaced(meets, v):
                 return None
             if t > 0:
                 p = tuple(QQ(x, meet.denom) for x in meet.numer)
-                entries.append((Cell(len(p), (), meet.eqs, p), meet.weight))
+                entries.append((Cell._with_hull(len(p), (), p, _point_elimination(p)),
+                                meet.weight))
             continue
         rho, w, sigma, tau = meet
         p = rho.interior_point

@@ -62,18 +62,20 @@ print(json.dumps(out))
 # program.  A cell of dimension one is refined by sorting the crossings of
 # the forms, with no slack program and no elimination.  In complementary
 # dimension stable_intersect decides each pair of cells by integer solves
-# and sign tests, and only a pair that counts is eliminated, as its point.
+# and sign tests, read from one integer inverse per pair of lattices, and the
+# point of a pair that counts is written down with its elimination.
 # A cell with one free variable is built, canonicalized and cut into facets
 # from the interval of that variable, and so is its recession cone: no slack
 # program, no probe, and a point's elimination is written down.  Every
 # system with at most one free variable, such as a facet of a cell of
 # dimension two or a linearity region of divisors._split_one on a curve, is
 # decided from its interval, so no slack program has fewer than two free
-# variables.
+# variables.  A piecewise function intersects only the cells of pieces whose
+# forms differ.
 _COUNTS = {
-    "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 66, "_max_capped": 0},
+    "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 54, "_max_capped": 0},
     "curve-arith": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 98, "_max_capped": 0},
-    "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 598, "_max_capped": 16},
+    "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 586, "_max_capped": 16},
 }
 
 

@@ -14,9 +14,11 @@ programs that leave two or more variables free, ``polyhedra._slack_lp``
 must give the status and value of the reference, and its point must be
 exact, satisfy every row and attain the value.  The box of a cell of
 dimension one, read from the lines of its inequalities, must be the one
-two LPs per side give.  Sums, equality, push-forward and the projection
-formula of plane curves then run no LP at all, and no equality ever
-reaches the simplex.
+two LPs per side give, and ``polyhedra.strict_point`` on a cell of
+dimension at most one must read the maximum of a form from the same
+interval, with no LP, and agree with the reference.  Sums, equality,
+push-forward and the projection formula of plane curves then run no LP at
+all, and no equality ever reaches the simplex.
 """
 
 from fractions import Fraction
@@ -223,6 +225,39 @@ def test_box_of_a_curve_cell_is_its_interval(cell):
         want.append(tuple(bounds))
     with _spy() as spy:
         assert polyhedra._hull_box(cell) == (elim, want)
+    assert not spy.called
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_strict_point_reads_low_cells_from_their_interval(data):
+    # A random form, or one that is zero on the cell or on a facet of it,
+    # whose maximum over the cell is then 0.
+    cell = data.draw(low_cells())
+    n = cell.ambient_dim
+    tight = [f.negated() for f in cell.ineqs] + list(cell.eqs)
+    form = data.draw(st.sampled_from(tight) if tight and data.draw(st.booleans()) else _form(n))
+    with _spy() as spy:
+        point = polyhedra.strict_point(cell, form)
+    assert not spy.called
+    status, value, _ = reference_lp_max(
+        n, form.linear, ineqs=[(f.linear, -f.constant) for f in cell.ineqs],
+        eqs=[(f.linear, -f.constant) for f in cell.eqs])
+    assert status != INFEASIBLE
+    best = None if status == UNBOUNDED else value + form.constant
+    assert (point is None) == (best is not None and best <= 0)
+    if point is not None:
+        assert all(type(x) is Fraction for x in point)
+        assert cell.contains_point(point) and form.value_at(point) > 0
+        # A bounded maximum is taken at an end of the interval.
+        assert best is None or form.value_at(point) == best
+
+
+def test_containment_of_a_segment_in_a_ray_runs_no_lp():
+    with _spy() as spy:
+        assert polyhedra.cell_contains_cell(ray_cell((0, 0), (2, 1)), segment_cell((0, 0), (2, 1)))
+        assert not polyhedra.cell_contains_cell(segment_cell((0, 0), (2, 1)),
+                                                ray_cell((0, 0), (2, 1)))
     assert not spy.called
 
 

@@ -10,6 +10,9 @@ sparse polynomials; the wall case checks that a displacement lying on a
 wall is replaced by the next one.
 """
 
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -36,8 +39,9 @@ from tropint.cycles import (
 )
 from tropint.divisors import TropicalPolynomial, weil_divisor
 from tropint.documents import serialize_document
+from tropint.kernel import hnf_basis, hnf_index, mat_rank, subspace_lattice
 from tropint.library import conic_curve
-from tropint.polyhedra import AffineForm, cone_from_rays
+from tropint.polyhedra import AffineForm, cone_from_rays, intersect
 from tropint.rn_products import degree, stable_intersect
 
 _shift = st.fractions(-2, 2, max_denominator=3)
@@ -158,7 +162,8 @@ def _count_pair_work(monkeypatch):
             _count_calls(monkeypatch, polyhedra.intersect))
 
 
-# Output points of the complementary-dimension inputs above.
+# Output points of the complementary-dimension inputs above; each is written
+# down with its elimination, so the product eliminates nothing.
 _POINTS = {"conic.conic": 4, "L31.(L32+v)": 1, "L31.L32": 1}
 
 
@@ -167,8 +172,8 @@ def test_complementary_dimension_builds_only_the_output_points(monkeypatch, name
     c, d = make()
     solves, eliminations, intersections = _count_pair_work(monkeypatch)
     got = stable_intersect(c, d)
-    assert not solves and not intersections
-    assert len(eliminations) == len(got.complex.cells) == _POINTS[name]
+    assert not solves and not intersections and not eliminations
+    assert len(got.complex.cells) == _POINTS[name]
 
 
 def test_excess_dimension_takes_no_slack_program(monkeypatch):
@@ -232,3 +237,72 @@ def test_degree_is_bernsteins_count(data, kind):
         d = weil_divisor(g, rn_cycle(2))
     supports = [[t.linear for t in h.terms] for h in (f, g)]
     assert degree(stable_intersect(c, d)) == mixed_area(*supports)
+
+
+@st.composite
+def _complementary_lattices(draw):
+    """(n, sigma basis, tau basis): saturated lattices of R^n, n <= 4, of
+    ranks k and n - k; in some pairs tau contains a vector of sigma, so
+    the two do not span R^n."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+
+    def lattice(rank, rows):
+        rows = rows + draw(st.lists(vector, min_size=rank - len(rows), max_size=rank - len(rows)))
+        assume(mat_rank(rows) == rank)
+        return subspace_lattice(rows, n).vectors
+
+    sigma = lattice(k, [])
+    shared = [draw(st.sampled_from(sigma))] if sigma and k < n and draw(st.booleans()) else []
+    return n, sigma, lattice(n - k, shared)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_complementary_lattices(), st.data())
+def test_lattice_inverse_matches_hermite_forms(lattices, data):
+    n, sigma, tau = lattices
+    inverse = rn_products._Inverse.of(n, sigma, tau)
+    rows = hnf_basis(sigma + tau)
+    assert (inverse is None) == (len(rows) < n)
+    if inverse is None:
+        return
+    d = inverse.det
+    assert d == hnf_index(rows)
+    v = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    da, mdb = inverse.parts(v)
+    db = tuple(-x for x in mdb)
+    assert all(x + y == d * z for x, y, z in zip(da, db, v))
+    # d a and d b are integer vectors of L_sigma and L_tau: each leaves the
+    # Hermite basis of its lattice as it is.
+    assert hnf_basis(sigma + (da,)) == hnf_basis(sigma)
+    assert hnf_basis(tau + (db,)) == hnf_basis(tau)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_sparse_polynomials(), _sparse_polynomials())
+def test_crossings_lie_in_both_cells(f, g):
+    # The output points are written down, not checked by a constructor, so
+    # every crossing is checked here: it exists exactly when the two cells
+    # meet, at their one common point.
+    c, d = (weil_divisor(h, rn_cycle(2)) for h in (f, g))
+    seen = []
+
+    def spy(sigma, tau, weight, inverse):
+        meet = real(sigma, tau, weight, inverse)
+        seen.append((sigma, tau, meet))
+        return meet
+
+    real = rn_products._crossing
+    with mock.patch.object(rn_products, "_crossing", spy):
+        got = stable_intersect(c, d)
+    points = set()
+    for sigma, tau, meet in seen:
+        common = intersect(sigma, tau)
+        assert (meet is None) == (common is None)
+        if meet is not None:
+            p = tuple(Fraction(x, meet.denom) for x in meet.numer)
+            assert sigma.contains_point(p) and tau.contains_point(p)
+            assert common.dim == 0 and common.interior_point == p
+            points.add(p)
+    assert {cell.interior_point for cell in got.complex.cells} <= points

@@ -8,7 +8,9 @@ from oracles import (
     tent_function_on_line,
     weight_of,
 )
+from test_hull import _count_calls
 
+from tropint import polyhedra
 from tropint.cycles import (
     Cycle,
     WeightedComplex,
@@ -80,6 +82,20 @@ def test_discontinuous_function_is_rejected_when_built():
         PiecewisePL(pieces)
     # Agreeing at the origin, the same rays carry a function.
     assert PiecewisePL(pieces[:1] + ((pieces[1][0], AffineForm((0, 0), 0)),))
+
+
+def test_pieces_with_equal_forms_are_not_intersected(monkeypatch):
+    # Equal forms agree on any overlap, so five rays from the origin that
+    # share one form take no intersection; a point there with another value
+    # is checked against the first of them and rejected.
+    calls = _count_calls(monkeypatch, polyhedra.intersect)
+    form = AffineForm((1, -1), 2)
+    pieces = [(ray_cell((0, 0), r), form) for r in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1))]
+    assert PiecewisePL(pieces)
+    assert not calls
+    with pytest.raises(ValueError, match="disagree on an overlap"):
+        PiecewisePL(pieces + [(point_cell((0, 0)), AffineForm((0, 0), 1))])
+    assert len(calls) == 1
 
 
 def test_polynomial_terms_of_different_lengths_are_rejected():

@@ -294,15 +294,17 @@ def test_diagonal_divisor_choice_does_not_matter():
 
 
 def test_span_index_once_per_pair_of_lattices(monkeypatch):
+    # In complementary dimension the index is the determinant of the
+    # lattices' record, built once per pair of lattices.
     c = conic_curve()
     pairs = []
-    real = rn_products._span_index
+    real = rn_products._Inverse.of
 
-    def recording(sigma, tau):
-        pairs.append((sigma.direction_lattice.vectors, tau.direction_lattice.vectors))
-        return real(sigma, tau)
+    def recording(n, sigma_basis, tau_basis):
+        pairs.append((sigma_basis, tau_basis))
+        return real(n, sigma_basis, tau_basis)
 
-    monkeypatch.setattr(rn_products, "_span_index", recording)
+    monkeypatch.setattr(rn_products._Inverse, "of", recording)
     got = stable_intersect(c, c)
     assert pairs and len(pairs) == len(set(pairs))
     assert len(pairs) < len(c.complex.cells) ** 2
