@@ -286,14 +286,13 @@ def test_crossings_lie_in_both_cells(f, g):
     # every crossing is checked here: it exists exactly when the two cells
     # meet, at their one common point.
     c, d = (weil_divisor(h, rn_cycle(2)) for h in (f, g))
-    seen = []
+    seen, real = [], rn_products._crossing
 
     def spy(sigma, tau, weight, inverse):
         meet = real(sigma, tau, weight, inverse)
         seen.append((sigma, tau, meet))
         return meet
 
-    real = rn_products._crossing
     with mock.patch.object(rn_products, "_crossing", spy):
         got = stable_intersect(c, d)
     points = set()
