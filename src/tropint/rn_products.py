@@ -16,27 +16,30 @@ by v, meets that of sigma.  It contributes w_sigma w_tau [Z^n : L_sigma +
 L_tau].  The contributions of all pairs, added on a common refinement,
 give the product.  No cell of R^2n is built and no divisor is cut.
 
-In complementary dimension, m = 0, the rule is linear algebra over Z and
-builds no cell per pair.  The saturated bases of L_sigma and L_tau stack
-to a square integer matrix B, and one :func:`~tropint.kernel.echelon` of
-[B | I] per pair of lattices tells whether they span R^n (B has rank n)
-and gives the index d = |det B| and d B^-1.  The sigma-columns of d B^-1,
-multiplied back by sigma's basis, are the integer matrix C = d pi, for pi
-the projection onto L_sigma along L_tau.  A v splits as v = a + b, a in
-L_sigma and b in L_tau, with d a = v C.  The two affine hulls meet in the
-one point p = P / (d L): with the interior points of sigma and tau written
-Q_sigma / L and Q_tau / L, P = d Q_sigma + (Q_tau - Q_sigma) C.  An
-inequality a . x + r / q >= 0 has the sign of q (a . P) + r d L there.
-The pair counts when every inequality of sigma tight at p is positive on a
-and every one of tau tight at p is positive on -b, and only then is its
-point written down as a cell, with no elimination.
+The saturated bases of L_sigma and L_tau stack to an integer matrix B of
+k + l rows, and one :func:`~tropint.kernel.echelon` of [B | I] per pair of
+lattices tells whether they span R^n and gives an integer matrix C that
+splits every v as v = a + b, a in L_sigma and b in L_tau, with d a = v C
+(:class:`_Inverse`).
 
-For m > 0 the index is read from a Hermite normal form of the stacked
-bases, the meeting cell rho is built by
-:func:`~tropint.polyhedra.intersect` and whether the cones meet is asked
-of :func:`~tropint.polyhedra._relint_lp`: read from an interval with no
-program when m = 1, as for two surfaces in R^3, and by one slack program for
-m >= 2.
+In complementary dimension, m = 0, the rule builds no cell per pair.  The
+two affine hulls meet in the one point p = P / (d L): with the interior
+points of sigma and tau written Q_sigma / L and Q_tau / L,
+P = d Q_sigma + (Q_tau - Q_sigma) C.  An inequality a . x + r / q >= 0 has
+the sign of q (a . P) + r d L there.  The pair counts when every
+inequality of sigma tight at p is positive on a and every one of tau tight
+at p is positive on -b, and only then is its point written down as a cell,
+with no elimination.
+
+For m > 0 each pair of cells meets in the m-cell rho = sigma ∩ tau, built
+once by :func:`~tropint.polyhedra.intersect`, and the inequalities of sigma
+and of tau tight at its interior point p are kept.  The moved tangent cones
+meet on rho's affine hull moved by a, and a move by d v only scales the
+picture about p; so these forms, raised by their linear parts on d a
+(sigma's) and on -d b (tau's) and read over rho's own elimination, tell
+by :func:`~tropint.polyhedra._relint_lp` whether the cones meet: from an
+interval when m = 1, as for two surfaces in R^3, and by one slack program
+for m >= 2.  No displacement eliminates anything.
 
 A displacement v on the wall of a pair (its cones then meet only on their
 boundaries) tells nothing, and the next v is tried.  The candidates run
@@ -68,18 +71,10 @@ from .divisors import (
     is_bounded_on,
     weil_divisor,
 )
-from .kernel import QQ, dot, echelon, hnf_basis, hnf_index
+from .kernel import QQ, dot, echelon, hnf_index
 from .library import diagonal_line
-from .polyhedra import (
-    AffineForm,
-    Cell,
-    _eliminate,
-    _point_elimination,
-    _relint_lp,
-    collect_hyperplanes,
-    intersect,
-    refine_cell,
-)
+from .morphisms import _cells_inside_support
+from .polyhedra import AffineForm, Cell, _point_elimination, _relint_lp, intersect
 
 
 def diagonal_divisors(n: int) -> list:
@@ -96,12 +91,13 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     """Intersection product of cycles in the same R^n, by the fan
     displacement rule (see the module docstring).
 
-    In complementary dimension each pair of cells is decided by sign tests
-    at the one point where their affine hulls meet, read from one integer
-    inverse per pair of lattices (:class:`_Inverse`), and only the points
-    of the pairs that count become cells; in excess dimension the
-    pairs meet in cells built by :func:`~tropint.polyhedra.intersect`.
-    Empty in dimensions below zero (complementary defect); always balanced.
+    Every pair of lattices is read once (:class:`_Inverse`).  In
+    complementary dimension each pair of cells is then decided by sign
+    tests at the one point where their affine hulls meet, and only the
+    points of the pairs that count become cells; in excess dimension the
+    pairs meet in cells built by :func:`~tropint.polyhedra.intersect`, on
+    whose eliminations every displacement is read.  Empty in dimensions
+    below zero (complementary defect); always balanced.
     """
     if c.ambient_dim != d.ambient_dim:
         raise ValueError("cycles live in different ambient spaces")
@@ -117,42 +113,29 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
             # on the lattices, and most pairs repeat those of an earlier pair.
             lattices = (sigma.direction_lattice.vectors, tau.direction_lattice.vectors)
             if lattices not in spans:
-                spans[lattices] = (_Inverse.of if m == 0 else _span_index)(n, *lattices)
-            span = spans[lattices]
-            if span is None:
+                spans[lattices] = _Inverse.of(n, *lattices)
+            inverse = spans[lattices]
+            if inverse is None:
                 continue
-            if m == 0:
-                meet = _crossing(sigma, tau, ws * wt * span.det, span)
-                if meet is not None:
-                    meets.append(meet)
-            else:
-                rho = intersect(sigma, tau)
-                if rho is not None and rho.dim == m:
-                    meets.append((rho, ws * wt * span, sigma, tau))
+            meet = (_crossing if m == 0 else _meeting)(sigma, tau, ws * wt * inverse.index, inverse)
+            if meet is not None:
+                meets.append(meet)
     for s in count(3):
         entries = _displaced(meets, tuple(s ** i for i in range(n)))
         if entries is not None:
             return _weighted_sum(n, m, entries)
 
 
-def _span_index(n, sigma_basis, tau_basis):
-    """[Z^n : L_sigma + L_tau] for two direction lattices of R^n given by
-    bases, or None when they do not span R^n, by a Hermite normal form.
-    Only excess dimension (m > 0) asks for it; in complementary dimension
-    :meth:`_Inverse.of` reads the index as a determinant."""
-    rows = hnf_basis(sigma_basis + tau_basis)
-    if len(rows) < n:
-        return None
-    return hnf_index(rows)
-
-
-class _Inverse(namedtuple("_Inverse", "det columns")):
+class _Inverse(namedtuple("_Inverse", "det columns index")):
     """What the fan displacement rule reads from two direction lattices
-    L_sigma and L_tau of complementary ranks that span R^n, with B their
-    saturated bases stacked: ``det`` is d = |det B| = [Z^n : L_sigma +
-    L_tau], and ``columns`` are those of the integer matrix C = d pi, for
-    pi the projection onto L_sigma along L_tau, so that d a = v C when
-    v = a + b with a in L_sigma and b in L_tau."""
+    L_sigma and L_tau that span R^n, given by saturated bases of ranks
+    k + l >= n stacked to B.  ``index`` is [Z^n : L_sigma + L_tau]: |det B|
+    when k + l = n, else that of the Hermite basis of B.  ``columns`` are
+    those of the integer matrix C, d times the sigma-columns of a left
+    inverse of B times sigma's basis, so that d a = v C, for d = ``det`` > 0,
+    splits v = a + b with a in L_sigma and b in L_tau.  The split is unique
+    when k + l = n, where C = d pi for pi the projection onto L_sigma along
+    L_tau; otherwise a is one choice in a + (L_sigma ∩ L_tau)."""
 
     __slots__ = ()
 
@@ -161,18 +144,20 @@ class _Inverse(namedtuple("_Inverse", "det columns")):
         """The record of two lattices given by saturated bases, or None when
         they do not span R^n, from one echelon of [B | I]."""
         basis = sigma_basis + tau_basis
-        work, pivots, det = echelon([b + tuple(int(i == j) for j in range(n))
+        work, pivots, det = echelon([b + tuple(int(i == j) for j in range(len(basis)))
                                      for i, b in enumerate(basis)])
-        # [B | I] has rank n, so B is singular exactly when a pivot falls in I.
-        if pivots and pivots[-1] >= n:
+        # [B | I] has rank k + l, and B has rank n exactly when the first n
+        # pivots fall in B.
+        if n and pivots[n - 1] >= n:
             return None
-        # [B | I] reduces to [I | B^-1], so row i of the work is det times
-        # (e_i, row i of B^-1); C is d B^-1 on the sigma-columns times sigma's
+        # Row i < n of the work is then det times (e_i, row i of X), for a
+        # left inverse X of B; C is d X on the sigma-columns times sigma's
         # basis.
         sign, k = (-1 if det < 0 else 1), len(sigma_basis)
-        inverse = [[sign * x for x in row[n:n + k]] for row in work]
+        inverse = [[sign * x for x in row[n:n + k]] for row in work[:n]]
         columns = (tuple(b[j] for b in sigma_basis) for j in range(n))
-        return cls(sign * det, tuple(tuple(dot(row, col) for row in inverse) for col in columns))
+        return cls(sign * det, tuple(tuple(dot(row, col) for row in inverse) for col in columns),
+                   sign * det if len(basis) == n else hnf_index(basis))
 
     def parts(self, v):
         """(d a, -d b) for v = a + b with a in L_sigma and b in L_tau: d a
@@ -214,37 +199,50 @@ def _crossing(sigma, tau, weight, inverse):
     return _Crossing(numer, denom, weight, *tight, inverse)
 
 
+# A pair of cells of excess dimension meeting in the m-cell rho: rho, the
+# pair's weight, the inequalities of sigma and of tau tight at rho's
+# interior point, and the :class:`_Inverse` of their lattices.
+_Meeting = namedtuple("_Meeting", "rho weight sigma_tight tau_tight inverse")
+
+
+def _meeting(sigma, tau, weight, inverse):
+    """The :class:`_Meeting` of two cells of excess dimension whose lattices
+    span R^n, or None when they meet in less than that dimension."""
+    rho = intersect(sigma, tau)
+    if rho is None or rho.dim != sigma.dim + tau.dim - rho.ambient_dim:
+        return None
+    p = rho.interior_point
+    return _Meeting(rho, weight, *([f for f in cell.ineqs if f.value_at(p) == 0]
+                                   for cell in (sigma, tau)), inverse)
+
+
 def _displaced(meets, v):
     """The (rho, weight) entries of the pairs whose tangent cones at a
     point p of rho = sigma ∩ tau meet once tau's is moved by v, or None
     when v lies on a wall of one of them.
 
-    A :class:`_Crossing` (m = 0) is decided by signs.  With v = a + b, a
-    in L_sigma and b in L_tau (:meth:`_Inverse.parts`, once per pair of
-    lattices), the moved cones meet at p + a, where each inequality of
-    sigma tight at p has the sign of its linear part on a, and each one of
-    tau the sign of its linear part on -b.  The least of these values, or
-    1 when there is none, plays the part of t below, and a pair that
-    counts becomes its point, written down as a cell with no elimination.
-
-    For m > 0, :func:`~tropint.polyhedra._relint_lp` asks for x with the
-    inequalities of sigma tight at p and those of tau tight at p, shifted
-    by v, all >= t, on the equalities of sigma and the shifted ones of tau,
-    with p the interior point of rho.  These cut out the tangent cones with
-    apexes p and p + v, so t > 0 exactly when their relative interiors
-    meet, t = 0 when they meet only on their boundaries, and there is no
-    point when they are disjoint.  The equalities leave m free variables,
-    so for m = 1 the answer is read from an interval, with no slack
-    program.
+    With v = a + b, a in L_sigma and b in L_tau (:meth:`_Inverse.parts`,
+    once per pair of lattices), the moved cones meet on the points p + a + u,
+    u in L_rho, where each inequality of sigma tight at p is raised by its
+    linear part on a, and each one of tau by its linear part on -b.  Both
+    kinds of pair read d a and -d b instead: moving by d v scales the
+    picture about p, which changes no answer.  A :class:`_Crossing` (m = 0)
+    has u = 0: the least of these raises, or 1 when there is none, plays
+    the part of t below, and a pair that counts becomes its point, written
+    down as a cell with no elimination.  A :class:`_Meeting` (m > 0) asks
+    :func:`~tropint.polyhedra._relint_lp` for a point of rho's hull where
+    the raised forms are >= t: t > 0 exactly when the moved cones' relative
+    interiors meet, t = 0 when they meet only on their boundaries, and
+    there is no point when they are disjoint.
     """
     entries, parts = [], {}
     for meet in meets:
+        # One _Inverse serves every pair of its lattices.
+        key = id(meet.inverse)
+        if key not in parts:
+            parts[key] = meet.inverse.parts(v)
+        da, mdb = parts[key]
         if type(meet) is _Crossing:
-            # One _Inverse serves every pair of its lattices.
-            key = id(meet.inverse)
-            if key not in parts:
-                parts[key] = meet.inverse.parts(v)
-            da, mdb = parts[key]
             t = min([dot(f.linear, da) for f in meet.sigma_tight]
                     + [dot(f.linear, mdb) for f in meet.tau_tight], default=1)
             if t == 0:
@@ -254,16 +252,14 @@ def _displaced(meets, v):
                 entries.append((Cell._with_hull(len(p), (), p, _point_elimination(p)),
                                 meet.weight))
             continue
-        rho, w, sigma, tau = meet
-        p = rho.interior_point
-        ineqs = [f for f in sigma.ineqs if f.value_at(p) == 0]
-        ineqs += [f.translate(v) for f in tau.ineqs if f.value_at(p) == 0]
-        eqs = sigma.eqs + tuple(f.translate(v) for f in tau.eqs)
-        _, t = _relint_lp(ineqs, _eliminate(len(p), eqs))
+        forms = [AffineForm(f.linear, f.constant + dot(f.linear, shift))
+                 for tight, shift in ((meet.sigma_tight, da), (meet.tau_tight, mdb))
+                 for f in tight]
+        _, t = _relint_lp(forms, meet.rho._elim)
         if t == 0:
             return None
         if t is not None:
-            entries.append((rho, w))
+            entries.append((meet.rho, meet.weight))
     return entries
 
 
@@ -300,26 +296,19 @@ def is_pn_generic(c: Cycle) -> bool:
     A facet admits such a decomposition exactly when its recession cone
     lies inside a cone of the standard k-skeleton (split off the compact
     part of the polyhedron for one direction; take recession cones for the
-    other).  The test is run on the representative refined along the
-    skeleton's own hyperplane arrangement, which makes it a property of
-    the refinement class: coarse cells spanning several standard cones are
-    cut to pieces first.
-
-    A piece lies weakly on one side of each skeleton hyperplane; these are
-    linear (the cones have their apex at the origin), so its recession cone
-    does too.  As in :func:`~tropint.morphisms._cells_inside_support`, that
-    cone then lies in a skeleton cone exactly when its interior point does.
+    other).  The test is a property of the refinement class: a coarse cell
+    spanning several standard cones counts when each of its pieces along
+    the skeleton's hyperplane arrangement does.  These hyperplanes are
+    linear, so a piece's cone lies in one closed region of them, and in a
+    skeleton cone exactly when in the skeleton's support; and the cell's
+    cone is the union of its pieces' cones, since a ray x + t u of the cell
+    ends up in one closed region.  So the test asks whether each cell's
+    cone lies in that support (:func:`~tropint.morphisms._cells_inside_support`).
     """
     if c.is_empty:
         return True
     cones = standard_skeleton(c.ambient_dim, c.dim).complex.cells
-    forms = collect_hyperplanes(cones)
-    for cell in c.complex.cells:
-        for piece, _ in refine_cell(cell, forms):
-            p = piece.recession_cone().interior_point
-            if not any(cone.contains_point(p) for cone in cones):
-                return False
-    return True
+    return _cells_inside_support([cell.recession_cone() for cell in c.complex.cells], cones)
 
 
 class BezoutReport(namedtuple("BezoutReport", "degree_first degree_second degree_product "

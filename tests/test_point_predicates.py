@@ -1,8 +1,9 @@
 """Genericity and boundedness are decided with no LP predicate.
 
-``is_pn_generic`` tests a recession cone against the skeleton cones at its
-interior point, and ``is_bounded_on`` tests whether a linear form vanishes
-on a recession cone's span.  The references in ``oracles`` keep the LP
+``is_pn_generic`` tests each cell's recession cone against the support of
+the skeleton, piece by piece at their interior points, and
+``is_bounded_on`` tests whether a linear form vanishes on a recession
+cone's span.  The references in ``oracles`` keep the LP
 route: containment constraint by constraint (``cell_contains_cell``) and
 two ``strict_point`` programs per cell.
 """
@@ -12,10 +13,16 @@ from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pl_add, pl_negate, reference_is_bounded_on, reference_is_pn_generic
+from oracles import (
+    pl_add,
+    pl_negate,
+    reference_is_bounded_on,
+    reference_is_pn_generic,
+    refine_complex,
+)
 
 from tropint import polyhedra
-from tropint.cycles import rn_cycle, standard_skeleton, translate
+from tropint.cycles import Cycle, rn_cycle, standard_skeleton, translate
 from tropint.divisors import TropicalPolynomial, is_bounded_on, weil_divisor
 from tropint.library import (
     conic_curve,
@@ -55,6 +62,39 @@ def cycles(draw):
 @given(cycles())
 def test_genericity_matches_containment_by_lps(c):
     assert is_pn_generic(c) == reference_is_pn_generic(c)
+
+
+def _midpoint_cuts(c):
+    """The hyperplanes that cut each bounded edge of a cycle's cells (the
+    cells of a curve, the edges of a surface) across at its midpoint."""
+    edges = c.complex.cells if c.dim == 1 else [
+        edge for cell in c.complex.cells for edge in cell.faces_of_codim_one()]
+    cuts = {}
+    for edge in edges:
+        ends = edge.faces_of_codim_one()
+        if len(ends) == 2:
+            (w,) = edge.direction_lattice.vectors
+            mid = [(x + y) / 2 for x, y in zip(ends[0].interior_point, ends[1].interior_point)]
+            cut = AffineForm(w, -sum(a * x for a, x in zip(w, mid)))
+            cuts[cut.sort_key()] = cut
+    return [cuts[k] for k in sorted(cuts)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.data())
+def test_genericity_does_not_change_under_refinement(data):
+    # Genericity is a property of the cycle, not of its cells: a refinement
+    # at the midpoints of the bounded edges, or along a few hyperplanes in
+    # general position, gives the same answer.
+    c = data.draw(cycles())
+    n = c.ambient_dim
+    if data.draw(st.booleans()):
+        forms = _midpoint_cuts(c)
+    else:
+        normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+        forms = data.draw(st.lists(st.builds(AffineForm, normal, _shift), min_size=1, max_size=2))
+    refined = Cycle(refine_complex(c.complex, forms), check=False)
+    assert is_pn_generic(refined) == is_pn_generic(c)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

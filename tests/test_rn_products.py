@@ -45,7 +45,7 @@ from tropint.rn_products import (
     is_pn_generic,
     stable_intersect,
 )
-from tropint.polyhedra import AffineForm, Cell, cone_from_rays, point_cell
+from tropint.polyhedra import AffineForm, Cell, cone_from_rays, point_cell, refine_cell
 
 
 def line():
@@ -294,9 +294,10 @@ def test_diagonal_divisor_choice_does_not_matter():
 
 
 def test_span_index_once_per_pair_of_lattices(monkeypatch):
-    # In complementary dimension the index is the determinant of the
-    # lattices' record, built once per pair of lattices.
-    c = conic_curve()
+    # In complementary and in excess dimension the index is read from the
+    # lattices' record, built once per pair of lattices.  The second cycle
+    # is L32, the 2-skeleton of R^3, with the cones along e_1 cut at x_1 = 1,
+    # so that its lattices repeat.
     pairs = []
     real = rn_products._Inverse.of
 
@@ -304,9 +305,14 @@ def test_span_index_once_per_pair_of_lattices(monkeypatch):
         pairs.append((sigma_basis, tau_basis))
         return real(n, sigma_basis, tau_basis)
 
-    monkeypatch.setattr(rn_products._Inverse, "of", recording)
-    got = stable_intersect(c, c)
-    assert pairs and len(pairs) == len(set(pairs))
-    assert len(pairs) < len(c.complex.cells) ** 2
-    monkeypatch.undo()
-    assert cycles_equal(got, diagonal_stable_intersect(c, c))
+    cut = AffineForm((1, 0, 0), -1)
+    cones = [piece for cone in standard_skeleton(3, 2).complex.cells
+             for piece, _ in refine_cell(cone, [cut])]
+    for c in (conic_curve(), Cycle(WeightedComplex(3, 2, cones, [1] * len(cones)))):
+        pairs.clear()
+        monkeypatch.setattr(rn_products._Inverse, "of", recording)
+        got = stable_intersect(c, c)
+        assert pairs and len(pairs) == len(set(pairs))
+        assert len(pairs) < len(c.complex.cells) ** 2
+        monkeypatch.undo()
+        assert cycles_equal(got, diagonal_stable_intersect(c, c))
