@@ -98,12 +98,6 @@ def map_f2() -> IntegerLinearMap:
     return IntegerLinearMap(((1, 0),))
 
 
-def projection_map(n: int) -> IntegerLinearMap:
-    """(x, y) -> x from R^{2n} to R^n."""
-    rows = [tuple(1 if j == i else 0 for j in range(2 * n)) for i in range(n)]
-    return IntegerLinearMap(tuple(rows))
-
-
 def conic_polynomial() -> TropicalPolynomial:
     """A smooth degree-two tropical polynomial in the plane.
 

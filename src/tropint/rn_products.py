@@ -22,30 +22,30 @@ lattices tells whether they span R^n and gives an integer matrix C that
 splits every v as v = a + b, a in L_sigma and b in L_tau, with d a = v C
 (:class:`_Inverse`).
 
-In complementary dimension, m = 0, the rule builds no cell per pair.  The
-two affine hulls meet in the one point p = P / (d L): with the interior
-points of sigma and tau written Q_sigma / L and Q_tau / L,
+Each pair of cells that meets in an m-cell rho becomes one record.  The
+moved tangent cones meet on the points p + a + u, u in L_rho, for p in
+the relative interior of rho.  An inequality of sigma or tau tight at p
+vanishes on all of rho's affine hull, so there it reads as a constant: its
+linear part on a for sigma's, on -b for tau's.  Read on d a = v C and on
+-d b = v C - d v instead (a move by d v only scales the picture about p),
+each tight inequality gives an integer covector of v, a wall of the pair:
+sum_j f_j C_j for an inequality f of sigma, sum_j g_j C_j - d g for one
+g of tau, C_j the columns of C.  The pair counts at v when every wall is
+positive there, does not count when one is negative, and tells nothing
+when one is zero.  In complementary dimension, m = 0, rho is the one point
+p = P / (d L) where the affine hulls meet, with no cell built: with the
+interior points of sigma and tau written Q_sigma / L and Q_tau / L,
 P = d Q_sigma + (Q_tau - Q_sigma) C.  An inequality a . x + r / q >= 0 has
-the sign of q (a . P) + r d L there.  The pair counts when every
-inequality of sigma tight at p is positive on a and every one of tau tight
-at p is positive on -b, and only then is its point written down as a cell,
-with no elimination.
+the sign of q (a . P) + r d L there, and the point is written down as a
+cell, with no elimination, only when the pair counts.  For m > 0, rho is
+built once per pair by :func:`~tropint.polyhedra.intersect`.  No
+displacement eliminates anything.
 
-For m > 0 each pair of cells meets in the m-cell rho = sigma ∩ tau, built
-once by :func:`~tropint.polyhedra.intersect`, and the inequalities of sigma
-and of tau tight at its interior point p are kept.  The moved tangent cones
-meet on rho's affine hull moved by a, and a move by d v only scales the
-picture about p; so these forms, raised by their linear parts on d a
-(sigma's) and on -d b (tau's) and read over rho's own elimination, tell
-by :func:`~tropint.polyhedra._relint_lp` whether the cones meet: from an
-interval when m = 1, as for two surfaces in R^3, and by one slack program
-for m >= 2.  No displacement eliminates anything.
-
-A displacement v on the wall of a pair (its cones then meet only on their
+A displacement v on a wall of a pair (its cones then meet only on their
 boundaries) tells nothing, and the next v is tried.  The candidates run
-along the moment curve (1, s, ..., s^(n-1)), s = 3, 4, ...: a hyperplane
-through the origin holds at most n - 1 of them, and there are finitely
-many walls, so the search ends.
+along the moment curve (1, s, ..., s^(n-1)), s = 3, 4, ...: a nonzero wall
+vanishes at no more than n - 1 of them, so at most (n - 1) W + 1 are
+tried for W walls.
 
 Degrees, Bezout verification, P^n-genericity and the degree-zero property
 of bounded functions on curves are all built on this product.
@@ -54,7 +54,6 @@ of bounded functions on curves are all built on this product.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count
 from math import lcm
 
 from .cycles import (
@@ -74,7 +73,7 @@ from .divisors import (
 from .kernel import QQ, dot, echelon, hnf_index
 from .library import diagonal_line
 from .morphisms import _cells_inside_support
-from .polyhedra import AffineForm, Cell, _point_elimination, _relint_lp, intersect
+from .polyhedra import AffineForm, Cell, _point_elimination, intersect
 
 
 def diagonal_divisors(n: int) -> list:
@@ -91,13 +90,13 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     """Intersection product of cycles in the same R^n, by the fan
     displacement rule (see the module docstring).
 
-    Every pair of lattices is read once (:class:`_Inverse`).  In
-    complementary dimension each pair of cells is then decided by sign
-    tests at the one point where their affine hulls meet, and only the
-    points of the pairs that count become cells; in excess dimension the
-    pairs meet in cells built by :func:`~tropint.polyhedra.intersect`, on
-    whose eliminations every displacement is read.  Empty in dimensions
-    below zero (complementary defect); always balanced.
+    Every pair of lattices is read once (:class:`_Inverse`), and every pair
+    of cells that meets once, into its walls; each displacement is then
+    decided by the signs of the walls, and only the pairs that count add
+    their cells.  Empty in dimensions below zero (complementary defect);
+    always balanced.  Raises RuntimeError when a wall is the zero covector
+    or every candidate displacement lies on a wall, which a correct cone
+    test never gives.
     """
     if c.ambient_dim != d.ambient_dim:
         raise ValueError("cycles live in different ambient spaces")
@@ -120,10 +119,12 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
             meet = (_crossing if m == 0 else _meeting)(sigma, tau, ws * wt * inverse.index, inverse)
             if meet is not None:
                 meets.append(meet)
-    for s in count(3):
+    walls = sum(len(meet.walls) for meet in meets)
+    for s in range(3, 4 + (n - 1) * walls):
         entries = _displaced(meets, tuple(s ** i for i in range(n)))
         if entries is not None:
             return _weighted_sum(n, m, entries)
+    raise RuntimeError("every candidate displacement lies on a wall")
 
 
 class _Inverse(namedtuple("_Inverse", "det columns index")):
@@ -159,21 +160,31 @@ class _Inverse(namedtuple("_Inverse", "det columns index")):
         return cls(sign * det, tuple(tuple(dot(row, col) for row in inverse) for col in columns),
                    sign * det if len(basis) == n else hnf_index(basis))
 
-    def parts(self, v):
-        """(d a, -d b) for v = a + b with a in L_sigma and b in L_tau: d a
-        is v C, and -d b is d a - d v."""
-        da = tuple(dot(col, v) for col in self.columns)
-        return da, tuple(x - self.det * y for x, y in zip(da, v))
+
+# A pair of cells that meets in an m-cell rho: rho, the pair's weight and
+# its walls.  When m = 0, rho is the point P / D, kept as the integers
+# (P, D) and written down as a cell only if the pair counts.
+_Meeting = namedtuple("_Meeting", "rho weight walls")
 
 
-# A pair of cells whose affine hulls meet at the one point p = P / D: P
-# and D, the pair's weight, the inequalities of sigma and of tau tight at
-# p, and the :class:`_Inverse` of their lattices.
-_Crossing = namedtuple("_Crossing", "numer denom weight sigma_tight tau_tight inverse")
+def _walls(inverse, sigma_tight, tau_tight):
+    """The walls of a pair from the inequalities of sigma and of tau tight
+    at p: sum_j f_j C_j for one f of sigma, whose value at v is f . (d a),
+    and sum_j g_j C_j - d g for one g of tau, whose value is g . (-d b).
+    Raises RuntimeError on a zero wall, which would read every v as a wall."""
+    if not sigma_tight and not tau_tight:
+        return ()
+    rows = tuple(zip(*inverse.columns))
+    walls = tuple(tuple(dot(f.linear, row) - shift * x for row, x in zip(rows, f.linear))
+                  for tight, shift in ((sigma_tight, 0), (tau_tight, inverse.det))
+                  for f in tight)
+    if not all(map(any, walls)):
+        raise RuntimeError("a wall of the displacement rule is the zero covector")
+    return walls
 
 
 def _crossing(sigma, tau, weight, inverse):
-    """The :class:`_Crossing` of two cells of complementary dimension whose
+    """The :class:`_Meeting` of two cells of complementary dimension whose
     lattices span R^n, or None when the point where their affine hulls meet
     lies outside one of them.  The interior points are brought to one
     denominator L, as Q_sigma / L and Q_tau / L, so p = P / D with
@@ -196,13 +207,7 @@ def _crossing(sigma, tau, weight, inverse):
             if value == 0:
                 forms.append(f)
         tight.append(forms)
-    return _Crossing(numer, denom, weight, *tight, inverse)
-
-
-# A pair of cells of excess dimension meeting in the m-cell rho: rho, the
-# pair's weight, the inequalities of sigma and of tau tight at rho's
-# interior point, and the :class:`_Inverse` of their lattices.
-_Meeting = namedtuple("_Meeting", "rho weight sigma_tight tau_tight inverse")
+    return _Meeting((numer, denom), weight, _walls(inverse, *tight))
 
 
 def _meeting(sigma, tau, weight, inverse):
@@ -212,55 +217,35 @@ def _meeting(sigma, tau, weight, inverse):
     if rho is None or rho.dim != sigma.dim + tau.dim - rho.ambient_dim:
         return None
     p = rho.interior_point
-    return _Meeting(rho, weight, *([f for f in cell.ineqs if f.value_at(p) == 0]
-                                   for cell in (sigma, tau)), inverse)
+    tight = ([f for f in cell.ineqs if f.value_at(p) == 0] for cell in (sigma, tau))
+    return _Meeting(rho, weight, _walls(inverse, *tight))
 
 
 def _displaced(meets, v):
-    """The (rho, weight) entries of the pairs whose tangent cones at a
-    point p of rho = sigma ∩ tau meet once tau's is moved by v, or None
-    when v lies on a wall of one of them.
-
-    With v = a + b, a in L_sigma and b in L_tau (:meth:`_Inverse.parts`,
-    once per pair of lattices), the moved cones meet on the points p + a + u,
-    u in L_rho, where each inequality of sigma tight at p is raised by its
-    linear part on a, and each one of tau by its linear part on -b.  Both
-    kinds of pair read d a and -d b instead: moving by d v scales the
-    picture about p, which changes no answer.  A :class:`_Crossing` (m = 0)
-    has u = 0: the least of these raises, or 1 when there is none, plays
-    the part of t below, and a pair that counts becomes its point, written
-    down as a cell with no elimination.  A :class:`_Meeting` (m > 0) asks
-    :func:`~tropint.polyhedra._relint_lp` for a point of rho's hull where
-    the raised forms are >= t: t > 0 exactly when the moved cones' relative
-    interiors meet, t = 0 when they meet only on their boundaries, and
-    there is no point when they are disjoint.
+    """The (rho, weight) entries of the pairs whose tangent cones at p meet
+    once tau's is moved by v, or None when v lies on a wall of one of them:
+    a pair counts when every wall is positive at v (the moved cones'
+    relative interiors meet), and not when one is negative (they are
+    disjoint).  The point of a pair of complementary dimension that counts
+    is written down as a cell with no elimination.
     """
-    entries, parts = [], {}
+    counted = []
     for meet in meets:
-        # One _Inverse serves every pair of its lattices.
-        key = id(meet.inverse)
-        if key not in parts:
-            parts[key] = meet.inverse.parts(v)
-        da, mdb = parts[key]
-        if type(meet) is _Crossing:
-            t = min([dot(f.linear, da) for f in meet.sigma_tight]
-                    + [dot(f.linear, mdb) for f in meet.tau_tight], default=1)
-            if t == 0:
-                return None
-            if t > 0:
-                p = tuple(QQ(x, meet.denom) for x in meet.numer)
-                entries.append((Cell._with_hull(len(p), (), p, _point_elimination(p)),
-                                meet.weight))
-            continue
-        forms = [AffineForm(f.linear, f.constant + dot(f.linear, shift))
-                 for tight, shift in ((meet.sigma_tight, da), (meet.tau_tight, mdb))
-                 for f in tight]
-        _, t = _relint_lp(forms, meet.rho._elim)
+        t = min([dot(w, v) for w in meet.walls], default=1)
         if t == 0:
             return None
-        if t is not None:
-            entries.append((meet.rho, meet.weight))
-    return entries
+        if t > 0:
+            counted.append(meet)
+    return [(_written(meet.rho), meet.weight) for meet in counted]
+
+
+def _written(rho):
+    """rho as a cell: a point (P, D) is written down with no elimination."""
+    if isinstance(rho, Cell):
+        return rho
+    numer, denom = rho
+    p = tuple(QQ(x, denom) for x in numer)
+    return Cell._with_hull(len(p), (), p, _point_elimination(p))
 
 
 def diagonal_cycle(n: int) -> Cycle:

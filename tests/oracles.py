@@ -35,7 +35,6 @@ from tropint.kernel import (
     vec_gcd,
     vec_scale,
 )
-from tropint.library import projection_map
 from tropint.morphisms import IntegerLinearMap, Morphism, image_cell, push_forward
 from tropint.polyhedra import (
     AffineForm,
@@ -791,6 +790,12 @@ def reference_normal_vector(facet, ridge):
             if pairing != 0:
                 return tuple(-x for x in u) if pairing < 0 else u
     raise ValueError("no facet inequality is tight on the ridge")
+
+
+def projection_map(n: int) -> IntegerLinearMap:
+    """(x, y) -> x from R^{2n} to R^n."""
+    rows = [tuple(1 if j == i else 0 for j in range(2 * n)) for i in range(n)]
+    return IntegerLinearMap(tuple(rows))
 
 
 def reference_stable_intersect(c, d):

@@ -13,6 +13,7 @@ from oracles import (
     count_lattice_points_in_parallelepiped,
     identity_map,
     origin_cycle,
+    projection_map,
     reference_coordinates,
     refine_complex,
     tent_function_on_line,
@@ -43,7 +44,6 @@ from tropint.library import (
     map_f1,
     map_f2,
     pinwheel_curve,
-    projection_map,
     pushforward_fan,
     rigid_curve,
     rigid_function,

@@ -164,11 +164,11 @@ def test_r0_empty_inputs_and_complementary_defect():
 # Slack programs of stable_intersect on the inputs of
 # test_diagonal_locality.test_lp_budget; the diagonal route takes 414, 50,
 # 237 and 534 there, and 66, 12, 190 and 510 LPs; stable_intersect takes
-# none.  In complementary dimension the pairs are decided by integer solves
-# and sign tests.  In L32.L32 every pairwise intersection leaves one free
-# variable and is read from its interval, and so is every pair of moved
-# tangent cones of _displaced, on the elimination of that intersection: one
-# elimination per intersect call and none per displacement.
+# none.  Every displacement is decided by the signs of integer walls.  In
+# complementary dimension the pairs are read by integer solves and sign
+# tests.  In L32.L32 every pairwise intersection leaves one free variable and
+# is read from its interval: one elimination per intersect call and none per
+# displacement.
 
 _INPUTS = [
     ("conic.conic", lambda: (_fresh(conic_curve()), _fresh(conic_curve()))),
@@ -212,6 +212,51 @@ def test_excess_dimension_takes_no_slack_program(monkeypatch):
     solves, eliminations, intersections = _count_pair_work(monkeypatch)
     stable_intersect(c, d)
     assert (len(solves), len(eliminations), len(intersections)) == (0, 30, 30)
+
+
+def test_displacements_take_no_program_in_any_dimension(monkeypatch):
+    # L43.L43, the 3-skeleton of R^4 with itself, has m = 2: its slack
+    # programs and eliminations all come from the intersect calls, one per
+    # pair of cells, and none from a displacement.
+    c, d = _fresh(standard_skeleton(4, 3)), _fresh(standard_skeleton(4, 3))
+    solves, eliminations, intersections = _count_pair_work(monkeypatch)
+    under, real = [], rn_products._displaced
+
+    def spy(meets, v):
+        before = len(solves)
+        entries = real(meets, v)
+        under.append(len(solves) - before)
+        return entries
+
+    monkeypatch.setattr(rn_products, "_displaced", spy)
+    got = stable_intersect(c, d)
+    assert (len(solves), len(eliminations), len(intersections)) == (308, 120, 90)
+    assert under and not any(under)
+    monkeypatch.undo()
+    assert cycles_equal(got, diagonal_stable_intersect(c, d))
+
+
+def test_displacement_search_ends(monkeypatch):
+    # A cone test that reads every v as a wall gives up after one candidate
+    # more than the walls (a nonzero wall of R^2 vanishes at one point of
+    # the moment curve), and a wall that is the zero covector is refused
+    # when the pair is read.
+    conic = conic_curve()
+    tried, walls = [], []
+
+    def wall_everywhere(meets, v):
+        tried.append(v)
+        walls.append(sum(len(meet.walls) for meet in meets))
+
+    monkeypatch.setattr(rn_products, "_displaced", wall_everywhere)
+    with pytest.raises(RuntimeError, match="every candidate"):
+        stable_intersect(conic, conic)
+    assert walls[0] and len(tried) == walls[0] + 1
+    # The inequality y >= 0 of a cell along the x-axis vanishes on its
+    # part a of every v, when the other cell runs along the y-axis.
+    inverse = rn_products._Inverse.of(2, ((1, 0),), ((0, 1),))
+    with pytest.raises(RuntimeError, match="zero covector"):
+        rn_products._walls(inverse, [AffineForm((0, 1), 0)], [])
 
 
 _exponent = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -310,8 +355,8 @@ def test_lattice_inverse_matches_hermite_forms(lattices, data):
     if len(sigma) + len(tau) == n:
         assert d == inverse.index
     v = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
-    da, mdb = inverse.parts(v)
-    db = tuple(-x for x in mdb)
+    da = tuple(dot(col, v) for col in inverse.columns)
+    db = tuple(d * y - x for x, y in zip(da, v))
     assert all(x + y == d * z for x, y, z in zip(da, db, v))
     # d a and d b are integer vectors of L_sigma and L_tau: each leaves the
     # Hermite basis of its lattice as it is.
@@ -340,7 +385,8 @@ def test_crossings_lie_in_both_cells(f, g):
         common = intersect(sigma, tau)
         assert (meet is None) == (common is None)
         if meet is not None:
-            p = tuple(Fraction(x, meet.denom) for x in meet.numer)
+            numer, denom = meet.rho
+            p = tuple(Fraction(x, denom) for x in numer)
             assert sigma.contains_point(p) and tau.contains_point(p)
             assert common.dim == 0 and common.interior_point == p
             points.add(p)

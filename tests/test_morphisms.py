@@ -1,5 +1,13 @@
 import pytest
-from oracles import compose_maps, divisors_equal, identity_map, linear_image_cell, pl_add, weight_of
+from oracles import (
+    compose_maps,
+    divisors_equal,
+    identity_map,
+    linear_image_cell,
+    pl_add,
+    projection_map,
+    weight_of,
+)
 
 from tropint.cycles import (
     Cycle,
@@ -21,7 +29,6 @@ from tropint.library import (
     diagonal_line,
     map_f1,
     map_f2,
-    projection_map,
     pushforward_fan,
 )
 from tropint.morphisms import (

@@ -3,6 +3,7 @@ from oracles import (
     bump_function_on_r1,
     diagonal_stable_intersect,
     origin_cycle,
+    projection_map,
     relative_interior_contains,
     tent_function_on_line,
     translation_invariance_check,
@@ -286,7 +287,6 @@ def test_diagonal_divisor_choice_does_not_matter():
             AffineForm((0,) * 2 * n, 0), AffineForm(lin, 0)))))
     c, d = line(), translate(line(), (1, 1))
     prod = cartesian_product(c, d)
-    from tropint.library import projection_map
     from tropint.morphisms import Morphism, push_forward
     cut = divisor_chain(flipped, prod)
     alt = push_forward(Morphism(projection_map(n), cut, rn_cycle(n)))
