@@ -628,7 +628,10 @@ def _relint_lp(ineqs, elim):
     :func:`_interval_point`.  Otherwise one slack program
     (:func:`_slack_lp`) gives the best t <= 1 and a point where every
     inequality is >= t, or the solution with z = 0 and t = 1 when there is
-    no inequality.
+    no inequality.  Only the parametrization (c, ws, d) of ``elim`` is
+    read; ``free`` would be read only for a ``start`` of :func:`_slack_lp`,
+    and none is given, so any flat x = (c + sum_j z_j ws[j]) / d, with
+    integer c and ws[j] and d > 0, may stand for ``elim``.
     """
     if elim is None:
         return None, None

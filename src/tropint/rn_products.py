@@ -18,28 +18,28 @@ give the product.  No cell of R^2n is built and no divisor is cut.
 
 The saturated bases of L_sigma and L_tau stack to an integer matrix B of
 k + l rows, and one :func:`~tropint.kernel.echelon` of [B | I] per pair of
-lattices tells whether they span R^n and gives an integer matrix C that
-splits every v as v = a + b, a in L_sigma and b in L_tau, with d a = v C
-(:class:`_Inverse`).
+lattices tells whether they span R^n, gives an integer matrix C that
+splits every v as v = a + b, a in L_sigma and b in L_tau, with d a = v C,
+and gives m integer vectors u_j spanning L_sigma ∩ L_tau (:class:`_Inverse`).
 
-Each pair of cells that meets in an m-cell rho becomes one record.  The
-moved tangent cones meet on the points p + a + u, u in L_rho, for p in
-the relative interior of rho.  An inequality of sigma or tau tight at p
-vanishes on all of rho's affine hull, so there it reads as a constant: its
-linear part on a for sigma's, on -b for tau's.  Read on d a = v C and on
--d b = v C - d v instead (a move by d v only scales the picture about p),
-each tight inequality gives an integer covector of v, a wall of the pair:
-sum_j f_j C_j for an inequality f of sigma, sum_j g_j C_j - d g for one
-g of tau, C_j the columns of C.  The pair counts at v when every wall is
-positive there, does not count when one is negative, and tells nothing
-when one is zero.  In complementary dimension, m = 0, rho is the one point
-p = P / (d L) where the affine hulls meet, with no cell built: with the
-interior points of sigma and tau written Q_sigma / L and Q_tau / L,
-P = d Q_sigma + (Q_tau - Q_sigma) C.  An inequality a . x + r / q >= 0 has
-the sign of q (a . P) + r d L there, and the point is written down as a
-cell, with no elimination, only when the pair counts.  For m > 0, rho is
-built once per pair by :func:`~tropint.polyhedra.intersect`.  No
-displacement eliminates anything.
+Each pair of cells is read once, in every dimension, with no cell built.
+With the interior points of sigma and tau written Q_sigma / L and
+Q_tau / L, the point P / D, P = d Q_sigma + (Q_tau - Q_sigma) C and
+D = d L, lies on both affine hulls, which meet in the flat
+x = (P + sum_j z_j u_j) / D.  An inequality a . x + r / q >= 0 with no
+slope on it has the sign of q (a . P) + r D: negative, the pair does not
+meet; zero, it is tight on all of rho = sigma ∩ tau; positive, it is
+dropped.  The others cut rho out of the flat, and one reading of them
+(:func:`~tropint.polyhedra._relint_lp`) finds a point p of rho's relative
+interior, or none when rho has less than dimension m.  On the moved cones
+a tight inequality is a constant again, its linear part on a for sigma's,
+on -b for tau's.  Read on d a = v C and -d b = v C - d v (a move by d v
+only scales the picture about p), it gives an integer covector of v, a
+wall of the pair: sum_j f_j C_j for an inequality f of sigma,
+sum_j g_j C_j - d g for one g of tau, C_j the columns of C.  The pair
+counts at v when every wall is positive there, not when one is negative,
+and tells nothing when one is zero.  Only the cells of the pairs that
+count are written down: a point with no elimination, an m-cell with one.
 
 A displacement v on a wall of a pair (its cones then meet only on their
 boundaries) tells nothing, and the next v is tried.  The candidates run
@@ -73,7 +73,7 @@ from .divisors import (
 from .kernel import QQ, dot, echelon, hnf_index
 from .library import diagonal_line
 from .morphisms import _cells_inside_support
-from .polyhedra import AffineForm, Cell, _point_elimination, intersect
+from .polyhedra import AffineForm, Cell, _eliminate, _nonconstant, _point_elimination, _relint_lp
 
 
 def diagonal_divisors(n: int) -> list:
@@ -116,7 +116,7 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
             inverse = spans[lattices]
             if inverse is None:
                 continue
-            meet = (_crossing if m == 0 else _meeting)(sigma, tau, ws * wt * inverse.index, inverse)
+            meet = _meeting(sigma, tau, ws * wt * inverse.index, inverse)
             if meet is not None:
                 meets.append(meet)
     walls = sum(len(meet.walls) for meet in meets)
@@ -127,7 +127,7 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     raise RuntimeError("every candidate displacement lies on a wall")
 
 
-class _Inverse(namedtuple("_Inverse", "det columns index")):
+class _Inverse(namedtuple("_Inverse", "det columns index meet")):
     """What the fan displacement rule reads from two direction lattices
     L_sigma and L_tau that span R^n, given by saturated bases of ranks
     k + l >= n stacked to B.  ``index`` is [Z^n : L_sigma + L_tau]: |det B|
@@ -136,7 +136,8 @@ class _Inverse(namedtuple("_Inverse", "det columns index")):
     inverse of B times sigma's basis, so that d a = v C, for d = ``det`` > 0,
     splits v = a + b with a in L_sigma and b in L_tau.  The split is unique
     when k + l = n, where C = d pi for pi the projection onto L_sigma along
-    L_tau; otherwise a is one choice in a + (L_sigma ∩ L_tau)."""
+    L_tau; otherwise a is one choice in a + (L_sigma ∩ L_tau), of which
+    ``meet`` is a basis of k + l - n integer vectors."""
 
     __slots__ = ()
 
@@ -153,17 +154,18 @@ class _Inverse(namedtuple("_Inverse", "det columns index")):
             return None
         # Row i < n of the work is then det times (e_i, row i of X), for a
         # left inverse X of B; C is d X on the sigma-columns times sigma's
-        # basis.
+        # basis.  Each later row is (0 | y) with y B = 0, so the sigma-part
+        # of y times sigma's basis lies in both lattices.
         sign, k = (-1 if det < 0 else 1), len(sigma_basis)
         inverse = [[sign * x for x in row[n:n + k]] for row in work[:n]]
-        columns = (tuple(b[j] for b in sigma_basis) for j in range(n))
+        columns = [tuple(b[j] for b in sigma_basis) for j in range(n)]
+        meet = tuple(tuple(dot(row[n:n + k], col) for col in columns) for row in work[n:])
         return cls(sign * det, tuple(tuple(dot(row, col) for row in inverse) for col in columns),
-                   sign * det if len(basis) == n else hnf_index(basis))
+                   sign * det if len(basis) == n else hnf_index(basis), meet)
 
 
-# A pair of cells that meets in an m-cell rho: rho, the pair's weight and
-# its walls.  When m = 0, rho is the point P / D, kept as the integers
-# (P, D) and written down as a cell only if the pair counts.
+# A pair of cells that meets in an m-cell rho: what writes rho down if the
+# pair counts (:func:`_written`), the pair's weight and its walls.
 _Meeting = namedtuple("_Meeting", "rho weight walls")
 
 
@@ -183,42 +185,38 @@ def _walls(inverse, sigma_tight, tau_tight):
     return walls
 
 
-def _crossing(sigma, tau, weight, inverse):
-    """The :class:`_Meeting` of two cells of complementary dimension whose
-    lattices span R^n, or None when the point where their affine hulls meet
-    lies outside one of them.  The interior points are brought to one
-    denominator L, as Q_sigma / L and Q_tau / L, so p = P / D with
-    P = d Q_sigma + (Q_tau - Q_sigma) C and D = d L (:class:`_Inverse`),
-    and an inequality with constant r / q has the sign of q (a . P) + r D
-    at p."""
+def _meeting(sigma, tau, weight, inverse):
+    """The :class:`_Meeting` of two cells whose lattices span R^n, or None
+    when they meet in less than dimension m, read on the flat
+    x = (P + sum_j z_j u_j) / D (see the module docstring).  Only the cuts,
+    the inequalities with a slope on the flat, are read for a strict point.
+    rho is (P, D) when m = 0, else (that point, the equalities of sigma and
+    tau, the cuts)."""
     ps, pt = sigma.interior_point, tau.interior_point
     den = lcm(*(x.denominator for x in ps + pt))
     qs = [x.numerator * (den // x.denominator) for x in ps]
     step = [x.numerator * (den // x.denominator) - q for x, q in zip(pt, qs)]
     numer = tuple(inverse.det * q + dot(col, step) for q, col in zip(qs, inverse.columns))
-    denom = inverse.det * den
-    tight = []
+    denom, meet = inverse.det * den, inverse.meet
+    tight, cuts = [], []
     for cell in (sigma, tau):
         forms = []
         for f in cell.ineqs:
+            if meet and any(dot(f.linear, u) for u in meet):
+                cuts.append(f)
+                continue
             value = dot(f.linear, numer) * f.constant.denominator + f.constant.numerator * denom
             if value < 0:
                 return None
             if value == 0:
                 forms.append(f)
         tight.append(forms)
-    return _Meeting((numer, denom), weight, _walls(inverse, *tight))
-
-
-def _meeting(sigma, tau, weight, inverse):
-    """The :class:`_Meeting` of two cells of excess dimension whose lattices
-    span R^n, or None when they meet in less than that dimension."""
-    rho = intersect(sigma, tau)
-    if rho is None or rho.dim != sigma.dim + tau.dim - rho.ambient_dim:
+    if not meet:
+        return _Meeting((numer, denom), weight, _walls(inverse, *tight))
+    point, t = _relint_lp(cuts, (numer, meet, denom, ()))
+    if point is None or t <= 0:
         return None
-    p = rho.interior_point
-    tight = ([f for f in cell.ineqs if f.value_at(p) == 0] for cell in (sigma, tau))
-    return _Meeting(rho, weight, _walls(inverse, *tight))
+    return _Meeting((point, sigma.eqs + tau.eqs, cuts), weight, _walls(inverse, *tight))
 
 
 def _displaced(meets, v):
@@ -226,9 +224,8 @@ def _displaced(meets, v):
     once tau's is moved by v, or None when v lies on a wall of one of them:
     a pair counts when every wall is positive at v (the moved cones'
     relative interiors meet), and not when one is negative (they are
-    disjoint).  The point of a pair of complementary dimension that counts
-    is written down as a cell with no elimination.
-    """
+    disjoint).  Only the rho of a pair that counts is written down
+    (:func:`_written`)."""
     counted = []
     for meet in meets:
         t = min([dot(w, v) for w in meet.walls], default=1)
@@ -240,12 +237,15 @@ def _displaced(meets, v):
 
 
 def _written(rho):
-    """rho as a cell: a point (P, D) is written down with no elimination."""
-    if isinstance(rho, Cell):
-        return rho
-    numer, denom = rho
-    p = tuple(QQ(x, denom) for x in numer)
-    return Cell._with_hull(len(p), (), p, _point_elimination(p))
+    """rho as a cell: a point (P, D) with no elimination, an m-cell
+    (point, eqs, cuts) by one elimination of eqs, at its strict point."""
+    if len(rho) == 2:
+        numer, denom = rho
+        p = tuple(QQ(x, denom) for x in numer)
+        return Cell._with_hull(len(p), (), p, _point_elimination(p))
+    point, eqs, cuts = rho
+    elim = _eliminate(len(point), eqs)
+    return Cell._with_hull(len(point), _nonconstant(cuts, elim), point, elim)
 
 
 def diagonal_cycle(n: int) -> Cycle:

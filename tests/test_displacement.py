@@ -115,6 +115,17 @@ def test_random_excess_products_match_diagonal(kind, data):
     assert is_balanced(got.complex).balanced
 
 
+@pytest.mark.parametrize("dim", [2, 1])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hypersurface_law(dim, data):
+    # f . C, cut out of C by f itself, is the stable product of div(f) with
+    # C: m = 1 for a surface C, m = 0 for a curve.  The divisor side shares
+    # no code with the product.
+    f, c = data.draw(polynomials(3, 1)), data.draw(_space_cycles(dim))
+    assert cycles_equal(weil_divisor(f, c), stable_intersect(weil_divisor(f, rn_cycle(3)), c))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(plane_curves(), plane_curves(), st.booleans(), st.tuples(_generic, _generic))
 def test_transversal_curves_match_mikhalkin(c, d, self_pair, v):
@@ -164,11 +175,11 @@ def test_r0_empty_inputs_and_complementary_defect():
 # Slack programs of stable_intersect on the inputs of
 # test_diagonal_locality.test_lp_budget; the diagonal route takes 414, 50,
 # 237 and 534 there, and 66, 12, 190 and 510 LPs; stable_intersect takes
-# none.  Every displacement is decided by the signs of integer walls.  In
-# complementary dimension the pairs are read by integer solves and sign
-# tests.  In L32.L32 every pairwise intersection leaves one free variable and
-# is read from its interval: one elimination per intersect call and none per
-# displacement.
+# none.  Every displacement is decided by the signs of integer walls.  Every
+# pair of cells is read on the flat where the affine hulls meet, with no
+# intersect call: in complementary dimension by sign tests at its one point,
+# and in L32.L32, where the flat is a line, from its interval.  Only the
+# output cells are eliminated.
 
 _INPUTS = [
     ("conic.conic", lambda: (_fresh(conic_curve()), _fresh(conic_curve()))),
@@ -211,13 +222,14 @@ def test_excess_dimension_takes_no_slack_program(monkeypatch):
     c, d = dict(_INPUTS)["L32.L32"]()
     solves, eliminations, intersections = _count_pair_work(monkeypatch)
     stable_intersect(c, d)
-    assert (len(solves), len(eliminations), len(intersections)) == (0, 30, 30)
+    assert (len(solves), len(eliminations), len(intersections)) == (0, 4, 0)
 
 
 def test_displacements_take_no_program_in_any_dimension(monkeypatch):
     # L43.L43, the 3-skeleton of R^4 with itself, has m = 2: its slack
-    # programs and eliminations all come from the intersect calls, one per
-    # pair of cells, and none from a displacement.
+    # programs come from the meeting pairs, at most one per pair of cells,
+    # its eliminations from the output cells, one per pair that counts, and
+    # none of either from a displacement.
     c, d = _fresh(standard_skeleton(4, 3)), _fresh(standard_skeleton(4, 3))
     solves, eliminations, intersections = _count_pair_work(monkeypatch)
     under, real = [], rn_products._displaced
@@ -230,7 +242,7 @@ def test_displacements_take_no_program_in_any_dimension(monkeypatch):
 
     monkeypatch.setattr(rn_products, "_displaced", spy)
     got = stable_intersect(c, d)
-    assert (len(solves), len(eliminations), len(intersections)) == (308, 120, 90)
+    assert (len(solves), len(eliminations), len(intersections)) == (128, 10, 0)
     assert under and not any(under)
     monkeypatch.undo()
     assert cycles_equal(got, diagonal_stable_intersect(c, d))
@@ -362,6 +374,14 @@ def test_lattice_inverse_matches_hermite_forms(lattices, data):
     # Hermite basis of its lattice as it is.
     assert hnf_basis(sigma + (da,)) == hnf_basis(sigma)
     assert hnf_basis(tau + (db,)) == hnf_basis(tau)
+    # The meet is a basis of L_sigma ∩ L_tau, of rank k + l - n: full rank,
+    # and each vector lies in both lattices.
+    meet = inverse.meet
+    assert len(meet) == len(sigma) + len(tau) - n and mat_rank(meet) == len(meet)
+    assert all(hnf_basis(lattice + (u,)) == hnf_basis(lattice)
+               for u in meet for lattice in (sigma, tau))
+    if len(sigma) + len(tau) == n:
+        assert meet == ()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -371,14 +391,14 @@ def test_crossings_lie_in_both_cells(f, g):
     # every crossing is checked here: it exists exactly when the two cells
     # meet, at their one common point.
     c, d = (weil_divisor(h, rn_cycle(2)) for h in (f, g))
-    seen, real = [], rn_products._crossing
+    seen, real = [], rn_products._meeting
 
     def spy(sigma, tau, weight, inverse):
         meet = real(sigma, tau, weight, inverse)
         seen.append((sigma, tau, meet))
         return meet
 
-    with mock.patch.object(rn_products, "_crossing", spy):
+    with mock.patch.object(rn_products, "_meeting", spy):
         got = stable_intersect(c, d)
     points = set()
     for sigma, tau, meet in seen:
@@ -391,3 +411,5 @@ def test_crossings_lie_in_both_cells(f, g):
             assert common.dim == 0 and common.interior_point == p
             points.add(p)
     assert {cell.interior_point for cell in got.complex.cells} <= points
+    assert validate_complex(got.complex).valid
+    assert is_balanced(got.complex).balanced

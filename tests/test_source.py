@@ -17,6 +17,26 @@ def test_no_assert_statements_in_library():
     assert SOURCES and not found
 
 
+def _unused_imports(tree):
+    """The names a module imports and never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_library_modules_use_every_import():
+    # A name imported and never read, like a helper left behind by the route
+    # that used it, is dead weight; __init__.py imports to re-export.
+    found = [f"{path.name}: {name}" for path in SOURCES if path.name != "__init__.py"
+             for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert SOURCES and not found
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
