@@ -39,17 +39,21 @@ IntMatrix = tuple  # tuple of int row tuples
 
 
 def rat_parts(x) -> tuple[int, int]:
-    """(numerator, denominator) of a rational or int, as plain ints."""
-    q = QQ(x)
+    """(numerator, denominator) of a rational or int, as plain ints.  A
+    ``QQ`` is read as it is, with no copy."""
+    q = x if type(x) is QQ else QQ(x)
     return int(q.numerator), int(q.denominator)
 
 
 def int_vector(v) -> IntVector:
     """The entries of v as a tuple of ints.
 
-    Ints pass as they are; any other number passes only if it is an integer
-    (a rational with denominator 1), else ValueError.
+    A tuple of ints is returned as it is.  Otherwise ints pass as they are,
+    and any other number passes only if it is an integer (a rational with
+    denominator 1), else ValueError.
     """
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return v
     out = []
     for x in v:
         if type(x) is not int:

@@ -13,11 +13,15 @@ inequalities have a strict point on the solutions of an elimination?
 leaves at most one free variable z, as for a ray, a segment, a point cut
 from a line or a facet of a cell of dimension two, the inequalities cut
 out an interval of z (:func:`_interval_of`), and the answer is read from
-it with no program.  Otherwise one slack program, :func:`_slack_lp`,
-decides it by the rational simplex over the free variables.  A cell of
-dimension one also takes its canonical form, facets, recession cone and
-refinement from its interval and the sorted points where forms cross it.
-There is no vertex enumeration anywhere.
+it with no program.  That reading is in integers: each inequality becomes
+an integer line A z + G, a positive multiple of its rational line, the
+ends are chosen by cross-multiplication, and the only rationals built are
+the two ends kept and the coordinates of the points returned.  Otherwise
+one slack program, :func:`_slack_lp`, decides it by the rational simplex
+over the free variables.  A cell of dimension one also takes its canonical
+form, facets, recession cone and refinement from its interval and the
+sorted points where forms cross it.  There is no vertex enumeration
+anywhere.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .kernel import (
 )
 
 
+_ZERO, _ONE = QQ(0), QQ(1)
+
+
 class EmptyCellError(ValueError):
     """Raised when a constraint system has no solutions."""
 
@@ -56,7 +63,10 @@ class AffineForm(namedtuple("AffineForm", "linear constant")):
     __slots__ = ()
 
     def __new__(cls, linear, constant):
-        return super().__new__(cls, int_vector(linear), QQ(constant))
+        # A QQ constant and a tuple of ints are kept as they are.
+        if type(constant) is not QQ:
+            constant = QQ(constant)
+        return super().__new__(cls, int_vector(linear), constant)
 
     def value_at(self, point):
         return dot(self.linear, point) + self.constant
@@ -156,8 +166,13 @@ class Cell:
     def _set(self, ambient_dim, ineqs, interior_point, elim, eqs=None, lattice=None):
         n = self.ambient_dim = ambient_dim
         self.ineqs = tuple(ineqs)
-        self.eqs = eqs if eqs is not None else tuple(
-            AffineForm(row[:n], row[n]).scaled_primitive() for row in elim[4])
+        if eqs is None:
+            # The integer rows of the elimination, made primitive.
+            eqs = []
+            for row in elim[4]:
+                g = vec_gcd(row[:n])
+                eqs.append(AffineForm(tuple(x // g for x in row[:n]), QQ(row[n], g)))
+        self.eqs = tuple(eqs)
         self.interior_point = tuple(interior_point)
         self._elim, self._lattice = elim, lattice
         self._canonical = self._facet_points = self._canonical_cell = None
@@ -401,8 +416,9 @@ class Cell:
         kept, facets = [], []
         for end, sign in ((hi, -1), (lo, 1)):
             if end is not None:
-                kept.append(AffineForm(tuple(sign if i == j else 0 for i in range(n)), -sign * end))
-                point = _point_at(self._elim, end)
+                kept.append(AffineForm(tuple(sign if i == j else 0 for i in range(n)),
+                                       end if sign < 0 else -end))
+                point = _point_at(self._elim, end.numerator, end.denominator)
                 facets.append((point, _point_elimination(point)))
         return kept, facets
 
@@ -492,15 +508,18 @@ def _line(f, elim):
 def _nonconstant(ineqs, elim):
     """The inequalities whose line over the elimination ``elim`` is not
     constant, made primitive and without repeats; None when there is no
-    solution: ``elim`` is None, or a constant line is negative."""
+    solution: ``elim`` is None, or a constant line is negative.
+
+    The integer slopes decide constancy.  A constant line d f(x) = a . c +
+    d p / q, for f = a . x + p / q, has the sign of the integer
+    (a . c) q + d p, which decides it with no rational."""
     if elim is None:
         return None
+    c, ws, d = elim[:3]
     out, seen = [], set()
     for f in ineqs:
-        # The integer slopes decide constancy; the rational constant of the
-        # line is needed only for a constant one.
-        if not any(dot(f.linear, w) for w in elim[1]):
-            if _line(f, elim)[1] < 0:
+        if not any(dot(f.linear, w) for w in ws):
+            if dot(f.linear, c) * f.constant.denominator + d * f.constant.numerator < 0:
                 return None
             continue
         f = f.scaled_primitive()
@@ -541,49 +560,57 @@ def _slack_lp(plain, slack, elim, start=None):
 
 
 def _interval(lines):
-    """The z with alpha z + gamma >= 0 for every (alpha, gamma), as (lo, hi)
-    with None on an unbounded side, or None when there is none.  The gammas
-    are rationals."""
+    """The z with A z + G >= 0 for every integer line (A, G), as (lo, hi)
+    with None on an unbounded side, or None when there is none.
+
+    Each root -G / A is held as an integer pair (numerator, positive
+    denominator), and roots are compared by cross-multiplication.  Only
+    the two ends kept become rationals."""
     lo = hi = None
-    for alpha, gamma in lines:
-        if alpha > 0:
-            b = -gamma / alpha
-            if lo is None or b > lo:
-                lo = b
-        elif alpha < 0:
-            b = -gamma / alpha
-            if hi is None or b < hi:
-                hi = b
-        elif gamma < 0:
+    for A, G in lines:
+        if A > 0:
+            if lo is None or -G * lo[1] > lo[0] * A:
+                lo = (-G, A)
+        elif A < 0:
+            if hi is None or G * hi[1] < hi[0] * -A:
+                hi = (G, -A)
+        elif G < 0:
             return None
-    if lo is not None and hi is not None and lo > hi:
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return None
-    return lo, hi
+    return None if lo is None else QQ(*lo), None if hi is None else QQ(*hi)
 
 
 def _interval_of(forms, elim):
     """Inequalities read on the solutions of an elimination with at most
-    one free variable z (:func:`_eliminate`): each form's line (A, G), with
-    d f(x) = A z + G and A = 0 when no variable is free, and the interval
-    of z they cut out (:func:`_interval`, None when empty).  This is the
-    one reading of a system with at most one free variable: the decision
-    of :func:`_relint_lp`, and the canonical form, facets, recession cone
-    and refinement box of a cell of dimension one, all come from it."""
+    one free variable z (:func:`_eliminate`): each form's integer line
+    (A, G), and the interval of z they cut out (:func:`_interval`, None
+    when empty).
+
+    For f = a . x + p / q and the solutions x = (c + z w) / d, the line is
+    q d f(x) = A z + G, with A = q (a . w), A = 0 when no variable is free,
+    and G = q (a . c) + d p.  It is a positive multiple of f on the
+    solutions, so it has f's sign at every z and f's root, and signs and
+    roots are all that any caller reads.  This is the one reading of a
+    system with at most one free variable: the decision of
+    :func:`_relint_lp`, :func:`strict_point`, and the canonical form,
+    facets, recession cone and refinement box of a cell of dimension one,
+    all come from it."""
     c, ws, d = elim[:3]
     (w,) = ws or ((0,) * len(c),)
-    lines = [(dot(f.linear, w),
-              QQ(dot(f.linear, c) * f.constant.denominator + d * f.constant.numerator,
-                 f.constant.denominator)) for f in forms]
+    lines = []
+    for f in forms:
+        p, q = f.constant.numerator, f.constant.denominator
+        lines.append((q * dot(f.linear, w), q * dot(f.linear, c) + d * p))
     return lines, _interval(lines)
 
 
-def _point_at(elim, z):
+def _point_at(elim, p, q):
     """The point x = (c + z w) / d of an elimination with at most one free
-    variable (:func:`_eliminate`) at a rational z, one fraction a
-    coordinate; c / d when no variable is free."""
+    variable (:func:`_eliminate`) at z = p / q, for integers p and q > 0,
+    one fraction a coordinate; c / d when no variable is free."""
     c, ws, d = elim[:3]
     (w,) = ws or ((0,) * len(c),)
-    p, q = z.numerator, z.denominator
     return tuple(QQ(ci * q + p * wi, q * d) for ci, wi in zip(c, w))
 
 
@@ -592,12 +619,16 @@ def _interval_point(elim, lo, hi):
     (:func:`_eliminate`) that stands for the interval [lo, hi] of z, None
     on an unbounded side (:func:`_point_at`): z at the midpoint, one step
     from the finite end when one side is unbounded, or 0 when both are,
-    which is c / d when no variable is free."""
-    if lo is None or hi is None:
-        z = QQ(0) if lo is None and hi is None else hi - 1 if lo is None else lo + 1
-    else:
-        z = (lo + hi) / 2
-    return _point_at(elim, z)
+    which is c / d when no variable is free.  z itself is never built as
+    a rational."""
+    if lo is None and hi is None:
+        return _point_at(elim, 0, 1)
+    if lo is None:
+        return _point_at(elim, hi.numerator - hi.denominator, hi.denominator)
+    if hi is None:
+        return _point_at(elim, lo.numerator + lo.denominator, lo.denominator)
+    return _point_at(elim, lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+                     2 * lo.denominator * hi.denominator)
 
 
 def _point_elimination(point):
@@ -621,11 +652,13 @@ def _relint_lp(ineqs, elim):
     interior, and t = 0 that some inequality vanishes on every common
     point.
 
-    With at most one free variable z the lines of the inequalities are
-    read once (:func:`_interval_of`), with no program.  A strict point
-    exists exactly when every constant line is > 0 and the interval of z
-    has lo < hi or an unbounded side; t is then 1, else 0, and the point is
-    :func:`_interval_point`.  Otherwise one slack program
+    With at most one free variable z the integer lines of the inequalities
+    are read once (:func:`_interval_of`), with no program; only their
+    signs and the interval's ends are used.  A strict point exists exactly
+    when every constant line is > 0 and the interval of z has lo < hi or an
+    unbounded side; t is then 1, else 0, and the point is
+    :func:`_interval_point`, whose z is never built as a rational.
+    Otherwise one slack program
     (:func:`_slack_lp`) gives the best t <= 1 and a point where every
     inequality is >= t, or the solution with z = 0 and t = 1 when there is
     no inequality.  Only the parametrization (c, ws, d) of ``elim`` is
@@ -642,10 +675,10 @@ def _relint_lp(ineqs, elim):
         lo, hi = box
         strict = (all(G > 0 for A, G in lines if A == 0)
                   and (lo is None or hi is None or lo < hi))
-        return _interval_point(elim, lo, hi), QQ(1) if strict else QQ(0)
+        return _interval_point(elim, lo, hi), _ONE if strict else _ZERO
     if not ineqs:
         c, _, d = elim[:3]
-        return tuple(QQ(x, d) for x in c), QQ(1)
+        return tuple(QQ(x, d) for x in c), _ONE
     res = _slack_lp((), ineqs, elim)
     if res.status == INFEASIBLE or (res.status == OPTIMAL and res.value < 0):
         # A negative best slack means the relaxed system only meets the
@@ -670,11 +703,13 @@ def _max_capped(form, ineqs, elim, start):
 def strict_point(cell, form) -> tuple | None:
     """A point of the cell with form > 0, or None if form <= 0 on the cell.
 
-    On a cell of dimension at most one the form's line A z + G is read over
-    the interval [lo, hi] of the free variable (:func:`_interval_of`) with
-    no program: its maximum is at hi when A > 0 and at lo when A < 0, it
-    is positive somewhere when that side is unbounded, and it is G when
-    A = 0.  Other cells take one capped slack program (:func:`_max_capped`).
+    On a cell of dimension at most one the form's integer line A z + G is
+    read over the interval [lo, hi] of the free variable
+    (:func:`_interval_of`) with no program: its maximum is at hi when
+    A > 0 and at lo when A < 0, it is positive somewhere when that side is
+    unbounded, where its root is the rational ``QQ(-G, A)``, and it has the
+    sign of G when A = 0.  Other cells take one capped slack program
+    (:func:`_max_capped`).
     """
     elim = cell._elim
     if cell.dim > 1:
@@ -688,10 +723,10 @@ def strict_point(cell, form) -> tuple | None:
     if z is None:
         # The line grows without bound on this side: one step past its root,
         # or the other end if that lies further out, is a strict point.
-        z = -G / A + (1 if A > 0 else -1)
+        z = QQ(-G, A) + (1 if A > 0 else -1)
         if other is not None and (other - z) * A > 0:
             z = other
-    return _point_at(elim, z) if A * z + G > 0 else None
+    return _point_at(elim, z.numerator, z.denominator) if A * z + G > 0 else None
 
 
 def form_vanishes_on(cell, form) -> bool:

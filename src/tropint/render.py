@@ -8,8 +8,8 @@ to decimals only for the SVG output; the cycle itself is never altered.
 from __future__ import annotations
 
 from .cycles import Cycle
-from .kernel import QQ, dot
-from .polyhedra import _interval
+from .kernel import QQ
+from .polyhedra import AffineForm, _interval_of, _point_at
 
 
 def render_svg(cycle: Cycle, bbox=(-5, -5, 5, 5), size=600) -> str:
@@ -32,7 +32,8 @@ def render_svg(cycle: Cycle, bbox=(-5, -5, 5, 5), size=600) -> str:
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    box_forms = [((1, 0), -x0), ((-1, 0), x1), ((0, 1), -y0), ((0, -1), y1)]
+    box_forms = (AffineForm((1, 0), -x0), AffineForm((-1, 0), x1),
+                 AffineForm((0, 1), -y0), AffineForm((0, -1), y1))
     for cell, w in zip(cx.cells, cx.weights):
         seg = _visible_segment(cell, box_forms)
         if seg is None:
@@ -54,19 +55,16 @@ def render_svg(cycle: Cycle, bbox=(-5, -5, 5, 5), size=600) -> str:
 def _visible_segment(cell, box_forms):
     """Clip a one-dimensional cell to the box; None when nothing shows.
 
-    The cell is p + z d for z in an interval: each constraint a . x + c >= 0
-    of the cell or the box bounds z through (a . d) z + (a . p + c) >= 0.
+    The cell is x = (c + z w) / d for z in an interval, over its
+    elimination; the inequalities of the cell and of the box cut out the
+    interval of z they allow (:func:`_interval_of`), and the segment runs
+    between the points at its ends (:func:`_point_at`).  It starts at the
+    end that comes first along the cell's lattice direction, whose first
+    nonzero entry is positive.
     """
-    p = cell.interior_point
-    d = cell.direction_lattice.vectors[0]
-    constraints = [(f.linear, f.constant) for f in cell.ineqs] + box_forms
-    interval = _interval([(dot(linear, d), dot(linear, p) + QQ(constant))
-                          for linear, constant in constraints])
-    if interval is None or None in interval:
+    elim = cell._elim
+    interval = _interval_of(cell.ineqs + box_forms, elim)[1]
+    if interval is None or None in interval or interval[0] == interval[1]:
         return None
-    lo, hi = interval
-    a = tuple(x + lo * v for x, v in zip(p, d))
-    b = tuple(x + hi * v for x, v in zip(p, d))
-    if a == b:
-        return None
-    return a, b
+    a, b = (_point_at(elim, z.numerator, z.denominator) for z in interval)
+    return (a, b) if next(x for x in elim[1][0] if x) > 0 else (b, a)

@@ -280,6 +280,27 @@ def _reference_pivot(tab, row, col):
 # elimination on Fractions, with pivots scaled to one.
 
 
+def reference_interval(lines):
+    """The z with alpha z + gamma >= 0 for every (alpha, gamma), with
+    rational alpha and gamma, as (lo, hi) with None on an unbounded side,
+    or None when there is none: each root -gamma / alpha as a rational."""
+    lo = hi = None
+    for alpha, gamma in lines:
+        if alpha > 0:
+            b = -gamma / alpha
+            if lo is None or b > lo:
+                lo = b
+        elif alpha < 0:
+            b = -gamma / alpha
+            if hi is None or b < hi:
+                hi = b
+        elif gamma < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
 def reference_mat_rank(rows):
     """Rank of a matrix with int/rational entries."""
     work = [[QQ(x) for x in row] for row in rows]

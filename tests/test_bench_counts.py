@@ -1,5 +1,5 @@
-"""Exact slack-program, elimination and probe counts of the seed-201 bench
-rounds.
+"""Exact slack-program, elimination, probe and ``Fraction`` counts of the
+seed-201 bench rounds.
 
 A fresh ``python -B`` process builds the seed-201 round of each workload
 from ``bench/workloads.py``, runs it once to warm up, and counts the calls
@@ -7,9 +7,13 @@ of ``polyhedra._slack_lp``, ``polyhedra._eliminate`` and the
 implied-equality probe ``polyhedra._max_capped`` over a second
 round, rebound in every tropint module that holds them, and among the
 slack programs those whose elimination leaves fewer than two free
-variables, which ``polyhedra._relint_lp`` reads from an interval instead.  A round does the
-same work every time (``test_bench_rounds.py``), so the counts are exact
-gates: work that moves or grows shows here before it shows in a timing.
+variables, which ``polyhedra._relint_lp`` reads from an interval instead.
+It also counts the ``fractions.Fraction`` objects the round constructs,
+by wrapping ``Fraction.__new__``, which every constructor and every
+arithmetic result goes through.  A round does the same work every time
+(``test_bench_rounds.py``), and the counts are the same under any
+``PYTHONHASHSEED``, so they are exact gates: work that moves or grows
+shows here before it shows in a timing.
 """
 
 import json
@@ -19,7 +23,7 @@ import sys
 from test_bench_digest import BENCH, DIGESTS, ROOT, _listing
 
 _COUNT = """
-import importlib, json, pkgutil, sys
+import fractions, importlib, json, pkgutil, sys
 sys.path[:0] = sys.argv[1:3]
 import workloads
 import tropint, tropint.polyhedra as polyhedra
@@ -47,8 +51,17 @@ for workload in sys.argv[3:]:
             if getattr(module, real.__name__, None) is real:
                 setattr(module, real.__name__, wrapper)
                 bound.append((module, real))
+    real_new = fractions.Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    counts["Fraction"] = 0
+    fractions.Fraction.__new__ = staticmethod(new)
     for op in ops:
         op.run()
+    fractions.Fraction.__new__ = staticmethod(real_new)
     for module, real in bound:
         setattr(module, real.__name__, real)
     out[workload] = counts
@@ -72,10 +85,19 @@ print(json.dumps(out))
 # decided from its interval, so no slack program has fewer than two free
 # variables.  A piecewise function intersects only the cells of pieces whose
 # forms differ.
+# A system with at most one free variable is read in integers: its lines
+# are integer multiples of the rational ones, its ends are chosen by
+# cross-multiplication, and only the two ends and the coordinates of the
+# points returned are Fractions.  That took the Fractions of a round from
+# 1,502 to 826 (plane-intersect), 8,663 to 5,327 (curve-arith) and 56,859
+# to 46,968 (space-chain).
 _COUNTS = {
-    "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 54, "_max_capped": 0},
-    "curve-arith": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 98, "_max_capped": 0},
-    "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 586, "_max_capped": 16},
+    "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 54, "_max_capped": 0,
+                        "Fraction": 826},
+    "curve-arith": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 98, "_max_capped": 0,
+                    "Fraction": 5327},
+    "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 586, "_max_capped": 16,
+                    "Fraction": 46968},
 }
 
 

@@ -13,6 +13,16 @@ general constructions, and the recession cone by the boundedness of +w and
 -w.  A point's elimination, written down, must be the one ``_eliminate``
 computes.  Every interior point is a tuple of ``Fraction``s as built, with
 no conversion by the cell.
+
+The interval is read in integers: each line is a positive multiple of the
+rational line d f(x) = (a . w) z + (a . c + d f.constant), and the ends are
+chosen by cross-multiplication.  Against the rational reading
+(``oracles.reference_interval``), with constants over the coprime
+denominators 7, 60 and 97 and roots that tie over different denominators,
+the lines must have the same signs and roots and the interval the same
+ends.  Every end and every point coordinate that ``_interval``,
+``_relint_lp``, ``strict_point`` and the facets of ``canonical_cell`` return
+must be exactly a ``Fraction``, never a float or an int.
 """
 
 from fractions import Fraction
@@ -22,6 +32,7 @@ from hypothesis import strategies as st
 from oracles import (
     reference_canonical_key,
     reference_faces_of_codim_one,
+    reference_interval,
     reference_lp_max,
     relative_interior_contains,
 )
@@ -33,6 +44,8 @@ from tropint.polyhedra import AffineForm, Cell
 
 _coef = st.sampled_from((0, 0, 1, -1, 2, -2, 3))
 _rat = st.builds(QQ, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+# Constants over larger coprime denominators; the bench's are over 60.
+_wide = st.builds(QQ, st.integers(-200, 200), st.sampled_from((1, 7, 60, 97)))
 _mult = st.sampled_from((1, 1, -1, 2, -3))
 
 
@@ -180,3 +193,88 @@ def test_point_elimination_is_eliminate(system):
              for e in extra]
     eqs = [AffineForm(a, -dot(a, p)) for a in rows]
     assert polyhedra._point_elimination(p) == polyhedra._eliminate(n, eqs)
+
+
+def _exact(values):
+    """Whether every value is exactly a Fraction (an int or a float equal
+    to one is not)."""
+    return all(type(x) is Fraction for x in values)
+
+
+@st.composite
+def wide_line_systems(draw):
+    """A system of :func:`line_systems` with more inequalities, whose
+    constants are over 7, 60 or 97, some with a root tied with another's
+    over a different denominator: a positive multiple of it, or its
+    opposite side, each with its constant scaled too."""
+    n, ineqs, eqs, w = draw(line_systems())
+    ineqs = list(ineqs) + draw(st.lists(st.builds(AffineForm, st.tuples(*[_coef] * n), _wide),
+                                        max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        if not ineqs:
+            break
+        f = draw(st.sampled_from(ineqs))
+        m = draw(st.sampled_from((2, 3, 7, 60)))
+        sign = draw(st.sampled_from((1, -1)))
+        ineqs.append(AffineForm(tuple(sign * m * a for a in f.linear), sign * m * f.constant))
+    return n, draw(st.permutations(ineqs)), eqs, w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_line_systems())
+def test_integer_lines_read_as_the_rational_ones(system):
+    n, ineqs, eqs, _ = system
+    elim = polyhedra._eliminate(n, eqs)
+    c, (w,), d = elim[:3]
+    lines, box = polyhedra._interval_of(ineqs, elim)
+    rational = [(dot(f.linear, w), dot(f.linear, c) + d * f.constant) for f in ineqs]
+    assert all(type(A) is int and type(G) is int for A, G in lines)
+    for (A, G), (alpha, gamma) in zip(lines, rational):
+        assert (A > 0) - (A < 0) == (alpha > 0) - (alpha < 0)
+        if A:
+            assert QQ(-G, A) == -gamma / alpha
+        else:
+            assert (G > 0) - (G < 0) == (gamma > 0) - (gamma < 0)
+    assert box == reference_interval(rational)
+    if box is not None:
+        assert _exact(end for end in box if end is not None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_tied_roots_over_different_denominators(data):
+    # Lines A z + G >= 0 whose roots are drawn from a few rationals, each
+    # written over several denominators, on both sides.
+    roots = data.draw(st.lists(st.builds(QQ, st.integers(-9, 9), st.sampled_from((1, 7, 60, 97))),
+                               min_size=1, max_size=3))
+    lines = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        r = data.draw(st.sampled_from(roots))
+        A = data.draw(st.sampled_from((1, -1))) * r.denominator * data.draw(
+            st.sampled_from((1, 2, 3, 7, 60)))
+        lines.append((A, -A * r.numerator // r.denominator))
+    lines += data.draw(st.lists(st.tuples(st.just(0), st.integers(-1, 2)), max_size=1))
+    box = polyhedra._interval(lines)
+    assert box == reference_interval([(QQ(A), QQ(G)) for A, G in lines])
+    if box is not None:
+        assert _exact(end for end in box if end is not None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(wide_line_systems(), st.tuples(st.tuples(*[_coef] * 3), _wide))
+def test_points_of_an_interval_are_exact(system, raw):
+    n, ineqs, eqs, _ = system
+    elim = polyhedra._eliminate(n, eqs)
+    point, t = polyhedra._relint_lp(ineqs, elim)
+    if point is None:
+        return
+    assert _exact(point) and _exact((t,))
+    cell = Cell.try_from_constraints(n, ineqs, eqs)
+    form = AffineForm(raw[0][:n], raw[1])
+    best = polyhedra.strict_point(cell, form)
+    if best is not None:
+        assert _exact(best) and form.value_at(best) > 0
+    canonical = cell.canonical_cell()
+    for facet_point, _ in canonical._facet_points:
+        assert _exact(facet_point)
+    assert all(_exact((f.constant,)) for f in canonical.ineqs + canonical.eqs)

@@ -3,28 +3,35 @@
 Divisors of max-polynomials supported on the full degree-d simplex are
 plane curves of degree d: that number is known independently of the
 stable-intersection machinery, so comparing it against the diagonal
-pipeline exercises products, push-forwards and divisors end to end.
+pipeline exercises products, push-forwards and divisors end to end.  Sums,
+differences and push-forwards of such curves, with constants over 60 as
+in the bench, must be valid complexes.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
-from tropint.cycles import cycles_equal, is_balanced, rn_cycle, validate_complex
+from tropint.cycles import add, cycles_equal, is_balanced, negate, rn_cycle, validate_complex
 from tropint.divisors import TropicalPolynomial, weil_divisor
+from tropint.morphisms import IntegerLinearMap, Morphism, push_forward
 from tropint.polyhedra import AffineForm
 from tropint.rn_products import bezout_check, degree, is_pn_generic, stable_intersect
 
 
-def random_plane_curve(rng, d):
+def random_plane_curve(rng, d, denominator=1):
     """Divisor of a random polynomial with full degree-d simplex support.
 
-    Coefficients are kept small and distinct-ish; the support guarantees
-    rays only in the three standard directions, so the curve has degree d
-    and is generic regardless of the coefficients.
+    Coefficients are kept small and distinct-ish, and are integers over the
+    given denominator; the support guarantees rays only in the three
+    standard directions, so the curve has degree d and is generic
+    regardless of the coefficients.
     """
     terms = []
     for i in range(d + 1):
         for j in range(d + 1 - i):
-            terms.append(AffineForm((i, j), rng.randint(-3, 3)))
+            c = Fraction(rng.randint(-3 * denominator, 3 * denominator), denominator)
+            terms.append(AffineForm((i, j), c))
     return weil_divisor(TropicalPolynomial(tuple(terms)), rn_cycle(2))
 
 
@@ -58,3 +65,19 @@ def test_random_products_commute_and_balance():
             assert cycles_equal(lhs, rhs)
             assert is_balanced(lhs.complex).balanced
             assert degree(lhs) == 1
+
+
+def test_sums_and_push_forwards_of_curves_are_valid():
+    # Every edge of these outputs is cut and read from the interval of its
+    # free variable.
+    rng = random.Random(60)
+    for trial in range(8):
+        a, b = (random_plane_curve(rng, rng.randint(1, 3), 60) for _ in range(2))
+        while True:
+            covector = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if gcd(*covector) == 1:
+                break
+        pushed = push_forward(Morphism(IntegerLinearMap((covector,)), a, rn_cycle(1)))
+        for name, out in (("a + b", add(a, b)), ("a - b", add(a, negate(b))),
+                          ("push", pushed)):
+            assert validate_complex(out.complex).valid, (trial, name)
