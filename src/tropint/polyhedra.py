@@ -20,8 +20,11 @@ the two ends kept and the coordinates of the points returned.  Otherwise
 one slack program, :func:`_slack_lp`, decides it by the rational simplex
 over the free variables.  A cell of dimension one also takes its canonical
 form, facets, recession cone and refinement from its interval and the
-sorted points where forms cross it.  There is no vertex enumeration
-anywhere.
+sorted points where forms cross it.  The refinement is in integers too:
+it reads the same integer lines, holds each crossing as a reduced integer
+pair, compares and sorts the crossings by cross-multiplication, and builds
+only the coordinates of each piece's point as rationals.  There is no
+vertex enumeration anywhere.
 """
 
 from __future__ import annotations
@@ -581,28 +584,44 @@ def _interval(lines):
     return None if lo is None else QQ(*lo), None if hi is None else QQ(*hi)
 
 
-def _interval_of(forms, elim):
-    """Inequalities read on the solutions of an elimination with at most
-    one free variable z (:func:`_eliminate`): each form's integer line
-    (A, G), and the interval of z they cut out (:func:`_interval`, None
-    when empty).
+def _integer_lines(forms, elim):
+    """The integer line of each form over the solutions of an elimination
+    with at most one free variable z (:func:`_eliminate`).
 
     For f = a . x + p / q and the solutions x = (c + z w) / d, the line is
     q d f(x) = A z + G, with A = q (a . w), A = 0 when no variable is free,
     and G = q (a . c) + d p.  It is a positive multiple of f on the
     solutions, so it has f's sign at every z and f's root, and signs and
-    roots are all that any caller reads.  This is the one reading of a
-    system with at most one free variable: the decision of
-    :func:`_relint_lp`, :func:`strict_point`, and the canonical form,
-    facets, recession cone and refinement box of a cell of dimension one,
-    all come from it."""
+    roots are all that any caller reads."""
     c, ws, d = elim[:3]
     (w,) = ws or ((0,) * len(c),)
     lines = []
     for f in forms:
         p, q = f.constant.numerator, f.constant.denominator
         lines.append((q * dot(f.linear, w), q * dot(f.linear, c) + d * p))
+    return lines
+
+
+def _interval_of(forms, elim):
+    """Inequalities read on the solutions of an elimination with at most
+    one free variable z (:func:`_eliminate`): each form's integer line
+    (A, G) (:func:`_integer_lines`), and the interval of z they cut out
+    (:func:`_interval`, None when empty).
+
+    This is the one reading of a system with at most one free variable:
+    the decision of :func:`_relint_lp`, :func:`strict_point`, and the
+    canonical form, facets, recession cone and refinement box of a cell of
+    dimension one, all come from it.  The refinement of such a cell reads
+    the forms that cut it with :func:`_integer_lines` alone, since its
+    interval is known."""
+    lines = _integer_lines(forms, elim)
     return lines, _interval(lines)
+
+
+def _pair(x):
+    """A rational as the integer pair (numerator, positive denominator),
+    None for None."""
+    return None if x is None else (x.numerator, x.denominator)
 
 
 def _point_at(elim, p, q):
@@ -616,19 +635,19 @@ def _point_at(elim, p, q):
 
 def _interval_point(elim, lo, hi):
     """The point of an elimination with at most one free variable z
-    (:func:`_eliminate`) that stands for the interval [lo, hi] of z, None
-    on an unbounded side (:func:`_point_at`): z at the midpoint, one step
-    from the finite end when one side is unbounded, or 0 when both are,
-    which is c / d when no variable is free.  z itself is never built as
-    a rational."""
+    (:func:`_eliminate`) that stands for the interval [lo, hi] of z, each
+    end an integer pair (p, q) for p / q with q > 0, None on an unbounded
+    side (:func:`_point_at`): z at the midpoint, one step from the finite
+    end when one side is unbounded, or 0 when both are, which is c / d
+    when no variable is free.  Neither the ends nor z are built as
+    rationals; only the point's coordinates are."""
     if lo is None and hi is None:
         return _point_at(elim, 0, 1)
     if lo is None:
-        return _point_at(elim, hi.numerator - hi.denominator, hi.denominator)
+        return _point_at(elim, hi[0] - hi[1], hi[1])
     if hi is None:
-        return _point_at(elim, lo.numerator + lo.denominator, lo.denominator)
-    return _point_at(elim, lo.numerator * hi.denominator + hi.numerator * lo.denominator,
-                     2 * lo.denominator * hi.denominator)
+        return _point_at(elim, lo[0] + lo[1], lo[1])
+    return _point_at(elim, lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
 
 
 def _point_elimination(point):
@@ -675,7 +694,7 @@ def _relint_lp(ineqs, elim):
         lo, hi = box
         strict = (all(G > 0 for A, G in lines if A == 0)
                   and (lo is None or hi is None or lo < hi))
-        return _interval_point(elim, lo, hi), _ONE if strict else _ZERO
+        return _interval_point(elim, _pair(lo), _pair(hi)), _ONE if strict else _ZERO
     if not ineqs:
         c, _, d = elim[:3]
         return tuple(QQ(x, d) for x in c), _ONE
@@ -852,7 +871,8 @@ def refine_cell(cell: Cell, forms) -> list:
     vanish at a relative interior point of a piece, where it would take a
     minimum inside the hull.
 
-    On a cell of dimension one the arrangement is a sorted list of points
+    On a cell of dimension one the arrangement is a sorted list of points,
+    the crossings of the forms' integer lines, read as integer pairs
     (:func:`_refine_interval`), and nothing is probed.  On other cells
     only the forms that take both signs on the box are probed, by at most
     one slack program per side and piece.  A probed form is 1 on its
@@ -890,28 +910,40 @@ def _refine_interval(cell, forms, elim, box):
     """:func:`refine_cell` on a cell of dimension one, whose free variable
     z runs over the interval ``box`` = (lo, hi) (:func:`_interval`).
 
-    A form with line A z + G, A != 0, crosses at z = -G / A, and the
-    crossings strictly inside (lo, hi), sorted and without repeats, are the
-    cuts.  The pieces are the intervals between consecutive cuts and the
-    ends.  Each piece adds to the cell's inequalities the first form that
-    crosses at each of its inner ends, oriented to be >= 0 on the piece,
-    and takes the point of its interval (:func:`_interval_point`).  The
-    rank r of a crossing is the number of pieces below it: the index of its
-    cut plus one, 0 at or below lo, and m + 1 at or above hi, for m cuts.
-    So the form's sign on piece i is sign(A) when i >= r and -sign(A)
-    otherwise; a form with A = 0 keeps sign(G).
+    Each form is read as its integer line A z + G (:func:`_integer_lines`).
+    One with A != 0 crosses at z = -G / A, held as the reduced integer pair
+    (-G / g, A / g) for g = gcd(G, A) taken with the sign of A, so two
+    crossings are equal exactly when their pairs are.  The distinct
+    crossings strictly inside (lo, hi), decided by cross-multiplication,
+    are the cuts, sorted by their numerators over the lcm of their
+    denominators; no crossing is built as a rational.  The pieces are the
+    intervals between consecutive cuts and the ends.  Each piece adds to
+    the cell's inequalities the first form that crosses at each of its
+    inner ends, oriented to be >= 0 on the piece, and takes the point of
+    its interval (:func:`_interval_point`), whose coordinates are the only
+    rationals built.  The rank r of a crossing is the number of pieces
+    below it: the index of its cut plus one, 0 at or below lo, and m + 1
+    at or above hi, for m cuts.  So the form's sign on piece i is sign(A)
+    when i >= r and -sign(A) otherwise; a form with A = 0 keeps sign(G).
+    The pieces, their inequalities and points, and the signs are those of
+    the rational reading of the crossings.
     """
-    lo, hi = box
+    lo, hi = _pair(box[0]), _pair(box[1])
     lines = []
-    for f in forms:
-        (a,), G = _line(f, elim)
-        lines.append((a, -G / a if a else (G > 0) - (G < 0)))
-    cuts = sorted({z for a, z in lines if a and (lo is None or z > lo) and (hi is None or z < hi)})
+    for A, G in _integer_lines(forms, elim):
+        if A:
+            g = gcd(G, A) if A > 0 else -gcd(G, A)
+            lines.append((1 if A > 0 else -1, (-G // g, A // g)))
+        else:
+            lines.append((0, (G > 0) - (G < 0)))
+    cuts = {z for s, z in lines if s and (lo is None or z[0] * lo[1] > lo[0] * z[1])
+            and (hi is None or z[0] * hi[1] < hi[0] * z[1])}
+    D = lcm(*(q for _, q in cuts))
+    cuts = sorted(cuts, key=lambda z: z[0] * (D // z[1]))
     m = len(cuts)
     rank = {z: i + 1 for i, z in enumerate(cuts)}
-    ranked = [(0, z) if a == 0 else
-             (1 if a > 0 else -1, rank.get(z, 0 if lo is not None and z <= lo else m + 1))
-             for a, z in lines]
+    ranked = [(s, rank.get(z, 0 if lo is not None and z[0] * lo[1] <= lo[0] * z[1] else m + 1))
+              if s else (0, z) for s, z in lines]
 
     def signs(i):
         return tuple(v if s == 0 else (s if i >= v else -s) for s, v in ranked)

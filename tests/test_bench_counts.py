@@ -1,11 +1,12 @@
-"""Exact slack-program, elimination, probe and ``Fraction`` counts of the
-seed-201 bench rounds.
+"""Exact slack-program, elimination, probe, line and ``Fraction`` counts of
+the seed-201 bench rounds.
 
 A fresh ``python -B`` process builds the seed-201 round of each workload
 from ``bench/workloads.py``, runs it once to warm up, and counts the calls
-of ``polyhedra._slack_lp``, ``polyhedra._eliminate`` and the
-implied-equality probe ``polyhedra._max_capped`` over a second
-round, rebound in every tropint module that holds them, and among the
+of ``polyhedra._slack_lp``, ``polyhedra._eliminate``, the
+implied-equality probe ``polyhedra._max_capped`` and the rational line
+reader ``polyhedra._line`` over a second round, rebound in every tropint
+module that holds them, and among the
 slack programs those whose elimination leaves fewer than two free
 variables, which ``polyhedra._relint_lp`` reads from an interval instead.
 It also counts the ``fractions.Fraction`` objects the round constructs,
@@ -42,9 +43,10 @@ for workload in sys.argv[3:]:
     workloads.warm_up()
     for op in ops:
         op.run()
-    counts = dict.fromkeys(["_slack_lp", "_slack_lp k<2", "_eliminate", "_max_capped"], 0)
+    counts = dict.fromkeys(["_slack_lp", "_slack_lp k<2", "_eliminate", "_max_capped", "_line"], 0)
     bound = []
-    for real in (polyhedra._slack_lp, polyhedra._eliminate, polyhedra._max_capped):
+    for real in (polyhedra._slack_lp, polyhedra._eliminate, polyhedra._max_capped,
+                 polyhedra._line):
         wrapper = counted(real, counts)
         for info in pkgutil.iter_modules(tropint.__path__):
             module = importlib.import_module(f"tropint.{info.name}")
@@ -91,13 +93,19 @@ print(json.dumps(out))
 # points returned are Fractions.  That took the Fractions of a round from
 # 1,502 to 826 (plane-intersect), 8,663 to 5,327 (curve-arith) and 56,859
 # to 46,968 (space-chain).
+# A cell of dimension one is refined from the same integer lines, with its
+# crossings as reduced integer pairs, so no crossing is a Fraction and the
+# rational line of polyhedra._line is read only for systems with two or
+# more free variables and for form_vanishes_on.  That took the Fractions
+# to 766, 3,229 and 46,928, and the _line calls from 66 to 48, 616 to 28
+# and 2,514 to 2,502.
 _COUNTS = {
     "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 54, "_max_capped": 0,
-                        "Fraction": 826},
+                        "_line": 48, "Fraction": 766},
     "curve-arith": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 98, "_max_capped": 0,
-                    "Fraction": 5327},
+                    "_line": 28, "Fraction": 3229},
     "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 586, "_max_capped": 16,
-                    "Fraction": 46968},
+                    "_line": 2502, "Fraction": 46928},
 }
 
 
