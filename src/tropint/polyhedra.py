@@ -22,9 +22,10 @@ over the free variables.  A cell of dimension one also takes its canonical
 form, facets, recession cone and refinement from its interval and the
 sorted points where forms cross it.  The refinement is in integers too:
 it reads the same integer lines, holds each crossing as a reduced integer
-pair, compares and sorts the crossings by cross-multiplication, and builds
-only the coordinates of each piece's point as rationals.  There is no
-vertex enumeration anywhere.
+pair, compares it with the ends by cross-multiplication, sorts the
+crossings over a common denominator, and builds only the coordinates of
+each piece's point as rationals.  There is no vertex enumeration
+anywhere.
 """
 
 from __future__ import annotations

@@ -601,6 +601,71 @@ def reference_refine_cell(cell, forms):
     return pieces
 
 
+def reference_refine_interval(cell, forms):
+    """:func:`~tropint.polyhedra.refine_cell` on a cell of dimension one,
+    read in rationals: each form's line d f(x) = a z + G over the cell's
+    elimination x = (c + z w) / d, the cell's interval of z from
+    :func:`reference_interval`, and each crossing -G / a as a rational.
+
+    The cuts are the distinct crossings strictly inside the interval,
+    sorted.  Each piece adds the first form crossing at each of its inner
+    ends, oriented to be >= 0 on it, and its point is at z the midpoint of
+    its interval, one step from its finite end, or 0.  A crossing's rank
+    is the number of pieces below it (0 at or below lo, m + 1 at or above
+    hi), and a form's sign on piece i is sign(a) when i >= rank, else
+    -sign(a); a form with a = 0 keeps sign(G).  Returns (piece, signs)
+    pairs."""
+    elim = cell._elim
+    c, (w,), d = elim[:3]
+
+    def line(f):
+        return dot(f.linear, w), dot(f.linear, c) + d * f.constant
+
+    lo, hi = reference_interval([line(f) for f in cell.ineqs])
+    lines = []
+    for f in forms:
+        a, G = line(f)
+        lines.append((a, -G / a if a else (G > 0) - (G < 0)))
+    cuts = sorted({z for a, z in lines if a and (lo is None or z > lo) and (hi is None or z < hi)})
+    m = len(cuts)
+    rank = {z: i + 1 for i, z in enumerate(cuts)}
+    ranked = [(0, z) if a == 0 else
+              (1 if a > 0 else -1, rank.get(z, 0 if lo is not None and z <= lo else m + 1))
+              for a, z in lines]
+
+    def signs(i):
+        return tuple(v if s == 0 else (s if i >= v else -s) for s, v in ranked)
+
+    def point(lo, hi):
+        if lo is None and hi is None:
+            z = _ZERO
+        elif lo is None:
+            z = hi - 1
+        elif hi is None:
+            z = lo + 1
+        else:
+            z = (lo + hi) / 2
+        return tuple((ci + z * wi) / d for ci, wi in zip(c, w))
+
+    if not cuts:
+        return [(cell, signs(0))]
+    above = {}
+    for f, (s, r) in zip(forms, ranked):
+        if s and 1 <= r <= m:
+            above.setdefault(r, f if s > 0 else f.negated())
+    pieces = []
+    for i in range(m + 1):
+        ineqs = cell.ineqs
+        if i > 0:
+            ineqs += (above[i],)
+        if i < m:
+            ineqs += (above[i + 1].negated(),)
+        piece = cell._replace_geometry(
+            ineqs=ineqs, interior_point=point(cuts[i - 1] if i else lo, cuts[i] if i < m else hi))
+        pieces.append((piece, signs(i)))
+    return pieces
+
+
 def reference_cells_inside_support(cells, targets):
     """Whether each cell lies inside the union of the targets, deciding
     piece-in-target containment by LPs constraint by constraint."""

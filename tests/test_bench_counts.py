@@ -94,11 +94,11 @@ print(json.dumps(out))
 # 1,502 to 826 (plane-intersect), 8,663 to 5,327 (curve-arith) and 56,859
 # to 46,968 (space-chain).
 # A cell of dimension one is refined from the same integer lines, with its
-# crossings as reduced integer pairs, so no crossing is a Fraction and the
-# rational line of polyhedra._line is read only for systems with two or
-# more free variables and for form_vanishes_on.  That took the Fractions
-# to 766, 3,229 and 46,928, and the _line calls from 66 to 48, 616 to 28
-# and 2,514 to 2,502.
+# crossings as reduced integer pairs, so no crossing is a Fraction.  The
+# rational lines of polyhedra._line left in the first two rounds are those
+# of the forms that refine a point.  That took the Fractions to 766, 3,229
+# and 46,928, and the _line calls from 66 to 48, 616 to 28 and 2,514 to
+# 2,502.
 _COUNTS = {
     "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 54, "_max_capped": 0,
                         "_line": 48, "Fraction": 766},

@@ -5,7 +5,10 @@ plane curves of degree d: that number is known independently of the
 stable-intersection machinery, so comparing it against the diagonal
 pipeline exercises products, push-forwards and divisors end to end.  Sums,
 differences and push-forwards of such curves, with constants over 60 as
-in the bench, must be valid complexes.
+in the bench, must be valid complexes.  On such curves and primitive
+covectors the laws hold: the projection formula, balanced push-forwards,
+sums that serialize to the same bytes in either order, and documents that
+parse and serialize back to themselves.
 """
 
 import random
@@ -14,7 +17,8 @@ from math import gcd
 
 from tropint.cycles import add, cycles_equal, is_balanced, negate, rn_cycle, validate_complex
 from tropint.divisors import TropicalPolynomial, weil_divisor
-from tropint.morphisms import IntegerLinearMap, Morphism, push_forward
+from tropint.documents import parse_document, serialize_document
+from tropint.morphisms import IntegerLinearMap, Morphism, check_projection_formula, push_forward
 from tropint.polyhedra import AffineForm
 from tropint.rn_products import bezout_check, degree, is_pn_generic, stable_intersect
 
@@ -33,6 +37,14 @@ def random_plane_curve(rng, d, denominator=1):
             c = Fraction(rng.randint(-3 * denominator, 3 * denominator), denominator)
             terms.append(AffineForm((i, j), c))
     return weil_divisor(TropicalPolynomial(tuple(terms)), rn_cycle(2))
+
+
+def random_covector(rng):
+    """A random primitive covector R^2 -> R."""
+    while True:
+        covector = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if gcd(*covector) == 1:
+            return covector
 
 
 def test_random_curve_degrees_match_newton_polygon():
@@ -73,11 +85,29 @@ def test_sums_and_push_forwards_of_curves_are_valid():
     rng = random.Random(60)
     for trial in range(8):
         a, b = (random_plane_curve(rng, rng.randint(1, 3), 60) for _ in range(2))
-        while True:
-            covector = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if gcd(*covector) == 1:
-                break
-        pushed = push_forward(Morphism(IntegerLinearMap((covector,)), a, rn_cycle(1)))
+        pushed = push_forward(Morphism(IntegerLinearMap((random_covector(rng),)), a, rn_cycle(1)))
         for name, out in (("a + b", add(a, b)), ("a - b", add(a, negate(b))),
                           ("push", pushed)):
             assert validate_complex(out.complex).valid, (trial, name)
+
+
+def test_laws_on_generated_curves():
+    # Every sum, equality and push-forward here refines cells of dimension
+    # one.  The function on R^1 has breakpoints near the images of the
+    # vertices, so its pull-back cuts edges as well as rays.
+    rng = random.Random(909)
+    for trial in range(25):
+        a, b = (random_plane_curve(rng, rng.randint(1, 3), 60) for _ in range(2))
+        f = Morphism(IntegerLinearMap((random_covector(rng),)), a, rn_cycle(1))
+        phi = TropicalPolynomial((AffineForm((-1,), Fraction(rng.randint(-360, 0), 60)),
+                                  AffineForm((0,), 0),
+                                  AffineForm((1,), Fraction(rng.randint(-360, 0), 60))))
+        assert check_projection_formula(f, a, phi), trial
+        pushed = push_forward(f)
+        assert is_balanced(pushed.complex).balanced, trial
+        total = serialize_document(add(a, b))
+        assert serialize_document(add(b, a)) == total, trial
+        for c in (a, pushed):
+            text = serialize_document(c)
+            assert serialize_document(parse_document(text)) == text, trial
+        assert serialize_document(parse_document(total)) == total, trial

@@ -6,6 +6,14 @@ sorts the crossings of the forms instead and probes nothing.  The reference
 probes every form that does not vanish on a piece.  Both must give the same
 pieces, as sets and as sign vectors over the arrangement, and the signs
 ``refine_cell`` returns with each piece must be its sign vector.
+
+On a cell of dimension one the crossings are integer pairs, compared by
+cross-multiplication.  Against the rational reading
+(``oracles.reference_refine_interval``), with constants over the coprime
+denominators 7, 60 and 97, forms crossing at one point over different
+denominators, crossings at the ends of the cell and forms constant on it,
+the pieces, their inequalities and points, and the signs must be equal,
+and every point coordinate a ``Fraction``.
 """
 
 from collections import Counter
@@ -14,7 +22,12 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_lp_max, reference_refine_cell, sign_vector
+from oracles import (
+    reference_lp_max,
+    reference_refine_cell,
+    reference_refine_interval,
+    sign_vector,
+)
 from test_faces import _count_lps, _count_slack_solves
 
 import tropint.polyhedra as polyhedra
@@ -185,6 +198,59 @@ def test_cell_of_dimension_one_is_refined_without_probes(n, kind, data):
         assert piece.contains_point(piece.interior_point)
         assert all(not other.contains_point(piece.interior_point)
                    for other, _ in pairs if other is not piece)
+
+
+# Constants over coprime denominators; the bench's are over 60.
+_wide = st.builds(QQ, st.integers(-200, 200), st.sampled_from((1, 7, 60, 97)))
+
+
+@st.composite
+def crossed_intervals(draw):
+    """A segment, ray or line p + t w of R^2 or R^3, with p over 7, 60 or
+    97, and forms that cross it at a few shared values of t, the ends
+    t = 0 and t = t1 of a segment among them, each scaled by its own
+    factor so that the forms of one crossing have different denominators;
+    forms constant on it, negative, zero and positive there; and arbitrary
+    forms, with repeats and opposites."""
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("segment", "ray", "line")))
+    p, w = draw(st.tuples(*[_wide] * n)), draw(_vectors(n))
+    t1 = QQ(draw(st.integers(1, 9)), draw(st.sampled_from((1, 7, 60, 97))))
+    if kind == "segment":
+        cell = segment_cell(p, tuple(x + t1 * y for x, y in zip(p, w)))
+    elif kind == "ray":
+        cell = ray_cell(p, w)
+    else:
+        cell = Cell.from_constraints(n, (), [AffineForm(a, -dot(a, p))
+                                             for a in kernel_lattice([w], n)])
+    ts = st.sampled_from((QQ(0), t1, t1 / 2, t1 / 3, QQ(-1, 7), QQ(5, 97), 2 * t1))
+    flat = kernel_lattice([w], n)
+    forms = []
+    for _ in range(draw(st.integers(1, 7))):
+        a = draw(_vectors(n))
+        how = draw(st.sampled_from(("cross", "cross", "cross", "constant", "any")))
+        if how == "cross" and dot(a, w):
+            a = tuple(draw(st.sampled_from((1, 2, 7, 60))) * x for x in a)
+            forms.append(AffineForm(a, -dot(a, p) - draw(ts) * dot(a, w)))
+        elif how == "constant":
+            a = tuple(draw(st.sampled_from((1, -2))) * x for x in draw(st.sampled_from(flat)))
+            forms.append(AffineForm(a, -dot(a, p) + draw(st.sampled_from((-1, 0, 1, QQ(1, 97))))))
+        else:
+            forms.append(AffineForm(a, draw(_wide)))
+    for f in draw(st.lists(st.sampled_from(forms), max_size=2)):
+        forms.append(f.negated() if draw(st.booleans()) else f)
+    return cell, draw(st.permutations(forms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(crossed_intervals())
+def test_cell_of_dimension_one_matches_the_rational_refinement(arrangement):
+    cell, forms = arrangement
+    got = [(piece.ineqs, piece.interior_point, signs) for piece, signs in refine_cell(cell, forms)]
+    want = [(piece.ineqs, piece.interior_point, signs)
+            for piece, signs in reference_refine_interval(cell, forms)]
+    assert got == want
+    assert all(type(x) is QQ for _, point, _ in got for x in point)
 
 
 def test_segment_missed_by_every_line_takes_no_lp(monkeypatch):
