@@ -271,17 +271,25 @@ def _weighted_sum(ambient_dim, dim, entries) -> Cycle:
     """Refine the cells of (cell, weight) pairs of one dimension to a common
     complex and add the weights each piece receives.
 
-    Every cell is refined along the hyperplanes of all of them, so pieces
-    from different cells that share a sign vector over that arrangement,
-    which :func:`refine_cell` returns with each piece, are the same set;
-    the first such piece stands for them.  Pieces come in sorted key order;
-    :class:`Cycle` drops those whose weights sum to zero.
+    Points are summed by point: a cell of dimension zero is the exact point
+    it holds as its interior point, so two are the same set exactly when
+    those points are equal, and each adds its weight under its point with
+    no arrangement.  Other cells are refined along the hyperplanes of all of
+    them, so pieces from different cells that share a sign vector over that
+    arrangement, which :func:`refine_cell` returns with each piece, are the
+    same set.  The first cell or piece of each point or sign vector stands
+    for it, and they come in sorted key order; :class:`Cycle` drops those
+    whose weights sum to zero.
     """
-    forms = collect_hyperplanes([cell for cell, _ in entries])
     table = {}
-    for cell, w in entries:
-        for piece, signs in refine_cell(cell, forms):
-            table.setdefault(signs, [piece, 0])[1] += w
+    if dim == 0:
+        for cell, w in entries:
+            table.setdefault(cell.interior_point, [cell, 0])[1] += w
+    else:
+        forms = collect_hyperplanes([cell for cell, _ in entries])
+        for cell, w in entries:
+            for piece, signs in refine_cell(cell, forms):
+                table.setdefault(signs, [piece, 0])[1] += w
     kept = [table[key] for key in sorted(table)]
     out = WeightedComplex(ambient_dim, dim, [p for p, _ in kept], [w for _, w in kept])
     return Cycle(out, check=False)

@@ -813,14 +813,16 @@ def collect_hyperplanes(cells) -> tuple:
 
 def _hull_box(cell):
     """The elimination of the cell's equalities and the bounds (lo_j, hi_j)
-    of each free variable z_j over the cell, None on an unbounded side: on
-    a cell of dimension one the interval of its free variable
-    (:func:`_interval_of`), with no program, and on other cells two LPs per
-    variable from the interior point."""
+    of each free variable z_j over the cell, None on an unbounded side.  A
+    cell with at most one free variable is read from its interval, with no
+    program: a point has no free variable and an empty box, and a cell of
+    dimension one the interval of its free variable (:func:`_interval_of`).
+    Only cells of dimension two or more take LPs, two per variable from the
+    interior point."""
     elim = cell._elim
     k = len(elim[1])
-    if k == 1:
-        return elim, [_interval_of(cell.ineqs, elim)[1]]
+    if k <= 1:
+        return elim, [_interval_of(cell.ineqs, elim)[1]] if k else []
     lines = [_line(f, elim) for f in cell.ineqs]
     rows = [(A, -G) for A, G in lines]
     start = tuple(cell.interior_point[j] for j in elim[3])
@@ -841,7 +843,9 @@ def _hull_box(cell):
 def _sign_on_box(f, elim, box):
     """The sign f keeps on the whole box, by interval arithmetic on its
     line A . z + G (:func:`_line`): 1 when f >= 0 there, -1 when f <= 0, 0
-    when the line is zero (both hold) and None when f takes both signs."""
+    when the line is zero (both hold) and None when f takes both signs.
+    Only :func:`refine_cell` on a cell of dimension two or more reads it;
+    cells with at most one free variable are read in integers."""
     A, lo = _line(f, elim)
     hi = lo
     for aj, (lo_j, hi_j) in zip(A, box):
@@ -866,27 +870,29 @@ def refine_cell(cell: Cell, forms) -> list:
     Both paths start from a box around the cell: the bounds of each free
     variable z_j of its affine hull x = (c + sum z_j w_j) / d
     (:func:`_eliminate`), by two LPs per variable, or with no LP on a cell
-    of dimension one, where the box is the cell's interval.  A form whose
-    line A . z + G is >= 0 or <= 0 over the box keeps that sign on every
-    piece.  Its sign is 0 when the line is zero; otherwise the form cannot
-    vanish at a relative interior point of a piece, where it would take a
-    minimum inside the hull.
+    with at most one free variable (:func:`_hull_box`).  A form whose line
+    A . z + G is >= 0 or <= 0 over the box keeps that sign on every piece.
+    Its sign is 0 when the line is zero; otherwise the form cannot vanish
+    at a relative interior point of a piece, where it would take a minimum
+    inside the hull.
 
-    On a cell of dimension one the arrangement is a sorted list of points,
-    the crossings of the forms' integer lines, read as integer pairs
-    (:func:`_refine_interval`), and nothing is probed.  On other cells
-    only the forms that take both signs on the box are probed, by at most
-    one slack program per side and piece.  A probed form is 1 on its
-    positive side and -1 on its negative one.  A piece gains it only when
-    it cuts the piece: if the other side is empty, the piece stays as it
-    was, with the sign of its own side.
+    On a cell with at most one free variable the arrangement is a sorted
+    list of points, the crossings of the forms' integer lines, read as
+    integer pairs (:func:`_refine_interval`), and nothing is probed.  On a
+    point every line is a constant G, so the point comes back alone, with
+    the signs of the Gs, and no rational line is read.  On other cells
+    only the forms that take both signs on the box (:func:`_sign_on_box`)
+    are probed, by at most one slack program per side and piece.  A probed
+    form is 1 on its positive side and -1 on its negative one.  A piece
+    gains it only when it cuts the piece: if the other side is empty, the
+    piece stays as it was, with the sign of its own side.
     """
     forms = tuple(forms)
     if not forms:
         return [(cell, ())]
     elim, box = _hull_box(cell)
-    if len(box) == 1:
-        return _refine_interval(cell, forms, elim, box[0])
+    if len(box) <= 1:
+        return _refine_interval(cell, forms, elim, box)
     pieces = [(cell, ())]
     for f in forms:
         sign = _sign_on_box(f, elim, box)
@@ -908,8 +914,9 @@ def refine_cell(cell: Cell, forms) -> list:
 
 
 def _refine_interval(cell, forms, elim, box):
-    """:func:`refine_cell` on a cell of dimension one, whose free variable
-    z runs over the interval ``box`` = (lo, hi) (:func:`_interval`).
+    """:func:`refine_cell` on a cell with at most one free variable z, whose
+    ``box`` holds the interval (lo, hi) that z runs over
+    (:func:`_interval`), or nothing on a point, where no line crosses.
 
     Each form is read as its integer line A z + G (:func:`_integer_lines`).
     One with A != 0 crosses at z = -G / A, held as the reduced integer pair
@@ -929,7 +936,8 @@ def _refine_interval(cell, forms, elim, box):
     The pieces, their inequalities and points, and the signs are those of
     the rational reading of the crossings.
     """
-    lo, hi = _pair(box[0]), _pair(box[1])
+    ((lo, hi),) = box or ((None, None),)
+    lo, hi = _pair(lo), _pair(hi)
     lines = []
     for A, G in _integer_lines(forms, elim):
         if A:

@@ -47,8 +47,10 @@ along the moment curve (1, s, ..., s^(n-1)), s = 3, 4, ...: a nonzero wall
 vanishes at no more than n - 1 of them, so at most (n - 1) W + 1 are
 tried for W walls.
 
-Degrees, Bezout verification, P^n-genericity and the degree-zero property
-of bounded functions on curves are all built on this product.
+A 0-cycle is a finite set of weighted points, and its degree is the sum of
+its weights, so the degree of C . D in complementary dimension is the total
+weight of the pairs that count: degrees and Bezout verification add up
+those weights, with no cell written down and no sum taken.
 """
 
 from __future__ import annotations
@@ -90,20 +92,34 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
     """Intersection product of cycles in the same R^n, by the fan
     displacement rule (see the module docstring).
 
+    The cells of the pairs that count at one displacement
+    (:func:`_counted`) are written down (:func:`_written`) and added on a
+    common refinement, which sums points by point.  Empty in dimensions
+    below zero (complementary defect); always balanced.  Raises
+    RuntimeError when a wall is the zero covector or every candidate
+    displacement lies on a wall, which a correct cone test never gives.
+    """
+    meets = _counted(c, d)
+    return _weighted_sum(c.ambient_dim, c.dim + d.dim - c.ambient_dim,
+                         [(_written(meet.rho), meet.weight) for meet in meets])
+
+
+def _counted(c: Cycle, d: Cycle) -> list:
+    """The :class:`_Meeting` of each pair of cells of C and D that counts at
+    the first displacement on no wall, none when C or D is empty or
+    k + l < n.
+
     Every pair of lattices is read once (:class:`_Inverse`), and every pair
     of cells that meets once, into its walls; each displacement is then
-    decided by the signs of the walls, and only the pairs that count add
-    their cells.  Empty in dimensions below zero (complementary defect);
-    always balanced.  Raises RuntimeError when a wall is the zero covector
-    or every candidate displacement lies on a wall, which a correct cone
-    test never gives.
+    decided by the signs of the walls (:func:`_displaced`).  No cell is
+    written down.  Raises ValueError when the ambient spaces differ, and
+    RuntimeError as :func:`stable_intersect` says.
     """
     if c.ambient_dim != d.ambient_dim:
         raise ValueError("cycles live in different ambient spaces")
     n = c.ambient_dim
-    m = c.dim + d.dim - n
-    if c.is_empty or d.is_empty or m < 0:
-        return Cycle.empty(n, m)
+    if c.is_empty or d.is_empty or c.dim + d.dim < n:
+        return []
     a, b = c.complex, d.complex
     meets, spans = [], {}
     for sigma, ws in zip(a.cells, a.weights):
@@ -121,9 +137,9 @@ def stable_intersect(c: Cycle, d: Cycle) -> Cycle:
                 meets.append(meet)
     walls = sum(len(meet.walls) for meet in meets)
     for s in range(3, 4 + (n - 1) * walls):
-        entries = _displaced(meets, tuple(s ** i for i in range(n)))
-        if entries is not None:
-            return _weighted_sum(n, m, entries)
+        counted = _displaced(meets, tuple(s ** i for i in range(n)))
+        if counted is not None:
+            return counted
     raise RuntimeError("every candidate displacement lies on a wall")
 
 
@@ -220,12 +236,10 @@ def _meeting(sigma, tau, weight, inverse):
 
 
 def _displaced(meets, v):
-    """The (rho, weight) entries of the pairs whose tangent cones at p meet
-    once tau's is moved by v, or None when v lies on a wall of one of them:
-    a pair counts when every wall is positive at v (the moved cones'
-    relative interiors meet), and not when one is negative (they are
-    disjoint).  Only the rho of a pair that counts is written down
-    (:func:`_written`)."""
+    """The meetings of the pairs whose tangent cones at p meet once tau's is
+    moved by v, or None when v lies on a wall of one of them: a pair counts
+    when every wall is positive at v (the moved cones' relative interiors
+    meet), and not when one is negative (they are disjoint)."""
     counted = []
     for meet in meets:
         t = min([dot(w, v) for w in meet.walls], default=1)
@@ -233,7 +247,7 @@ def _displaced(meets, v):
             return None
         if t > 0:
             counted.append(meet)
-    return [(_written(meet.rho), meet.weight) for meet in counted]
+    return counted
 
 
 def _written(rho):
@@ -262,17 +276,20 @@ def diagonal_cycle(n: int) -> Cycle:
 
 
 def degree(c: Cycle) -> int:
-    """Sum of weights after intersecting down to dimension zero.
+    """The degree of a cycle: the sum of its weights when it is a 0-cycle,
+    and for a k-cycle C with k >= 1 the degree of the 0-cycle C . L, for L
+    the standard (n-k)-skeleton.
 
-    A k-cycle is paired against the standard (n-k)-skeleton; zero cycles
-    are summed directly.
+    That product's points, with their weights, are those of the pairs that
+    count (:func:`_counted`), added by point, so its degree is the total
+    weight of those pairs: no cell is written down and no sum is taken.
     """
     if c.is_empty:
         return 0
     if c.dim == 0:
         return sum(c.complex.weights)
     n = c.ambient_dim
-    return degree(stable_intersect(c, standard_skeleton(n, n - c.dim)))
+    return sum(meet.weight for meet in _counted(c, standard_skeleton(n, n - c.dim)))
 
 
 def is_pn_generic(c: Cycle) -> bool:
@@ -315,13 +332,15 @@ class BezoutReport(namedtuple("BezoutReport", "degree_first degree_second degree
 def bezout_check(c: Cycle, d: Cycle) -> BezoutReport:
     """Compare deg(C . D) with deg(C) deg(D) for complementary dimensions.
 
+    deg(C . D) is the total weight of the pairs that count (:func:`_counted`),
+    read as :func:`degree` reads its product, with no cell written down.
     The multiplicativity assertion only applies to generic cycles; the
     degrees themselves are reported either way.
     """
     if c.dim + d.dim != c.ambient_dim:
         raise ValueError("cycles do not have complementary dimensions")
     return BezoutReport(
-        degree(c), degree(d), degree(stable_intersect(c, d)),
+        degree(c), degree(d), sum(meet.weight for meet in _counted(c, d)),
         is_pn_generic(c), is_pn_generic(d))
 
 

@@ -750,6 +750,22 @@ def common_refinement(a, b):
     return refine_complex(a, forms), refine_complex(b, forms)
 
 
+def reference_weighted_sum(ambient_dim, dim, entries) -> Cycle:
+    """:func:`~tropint.cycles._weighted_sum` by the arrangement route in
+    every dimension, points included: every cell refined along the
+    hyperplanes of all of them, pieces matched by the sign vectors
+    :func:`refine_cell` returns, the first piece of each sign vector
+    standing for it, in sorted key order."""
+    forms = collect_hyperplanes([cell for cell, _ in entries])
+    table = {}
+    for cell, w in entries:
+        for piece, signs in refine_cell(cell, forms):
+            table.setdefault(signs, [piece, 0])[1] += w
+    kept = [table[key] for key in sorted(table)]
+    out = WeightedComplex(ambient_dim, dim, [p for p, _ in kept], [w for _, w in kept])
+    return Cycle(out, check=False)
+
+
 def reference_push_forward(matrix, cycle):
     """Push-forward that weights every refinement piece by its own lattice
     index: the images of the cells on which the map is injective, refined

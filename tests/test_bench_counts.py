@@ -1,12 +1,12 @@
-"""Exact slack-program, elimination, probe, line and ``Fraction`` counts of
-the seed-201 bench rounds.
+"""Exact slack-program, elimination, probe, line, refinement and
+``Fraction`` counts of the seed-201 bench rounds.
 
 A fresh ``python -B`` process builds the seed-201 round of each workload
 from ``bench/workloads.py``, runs it once to warm up, and counts the calls
 of ``polyhedra._slack_lp``, ``polyhedra._eliminate``, the
-implied-equality probe ``polyhedra._max_capped`` and the rational line
-reader ``polyhedra._line`` over a second round, rebound in every tropint
-module that holds them, and among the
+implied-equality probe ``polyhedra._max_capped``, the rational line
+reader ``polyhedra._line`` and ``polyhedra.refine_cell`` over a second
+round, rebound in every tropint module that holds them, and among the
 slack programs those whose elimination leaves fewer than two free
 variables, which ``polyhedra._relint_lp`` reads from an interval instead.
 It also counts the ``fractions.Fraction`` objects the round constructs,
@@ -43,10 +43,11 @@ for workload in sys.argv[3:]:
     workloads.warm_up()
     for op in ops:
         op.run()
-    counts = dict.fromkeys(["_slack_lp", "_slack_lp k<2", "_eliminate", "_max_capped", "_line"], 0)
+    counts = dict.fromkeys(["_slack_lp", "_slack_lp k<2", "_eliminate", "_max_capped", "_line",
+                            "refine_cell"], 0)
     bound = []
     for real in (polyhedra._slack_lp, polyhedra._eliminate, polyhedra._max_capped,
-                 polyhedra._line):
+                 polyhedra._line, polyhedra.refine_cell):
         wrapper = counted(real, counts)
         for info in pkgutil.iter_modules(tropint.__path__):
             module = importlib.import_module(f"tropint.{info.name}")
@@ -99,13 +100,22 @@ print(json.dumps(out))
 # of the forms that refine a point.  That took the Fractions to 766, 3,229
 # and 46,928, and the _line calls from 66 to 48, 616 to 28 and 2,514 to
 # 2,502.
+# Points are summed by point, with no arrangement, and a point is refined
+# from its integer lines, which are constant there, so no rational line is
+# read on a cell with fewer than two free variables.  The degrees of
+# degree and bezout_check add up the weights of the pairs that count, with
+# no point written down.  That took the refine_cell calls from 18 to 6
+# (plane-intersect, all from is_pn_generic), 82 to 72 (curve-arith) and 10
+# to 8 (space-chain), the _line calls from 48 to 0, 28 to 0 and 2,502 to
+# 2,496, and the Fractions from 766 to 658, 3,229 to 3,169 and 46,928 to
+# 46,904.
 _COUNTS = {
     "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 54, "_max_capped": 0,
-                        "_line": 48, "Fraction": 766},
+                        "_line": 0, "refine_cell": 6, "Fraction": 658},
     "curve-arith": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 98, "_max_capped": 0,
-                    "_line": 28, "Fraction": 3229},
+                    "_line": 0, "refine_cell": 72, "Fraction": 3169},
     "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 586, "_max_capped": 16,
-                    "_line": 2502, "Fraction": 46928},
+                    "_line": 2496, "refine_cell": 8, "Fraction": 46904},
 }
 
 

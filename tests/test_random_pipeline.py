@@ -5,17 +5,26 @@ plane curves of degree d: that number is known independently of the
 stable-intersection machinery, so comparing it against the diagonal
 pipeline exercises products, push-forwards and divisors end to end.  Sums,
 differences and push-forwards of such curves, with constants over 60 as
-in the bench, must be valid complexes.  On such curves and primitive
-covectors the laws hold: the projection formula, balanced push-forwards,
-sums that serialize to the same bytes in either order, and documents that
-parse and serialize back to themselves.
+in the bench, must be valid complexes.  Their degrees, read as the weight
+of the pairs that count, must equal the weights of their products.  On
+such curves and primitive covectors the laws hold: the projection formula,
+balanced push-forwards, sums that serialize to the same bytes in either
+order, and documents that parse and serialize back to themselves.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
 
-from tropint.cycles import add, cycles_equal, is_balanced, negate, rn_cycle, validate_complex
+from tropint.cycles import (
+    add,
+    cycles_equal,
+    is_balanced,
+    negate,
+    rn_cycle,
+    standard_skeleton,
+    validate_complex,
+)
 from tropint.divisors import TropicalPolynomial, weil_divisor
 from tropint.documents import parse_document, serialize_document
 from tropint.morphisms import IntegerLinearMap, Morphism, check_projection_formula, push_forward
@@ -77,6 +86,22 @@ def test_random_products_commute_and_balance():
             assert cycles_equal(lhs, rhs)
             assert is_balanced(lhs.complex).balanced
             assert degree(lhs) == 1
+
+
+def test_degree_laws_on_generated_curves():
+    # degree and bezout_check add up the weights of the pairs that count;
+    # stable_intersect writes those pairs' points down and sums them.  A
+    # curve of degree d meets the line L21 in d points and one of degree e
+    # in d e, counted with weights.
+    rng = random.Random(6060)
+    curves = [(d, random_plane_curve(rng, d, 60)) for d in (1, 2, 3, 2, 1)]
+    line = standard_skeleton(2, 1)
+    for d, c in curves:
+        assert degree(c) == sum(stable_intersect(c, line).complex.weights) == d
+    for (d, c), (e, b) in zip(curves, curves[1:] + curves[:1]):
+        report = bezout_check(c, b)
+        assert report.degree_product == degree(stable_intersect(c, b)) == d * e
+        assert report.passed
 
 
 def test_sums_and_push_forwards_of_curves_are_valid():

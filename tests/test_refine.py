@@ -14,6 +14,10 @@ denominators 7, 60 and 97, forms crossing at one point over different
 denominators, crossings at the ends of the cell and forms constant on it,
 the pieces, their inequalities and points, and the signs must be equal,
 and every point coordinate a ``Fraction``.
+
+A point is refined from the same integer lines, all constant there: it
+comes back alone, with the signs of the forms at it, and no rational line
+(``polyhedra._line``) is read.
 """
 
 from collections import Counter
@@ -278,6 +282,33 @@ def test_point_cell_takes_no_lp(monkeypatch):
     calls = _count_lps(monkeypatch)
     assert [piece for piece, _ in refine_cell(p, forms)] == [p]
     assert not calls
+
+
+@st.composite
+def signed_forms(draw, p):
+    """Forms through, above and below the point p, with constants over 7,
+    60 and 97 and some slopes zero: a . x - a . p + delta, delta zero,
+    positive or negative."""
+    n, forms = len(p), []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.tuples(*[_coef] * n))
+        delta = draw(st.sampled_from((0, 1, -1))) * QQ(draw(st.integers(1, 50)),
+                                                      draw(st.sampled_from((7, 60, 97))))
+        forms.append(AffineForm(a, -dot(a, p) + delta))
+    return forms
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_point_is_refined_by_the_signs_of_its_forms(n, data):
+    p = data.draw(st.tuples(*[_wide] * n))
+    cell, forms = point_cell(p), data.draw(signed_forms(p))
+    with mock.patch.object(polyhedra, "_line", wraps=polyhedra._line) as lines:
+        pairs = refine_cell(cell, forms)
+    assert len(pairs) == 1 and pairs[0][0] is cell
+    assert pairs[0][1] == sign_vector(cell, forms)
+    assert not lines.called
 
 
 # Slack solves of add(conic, line) on fresh copies.  Every cell is a segment

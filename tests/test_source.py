@@ -63,3 +63,40 @@ def test_import_loads_no_dataclasses_machinery():
         capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def _cache_uses(tree):
+    """Each place a module names functools.lru_cache or functools.cache: the
+    function or class it decorates, else its line."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in _CACHES}
+    decorated = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                for part in ast.walk(decorator):
+                    decorated[id(part)] = node.name
+    return [decorated.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in _CACHES
+                and isinstance(node.value, ast.Name) and node.value.id in modules)]
+
+
+def test_standard_skeleton_holds_the_one_cache_across_calls():
+    # A memo that outlives an operation would make bench rounds do unequal
+    # work and grow peak_rss_mib with the run.  standard_skeleton's cache is
+    # the one that bench/README.md and workloads.warm_up name and fill.
+    found = [f"{path.stem}.{use}" for path in SOURCES
+             for use in _cache_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["cycles.standard_skeleton"]
+    # Any other spelling is found too.
+    other = ("import functools as f\nfrom functools import cache as memo\n"
+             "@f.lru_cache(maxsize=8)\ndef g(): pass\nh = memo(g)\n")
+    assert sorted(_cache_uses(ast.parse(other))) == ["g", "line 5"]

@@ -4,24 +4,39 @@
 the common refinement add the weights; the reference weights every
 refinement piece by its own index.  Both must give the same cells with the
 same weights.  Sums and equality must not see how a cycle is subdivided.
+
+Points are summed by point, with no arrangement.  On generated 0-cycles
+(``reference_weighted_sum``, the arrangement route in every dimension) both
+must give the same points with the same weights, and the same bytes.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_push_forward
+from oracles import reference_push_forward, reference_weighted_sum
 from test_random_pipeline import random_plane_curve
 
+import tropint.cycles as cycles
 import tropint.morphisms as morphisms
-from tropint.cycles import Cycle, WeightedComplex, add, cycles_equal, negate, rn_cycle
-from tropint.kernel import lattice_index
+from tropint.cycles import (
+    Cycle,
+    WeightedComplex,
+    _weighted_sum,
+    add,
+    cycles_equal,
+    negate,
+    rn_cycle,
+)
+from tropint.documents import serialize_document
+from tropint.kernel import QQ, dot, lattice_index
 from tropint.library import builtin_example
 from tropint.morphisms import IntegerLinearMap, Morphism, image_cell, push_forward
-from tropint.polyhedra import ray_cell, segment_cell
+from tropint.polyhedra import AffineForm, Cell, point_cell, ray_cell, segment_cell
 
 _LIBRARY_CURVES = ("pushfwd-fan", "pinwheel-curve", "conic-curve")
 _RANDOM_CURVES = tuple((seed, d) for seed in (1729, 23, 5150) for d in (1, 2))
@@ -115,3 +130,64 @@ def test_sums_and_equality_ignore_refinement(name):
     assert add(curve, negate(curve)).is_empty
     assert add(curve, negate(split)).is_empty
     assert not cycles_equal(curve, add(split, split))
+
+
+def _point(p, k):
+    """The point p as a cell: ``point_cell`` for k = 0, else the solution of
+    k x_i + x_(i-1) = k p_i + p_(i-1), whose constants have other
+    denominators than p's."""
+    if not k:
+        return point_cell(p)
+    n = len(p)
+    eqs = []
+    for i in range(n):
+        a = tuple(k if j == i else int(j == i - 1) for j in range(n))
+        eqs.append(AffineForm(a, -dot(a, p)))
+    return Cell.from_constraints(n, (), eqs)
+
+
+_coordinate = st.builds(QQ, st.integers(-30, 30), st.sampled_from((1, 7, 60, 97)))
+
+
+@st.composite
+def zero_cycles(draw):
+    """(n, entries): (point cell, weight) pairs in R^1, R^2 or R^3, none,
+    one or several, over at most three points with coordinates over 7, 60
+    and 97.  A point comes back written over other denominators, and one
+    point may take a last entry that cancels its weight to zero."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[_coordinate] * n), min_size=1, max_size=3))
+    scale = st.sampled_from((0, 1, 7, 60))
+    entries = [(_point(draw(st.sampled_from(pool)), draw(scale)), draw(st.integers(-3, 3)))
+               for _ in range(draw(st.integers(0, 6)))]
+    if entries and draw(st.booleans()):
+        p = draw(st.sampled_from([cell.interior_point for cell, _ in entries]))
+        total = sum(w for cell, w in entries if cell.interior_point == p)
+        entries.append((_point(p, draw(scale)), -total))
+    return n, entries
+
+
+_HALF = (QQ(1, 2), QQ(-3, 7))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zero_cycles())
+@example((2, []))
+@example((2, [(_point(_HALF, 0), 3)]))
+@example((2, [(_point(_HALF, 0), 2), (_point(_HALF, 60), -2)]))
+@example((2, [(_point(_HALF, 7), 1), (_point(_HALF, 60), 1), (_point((0, 0), 0), -1)]))
+def test_points_sum_by_point_as_on_their_arrangement(case):
+    n, entries = case
+    with mock.patch.object(cycles, "collect_hyperplanes", side_effect=AssertionError), \
+            mock.patch.object(cycles, "refine_cell", side_effect=AssertionError):
+        got = _weighted_sum(n, 0, entries)
+    want = reference_weighted_sum(n, 0, entries)
+
+    def tally(cycle):
+        return Counter(zip((cell.interior_point for cell in cycle.complex.cells),
+                           cycle.complex.weights))
+
+    assert tally(got) == tally(want)
+    assert serialize_document(got) == serialize_document(want)
+    assert 0 not in got.complex.weights
+    assert sum(got.complex.weights) == sum(w for _, w in entries)
