@@ -134,7 +134,7 @@ def _split_one(cell: Cell, phi):
     linearity regions, one per term that is maximal there (ties keep the
     lowest term index, so pieces are not duplicated).  Each difference of
     the term and another is read once as its line over the cell's affine
-    hull (:func:`~tropint.polyhedra._line`).  A negative constant means the
+    hull (:func:`_nonconstant`).  A negative constant means the
     term never wins, another constant holds on the whole hull and is
     dropped, and the rest cut the cell into the region, which keeps the
     cell's equalities.  Piecewise functions refine along all forms of their

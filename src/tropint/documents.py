@@ -148,8 +148,12 @@ def _constraint_rows(cell: Cell):
 def _parse_constraint(row, n, path):
     if not isinstance(row, list) or len(row) != n + 1:
         raise DocumentError(path, f"constraint row must have {n + 1} entries")
-    linear = tuple(_int_from_json(x, f"{path}[{i}]") for i, x in enumerate(row[:n]))
-    bound = _rat_from_json(row[n], f"{path}[{n}]")
+    # Entries are read directly; a path is formatted only for one that fails.
+    linear, bound = tuple(row[:n]), row[n]
+    if not all(type(x) is int for x in linear):
+        linear = tuple(_int_from_json(x, f"{path}[{i}]") for i, x in enumerate(linear))
+    if type(bound) is not int:
+        bound = _rat_from_json(bound, f"{path}[{n}]")
     return AffineForm(linear, -bound)
 
 

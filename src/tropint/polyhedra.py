@@ -9,23 +9,20 @@ of its direction space from it.
 
 Every geometric predicate comes down to one question: do some
 inequalities have a strict point on the solutions of an elimination?
-:func:`_relint_lp` is the one place it is answered.  When the elimination
-leaves at most one free variable z, as for a ray, a segment, a point cut
-from a line or a facet of a cell of dimension two, the inequalities cut
-out an interval of z (:func:`_interval_of`), and the answer is read from
-it with no program.  That reading is in integers: each inequality becomes
-an integer line A z + G, a positive multiple of its rational line, the
-ends are chosen by cross-multiplication, and the only rationals built are
-the two ends kept and the coordinates of the points returned.  Otherwise
-one slack program, :func:`_slack_lp`, decides it by the rational simplex
-over the free variables.  A cell of dimension one also takes its canonical
-form, facets, recession cone and refinement from its interval and the
-sorted points where forms cross it.  The refinement is in integers too:
-it reads the same integer lines, holds each crossing as a reduced integer
-pair, compares it with the ends by cross-multiplication, sorts the
-crossings over a common denominator, and builds only the coordinates of
-each piece's point as rationals.  There is no vertex enumeration
-anywhere.
+:func:`_relint_lp` is the one place it is answered.  There, as everywhere,
+each form is read as its integer line over the solutions (:func:`_lines`),
+a positive multiple of the form whatever the number of free variables.
+When the elimination leaves at most one free variable z, as for a ray, a
+segment, a point cut from a line or a facet of a cell of dimension two,
+the lines cut out an interval of z whose ends are integer pairs chosen by
+cross-multiplication (:func:`_interval`), and the answer is read from it
+with no program.  Otherwise one slack program, :func:`_slack_lp`, decides
+it by the simplex over the free variables, with the lines as its rows.  A
+cell of dimension one also takes its canonical form, facets, recession
+cone and refinement from its interval and the sorted points where forms
+cross it, each a reduced integer pair.  The only rationals built are the
+constants of facets and the coordinates of points.  There is no vertex
+enumeration anywhere.
 """
 
 from __future__ import annotations
@@ -128,14 +125,14 @@ class Cell:
     relative interior, which is all the predicates here rely on.  The list
     may still hold redundant members.  :meth:`canonical_cell` drops them,
     lazily.  On a cell of dimension one it keeps the two forms that bound
-    the interval of its free variable (:func:`_interval_of`), and each end
-    of the interval is its facet.  On other cells it asks
-    :func:`_relint_lp` once per inequality g for a strict point of "g = 0,
-    the others >= 0", read from an interval on cells of dimension two and
-    an LP on cells of dimension three or more.  It keeps g exactly when
-    there is one, and the point then lies in the relative interior of g's
-    facet.  Either way :meth:`faces_of_codim_one` builds the facets from
-    those points with no further solve.
+    the interval of its free variable (:func:`_interval`), read from the
+    integer lines of its inequalities, and each end is its facet.  On
+    other cells it asks :func:`_relint_lp` once per inequality g for a
+    strict point of "g = 0, the others >= 0", read from an interval on
+    cells of dimension two and an LP on cells of dimension three or more.
+    It keeps g exactly when there is one, and the point then lies in the
+    relative interior of g's facet.  Either way :meth:`faces_of_codim_one`
+    builds the facets from those points with no further solve.
 
     The affine hull has one description.  Every constructor, the public
     one included, eliminates the equalities once (:func:`_eliminate`, whose
@@ -189,7 +186,7 @@ class Cell:
         """Canonicalize a constraint system; None if it is infeasible.
 
         Eliminates the equalities as given, then reads each inequality as
-        its line over their solutions (:func:`_line`).  A constant line
+        its line over their solutions (:func:`_nonconstant`).  A constant line
         needs no probe: it is dropped when >= 0 and makes the cell empty
         when < 0.  The rest are probed for a relative interior point
         (:func:`_relint_lp`).  When they have no strict point and one
@@ -312,7 +309,7 @@ class Cell:
         """Directions v with cell + R_{>=0} v inside the cell.
 
         On a cell of dimension at most one it is read from the interval of
-        the free variable (:func:`_interval_of`), with no constraint system
+        the free variable (:func:`_interval`), with no constraint system
         to solve: the origin when the cell is bounded, the ray of +w or -w
         when it is unbounded on one side only, and the line through 0 when
         it is unbounded on both, for w the primitive direction of the
@@ -335,7 +332,7 @@ class Cell:
         of the homogenized equalities."""
         n, elim = self.ambient_dim, self._elim
         origin = (QQ(0),) * n
-        lo, hi = _interval_of(self.ineqs, elim)[1] if self.dim else (0, 0)
+        lo, hi = _interval(_lines(self.ineqs, elim)) if self.dim else (0, 0)
         if lo is not None and hi is not None:
             return Cell._with_hull(n, (), origin, _point_elimination(origin))
         (w,), d, free = elim[1:4]
@@ -387,13 +384,13 @@ class Cell:
         interior point of each facet; its own canonical cell is itself.
 
         Each inequality g is reduced to its coset representative modulo
-        the equalities: d times it is the line of g, placed on the free
-        columns, made primitive.  On a cell of dimension one that leaves
-        x_j - lo >= 0 and hi - x_j >= 0 for the interval [lo, hi] of the
-        free coordinate x_j, and the kept ones are those with a finite end,
-        each with the point of its end as its facet.  On other cells a
-        reduced g is kept when the others are strict somewhere on g = 0,
-        decided by one slack program."""
+        the equalities: a positive multiple of it is the line of g
+        (:func:`_lines`), placed on the free columns, made primitive.  On a
+        cell of dimension one that leaves x_j - lo >= 0 and hi - x_j >= 0
+        for the interval [lo, hi] of the free coordinate x_j, and the kept
+        ones are those with a finite end, each with the point of its end as
+        its facet.  On other cells a reduced g is kept when the others are
+        strict somewhere on g = 0, decided by one slack program."""
         if self._canonical is not None:
             # A canonical cell keeps no reference to itself, so reference
             # counting alone frees it, without the cycle collector.
@@ -416,13 +413,13 @@ class Cell:
         hi - x_j >= 0 for a finite upper end hi of the free coordinate x_j,
         then x_j - lo >= 0 for a finite lower end lo."""
         n, (j,) = self.ambient_dim, self._elim[3]
-        lo, hi = _interval_of(self.ineqs, self._elim)[1]
+        lo, hi = _interval(_lines(self.ineqs, self._elim))
         kept, facets = [], []
         for end, sign in ((hi, -1), (lo, 1)):
             if end is not None:
                 kept.append(AffineForm(tuple(sign if i == j else 0 for i in range(n)),
-                                       end if sign < 0 else -end))
-                point = _point_at(self._elim, end.numerator, end.denominator)
+                                       QQ(-sign * end[0], end[1])))
+                point = _point_at(self._elim, *end)
                 facets.append((point, _point_elimination(point)))
         return kept, facets
 
@@ -432,9 +429,8 @@ class Cell:
         per reduced inequality."""
         n, elim = self.ambient_dim, self._elim
         reduced = {}
-        for g in self.ineqs:
-            # A constant line is positive on the hull, so g is redundant.
-            A, G = _line(g, elim)
+        for A, G in _lines(self.ineqs, elim):
+            # A constant line is positive on the hull, so its form is redundant.
             if any(A):
                 linear = [0] * n
                 for j, a in zip(elim[3], A):
@@ -501,12 +497,21 @@ def _eliminate(n, eqs):
     return tuple(c), tuple(map(tuple, ws)), d, free, tuple(map(tuple, rows))
 
 
-def _line(f, elim):
-    """The form f over the solutions of :func:`_eliminate` as the line
-    d f(x) = A . z + G, returned as (A, G): A is an integer tuple and G is
-    rational."""
+def _lines(forms, elim):
+    """The integer line q d f(x) = A . z + G of each form f = a . x + p / q
+    over the solutions x = (c + sum_j z_j ws[j]) / d of an elimination
+    (:func:`_eliminate`, or any such flat), as (A, G): A_j = q (a . ws[j]),
+    A = () when no variable is free, and G = q (a . c) + d p.  It is a
+    positive multiple of f there, so it has f's signs and roots, and as a
+    row of a program it is f's rational row times a positive factor."""
     c, ws, d = elim[:3]
-    return tuple(dot(f.linear, w) for w in ws), dot(f.linear, c) + d * f.constant
+    lines = []
+    for f in forms:
+        a, q = f.linear, f.constant.denominator
+        # A list comprehension: a generator expression measured slower.
+        lines.append((tuple([q * dot(a, w) for w in ws]) if ws else (),
+                      q * dot(a, c) + d * f.constant.numerator))
+    return lines
 
 
 def _nonconstant(ineqs, elim):
@@ -522,6 +527,7 @@ def _nonconstant(ineqs, elim):
     c, ws, d = elim[:3]
     out, seen = [], set()
     for f in ineqs:
+        # Slopes first, G only for a constant line: _lines here cost ~3% a round.
         if not any(dot(f.linear, w) for w in ws):
             if dot(f.linear, c) * f.constant.denominator + d * f.constant.numerator < 0:
                 return None
@@ -538,22 +544,26 @@ def _slack_lp(plain, slack, elim, start=None):
     over the solutions of some equalities, given by their elimination
     ``elim`` (:func:`_eliminate`; None when there is no solution).
 
-    Every form becomes a line over the free variables z (:func:`_line`),
-    and the simplex maximizes t over (z, t), with the rows the plain lines,
-    the slack lines and the cap, in this order, and no equality row.  It
-    starts at z0, the free coordinates of ``start`` (a solution where every
-    plain form is >= 0, needed only when there are plain forms) or else 0,
-    and at t0, the least of 1 and the slack lines at z0 over d.  The result
-    carries t as its value and x as its point.
+    Every form becomes its integer line q d f = A . z + G over the free
+    variables z (:func:`_lines`), and the simplex maximizes t over (z, t),
+    with the rows the plain lines, the slack lines minus q d t and the cap,
+    in this order, and no equality row; each is its form's rational row
+    times a positive factor.  It starts at z0, the free coordinates of
+    ``start`` (a solution where every plain form is >= 0, needed only when
+    there are plain forms) or else 0, and at t0, the least of 1 and the
+    slack forms at z0.  The result carries t as its value and x as its
+    point.
     """
     if elim is None:
         return LPResult(INFEASIBLE)
     c, ws, d, free = elim[:4]
     k = len(ws)
-    plain, slack = ([_line(f, elim) for f in fs] for fs in (plain, slack))
     z0 = (0,) * k if start is None else tuple(start[j] for j in free)
-    t0 = min([QQ(1)] + [QQ(dot(A, z0) + G, d) for A, G in slack])
-    ineqs = [(A + (0,), -G) for A, G in plain] + [(A + (-d,), -G) for A, G in slack]
+    scales = [f.constant.denominator * d for f in slack]
+    slack = _lines(slack, elim)
+    t0 = min([_ONE] + [QQ(dot(A, z0) + G, s) for (A, G), s in zip(slack, scales)])
+    ineqs = [(A + (0,), -G) for A, G in _lines(plain, elim)]
+    ineqs += [(A + (-s,), -G) for (A, G), s in zip(slack, scales)]
     ineqs.append(((0,) * k + (-1,), -1))
     res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, start=z0 + (t0,))
     if res.status == OPTIMAL:
@@ -564,14 +574,14 @@ def _slack_lp(plain, slack, elim, start=None):
 
 
 def _interval(lines):
-    """The z with A z + G >= 0 for every integer line (A, G), as (lo, hi)
-    with None on an unbounded side, or None when there is none.
-
-    Each root -G / A is held as an integer pair (numerator, positive
-    denominator), and roots are compared by cross-multiplication.  Only
-    the two ends kept become rationals."""
+    """The z with A z + G >= 0 for every integer line (A, G) of
+    :func:`_lines` over at most one free variable, as (lo, hi), or None
+    when there is none.  Each end is an integer pair (p, q) for p / q, with
+    q > 0 and not reduced, None on an unbounded side; ends are chosen by
+    cross-multiplication and no rational is built."""
     lo = hi = None
     for A, G in lines:
+        A = A[0] if A else 0
         if A > 0:
             if lo is None or -G * lo[1] > lo[0] * A:
                 lo = (-G, A)
@@ -582,47 +592,7 @@ def _interval(lines):
             return None
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return None
-    return None if lo is None else QQ(*lo), None if hi is None else QQ(*hi)
-
-
-def _integer_lines(forms, elim):
-    """The integer line of each form over the solutions of an elimination
-    with at most one free variable z (:func:`_eliminate`).
-
-    For f = a . x + p / q and the solutions x = (c + z w) / d, the line is
-    q d f(x) = A z + G, with A = q (a . w), A = 0 when no variable is free,
-    and G = q (a . c) + d p.  It is a positive multiple of f on the
-    solutions, so it has f's sign at every z and f's root, and signs and
-    roots are all that any caller reads."""
-    c, ws, d = elim[:3]
-    (w,) = ws or ((0,) * len(c),)
-    lines = []
-    for f in forms:
-        p, q = f.constant.numerator, f.constant.denominator
-        lines.append((q * dot(f.linear, w), q * dot(f.linear, c) + d * p))
-    return lines
-
-
-def _interval_of(forms, elim):
-    """Inequalities read on the solutions of an elimination with at most
-    one free variable z (:func:`_eliminate`): each form's integer line
-    (A, G) (:func:`_integer_lines`), and the interval of z they cut out
-    (:func:`_interval`, None when empty).
-
-    This is the one reading of a system with at most one free variable:
-    the decision of :func:`_relint_lp`, :func:`strict_point`, and the
-    canonical form, facets, recession cone and refinement box of a cell of
-    dimension one, all come from it.  The refinement of such a cell reads
-    the forms that cut it with :func:`_integer_lines` alone, since its
-    interval is known."""
-    lines = _integer_lines(forms, elim)
-    return lines, _interval(lines)
-
-
-def _pair(x):
-    """A rational as the integer pair (numerator, positive denominator),
-    None for None."""
-    return None if x is None else (x.numerator, x.denominator)
+    return lo, hi
 
 
 def _point_at(elim, p, q):
@@ -673,11 +643,11 @@ def _relint_lp(ineqs, elim):
     point.
 
     With at most one free variable z the integer lines of the inequalities
-    are read once (:func:`_interval_of`), with no program; only their
-    signs and the interval's ends are used.  A strict point exists exactly
-    when every constant line is > 0 and the interval of z has lo < hi or an
-    unbounded side; t is then 1, else 0, and the point is
-    :func:`_interval_point`, whose z is never built as a rational.
+    (:func:`_lines`) are read once, with no program; only their signs and
+    the ends of their interval (:func:`_interval`) are used.  A strict
+    point exists exactly when every constant line is > 0 and the interval
+    of z has lo < hi or an unbounded side; t is then 1, else 0, and the
+    point is :func:`_interval_point`, whose z is never built as a rational.
     Otherwise one slack program
     (:func:`_slack_lp`) gives the best t <= 1 and a point where every
     inequality is >= t, or the solution with z = 0 and t = 1 when there is
@@ -689,13 +659,14 @@ def _relint_lp(ineqs, elim):
     if elim is None:
         return None, None
     if len(elim[1]) <= 1:
-        lines, box = _interval_of(ineqs, elim)
+        lines = _lines(ineqs, elim)
+        box = _interval(lines)
         if box is None:
             return None, None
         lo, hi = box
-        strict = (all(G > 0 for A, G in lines if A == 0)
-                  and (lo is None or hi is None or lo < hi))
-        return _interval_point(elim, _pair(lo), _pair(hi)), _ONE if strict else _ZERO
+        strict = (all(G > 0 for A, G in lines if not any(A))
+                  and (lo is None or hi is None or lo[0] * hi[1] < hi[0] * lo[1]))
+        return _interval_point(elim, lo, hi), _ONE if strict else _ZERO
     if not ineqs:
         c, _, d = elim[:3]
         return tuple(QQ(x, d) for x in c), _ONE
@@ -723,36 +694,38 @@ def _max_capped(form, ineqs, elim, start):
 def strict_point(cell, form) -> tuple | None:
     """A point of the cell with form > 0, or None if form <= 0 on the cell.
 
-    On a cell of dimension at most one the form's integer line A z + G is
-    read over the interval [lo, hi] of the free variable
-    (:func:`_interval_of`) with no program: its maximum is at hi when
-    A > 0 and at lo when A < 0, it is positive somewhere when that side is
-    unbounded, where its root is the rational ``QQ(-G, A)``, and it has the
-    sign of G when A = 0.  Other cells take one capped slack program
-    (:func:`_max_capped`).
+    On a cell of dimension at most one the form's integer line A z + G
+    (:func:`_lines`) is read over the interval [lo, hi] of the free
+    variable (:func:`_interval`) with no program: its maximum is at hi
+    when A > 0 and at lo when A < 0, it is positive somewhere when that
+    side is unbounded, one step past its root, and it has the sign of G
+    when A = 0.  Every z is an integer pair, and only the point's
+    coordinates are built as rationals.  Other cells take one capped slack
+    program (:func:`_max_capped`).
     """
     elim = cell._elim
     if cell.dim > 1:
         res = _max_capped(form, cell.ineqs, elim, cell.interior_point)
         return res.point if res.value > 0 else None
-    ((A, G),), _ = _interval_of((form,), elim)
+    ((A, G),) = _lines((form,), elim)
+    A = A[0] if A else 0
     if A == 0:
         return cell.interior_point if G > 0 else None
-    lo, hi = _interval_of(cell.ineqs, elim)[1]
+    lo, hi = _interval(_lines(cell.ineqs, elim))
     z, other = (hi, lo) if A > 0 else (lo, hi)
     if z is None:
         # The line grows without bound on this side: one step past its root,
         # or the other end if that lies further out, is a strict point.
-        z = QQ(-G, A) + (1 if A > 0 else -1)
-        if other is not None and (other - z) * A > 0:
+        z = (A - G, A) if A > 0 else (G + A, -A)
+        if other is not None and (other[0] * z[1] - z[0] * other[1]) * A > 0:
             z = other
-    return _point_at(elim, z.numerator, z.denominator) if A * z + G > 0 else None
+    return _point_at(elim, *z) if A * z[0] + G * z[1] > 0 else None
 
 
 def form_vanishes_on(cell, form) -> bool:
     """Exact validity of form == 0 over the cell: its line over the cell's
-    elimination (:func:`_line`) is zero."""
-    A, G = _line(form, cell._elim)
+    elimination (:func:`_lines`) is zero."""
+    ((A, G),) = _lines((form,), cell._elim)
     return G == 0 and not any(A)
 
 
@@ -812,19 +785,15 @@ def collect_hyperplanes(cells) -> tuple:
 
 
 def _hull_box(cell):
-    """The elimination of the cell's equalities and the bounds (lo_j, hi_j)
-    of each free variable z_j over the cell, None on an unbounded side.  A
-    cell with at most one free variable is read from its interval, with no
-    program: a point has no free variable and an empty box, and a cell of
-    dimension one the interval of its free variable (:func:`_interval_of`).
-    Only cells of dimension two or more take LPs, two per variable from the
-    interior point."""
+    """The bounds (lo_j, hi_j) of each free variable z_j of the cell's
+    elimination over a cell of dimension two or more, None on an unbounded
+    side, by two LPs per variable from the interior point, whose rows are
+    the integer lines of the cell's inequalities (:func:`_lines`).  Only
+    :func:`refine_cell` reads it; a cell with at most one free variable is
+    read from its interval instead (:func:`_refine_interval`)."""
     elim = cell._elim
     k = len(elim[1])
-    if k <= 1:
-        return elim, [_interval_of(cell.ineqs, elim)[1]] if k else []
-    lines = [_line(f, elim) for f in cell.ineqs]
-    rows = [(A, -G) for A, G in lines]
+    rows = [(A, -G) for A, G in _lines(cell.ineqs, elim)]
     start = tuple(cell.interior_point[j] for j in elim[3])
     box = []
     for j in range(k):
@@ -837,16 +806,16 @@ def _hull_box(cell):
                 _require_optimal(res, "hull-box LP")
                 bounds.append(sign * res.value)
         box.append(tuple(bounds))
-    return elim, box
+    return box
 
 
-def _sign_on_box(f, elim, box):
-    """The sign f keeps on the whole box, by interval arithmetic on its
-    line A . z + G (:func:`_line`): 1 when f >= 0 there, -1 when f <= 0, 0
-    when the line is zero (both hold) and None when f takes both signs.
-    Only :func:`refine_cell` on a cell of dimension two or more reads it;
-    cells with at most one free variable are read in integers."""
-    A, lo = _line(f, elim)
+def _sign_on_box(line, box):
+    """The sign a form keeps on the whole box, by interval arithmetic on its
+    integer line A . z + G (:func:`_lines`): 1 when the form is >= 0
+    there, -1 when it is <= 0, 0 when the line is zero (both hold) and None
+    when it takes both signs.  Only :func:`refine_cell` on a cell of
+    dimension two or more reads it."""
+    A, lo = line
     hi = lo
     for aj, (lo_j, hi_j) in zip(A, box):
         if aj == 0:
@@ -867,35 +836,34 @@ def refine_cell(cell: Cell, forms) -> list:
     arrangement are the same set exactly when their signs agree.  A cell
     no form cuts comes back as itself.
 
-    Both paths start from a box around the cell: the bounds of each free
-    variable z_j of its affine hull x = (c + sum z_j w_j) / d
-    (:func:`_eliminate`), by two LPs per variable, or with no LP on a cell
-    with at most one free variable (:func:`_hull_box`).  A form whose line
-    A . z + G is >= 0 or <= 0 over the box keeps that sign on every piece.
-    Its sign is 0 when the line is zero; otherwise the form cannot vanish
-    at a relative interior point of a piece, where it would take a minimum
-    inside the hull.
-
     On a cell with at most one free variable the arrangement is a sorted
     list of points, the crossings of the forms' integer lines, read as
     integer pairs (:func:`_refine_interval`), and nothing is probed.  On a
     point every line is a constant G, so the point comes back alone, with
-    the signs of the Gs, and no rational line is read.  On other cells
-    only the forms that take both signs on the box (:func:`_sign_on_box`)
-    are probed, by at most one slack program per side and piece.  A probed
-    form is 1 on its positive side and -1 on its negative one.  A piece
-    gains it only when it cuts the piece: if the other side is empty, the
-    piece stays as it was, with the sign of its own side.
+    the signs of the Gs.
+
+    Other cells start from a box around the cell: the bounds of each free
+    variable z_j of its affine hull x = (c + sum z_j w_j) / d
+    (:func:`_eliminate`), by two LPs per variable (:func:`_hull_box`).  A
+    form whose line A . z + G is >= 0 or <= 0 over the box keeps that sign
+    on every piece (:func:`_sign_on_box`).  Its sign is 0 when the line is
+    zero; otherwise the form cannot vanish at a relative interior point of
+    a piece, where it would take a minimum inside the hull.  Only the
+    forms that take both signs on the box are probed, by at most one slack
+    program per side and piece.  A probed form is 1 on its positive side
+    and -1 on its negative one.  A piece gains it only when it cuts the
+    piece: if the other side is empty, the piece stays as it was, with the
+    sign of its own side.
     """
     forms = tuple(forms)
     if not forms:
         return [(cell, ())]
-    elim, box = _hull_box(cell)
-    if len(box) <= 1:
-        return _refine_interval(cell, forms, elim, box)
+    if cell.dim <= 1:
+        return _refine_interval(cell, forms)
+    box = _hull_box(cell)
     pieces = [(cell, ())]
-    for f in forms:
-        sign = _sign_on_box(f, elim, box)
+    for f, line in zip(forms, _lines(forms, cell._elim)):
+        sign = _sign_on_box(line, box)
         if sign is not None:
             pieces = [(c, signs + (sign,)) for c, signs in pieces]
             continue
@@ -913,12 +881,13 @@ def refine_cell(cell: Cell, forms) -> list:
     return pieces
 
 
-def _refine_interval(cell, forms, elim, box):
-    """:func:`refine_cell` on a cell with at most one free variable z, whose
-    ``box`` holds the interval (lo, hi) that z runs over
-    (:func:`_interval`), or nothing on a point, where no line crosses.
+def _refine_interval(cell, forms):
+    """:func:`refine_cell` on a cell with at most one free variable z, which
+    runs over the interval (lo, hi) the cell's inequalities cut out
+    (:func:`_interval`), unbounded on both sides on a point, where no line
+    crosses.
 
-    Each form is read as its integer line A z + G (:func:`_integer_lines`).
+    Each form is read as its integer line A z + G (:func:`_lines`).
     One with A != 0 crosses at z = -G / A, held as the reduced integer pair
     (-G / g, A / g) for g = gcd(G, A) taken with the sign of A, so two
     crossings are equal exactly when their pairs are.  The distinct
@@ -936,10 +905,11 @@ def _refine_interval(cell, forms, elim, box):
     The pieces, their inequalities and points, and the signs are those of
     the rational reading of the crossings.
     """
-    ((lo, hi),) = box or ((None, None),)
-    lo, hi = _pair(lo), _pair(hi)
+    elim = cell._elim
+    lo, hi = _interval(_lines(cell.ineqs, elim))
     lines = []
-    for A, G in _integer_lines(forms, elim):
+    for A, G in _lines(forms, elim):
+        A = A[0] if A else 0
         if A:
             g = gcd(G, A) if A > 0 else -gcd(G, A)
             lines.append((1 if A > 0 else -1, (-G // g, A // g)))

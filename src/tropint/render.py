@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .cycles import Cycle
 from .kernel import QQ
-from .polyhedra import AffineForm, _interval_of, _point_at
+from .polyhedra import AffineForm, _interval, _lines, _point_at
 
 
 def render_svg(cycle: Cycle, bbox=(-5, -5, 5, 5), size=600) -> str:
@@ -56,15 +56,18 @@ def _visible_segment(cell, box_forms):
     """Clip a one-dimensional cell to the box; None when nothing shows.
 
     The cell is x = (c + z w) / d for z in an interval, over its
-    elimination; the inequalities of the cell and of the box cut out the
-    interval of z they allow (:func:`_interval_of`), and the segment runs
-    between the points at its ends (:func:`_point_at`).  It starts at the
-    end that comes first along the cell's lattice direction, whose first
-    nonzero entry is positive.
+    elimination; the integer lines of the cell's and the box's inequalities
+    cut out the interval of z they allow (:func:`_interval`), whose ends
+    are integer pairs, and the segment runs between the points at its ends
+    (:func:`_point_at`).  It starts at the end that comes first along the
+    cell's lattice direction, whose first nonzero entry is positive.
     """
     elim = cell._elim
-    interval = _interval_of(cell.ineqs + box_forms, elim)[1]
-    if interval is None or None in interval or interval[0] == interval[1]:
+    interval = _interval(_lines(cell.ineqs + box_forms, elim))
+    if interval is None or None in interval:
         return None
-    a, b = (_point_at(elim, z.numerator, z.denominator) for z in interval)
+    (p, q), (r, s) = interval
+    if p * s == r * q:
+        return None  # one point; the pairs are not reduced
+    a, b = (_point_at(elim, *z) for z in interval)
     return (a, b) if next(x for x in elim[1][0] if x) > 0 else (b, a)

@@ -218,6 +218,7 @@ def _meeting(sigma, tau, weight, inverse):
     for cell in (sigma, tau):
         forms = []
         for f in cell.ineqs:
+            # Slopes first, G only for a constant line: polyhedra._lines cost ~3% a round.
             if meet and any(dot(f.linear, u) for u in meet):
                 cuts.append(f)
                 continue

@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared by the test modules, and the
 helpers the tests share that no path of the library needs."""
 
-from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
+from tropint._simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_max
 from tropint.cycles import (
     Cycle,
     WeightedComplex,
@@ -273,6 +273,33 @@ def _reference_pivot(tab, row, col):
             f = tab[i][col]
             if f != 0:
                 tab[i] = [a - f * b for a, b in zip(tab[i], pr)]
+
+
+def reference_slack_lp(plain, slack, elim, start=None):
+    """:func:`~tropint.polyhedra._slack_lp` with rational rows: each form f
+    is read as its rational line d f(x) = A . z + G over the solutions
+    x = (c + sum_j z_j ws[j]) / d of the elimination, and a slack row is
+    A . z + G - d t >= 0.  The library's integer rows are these times a
+    positive factor, so the simplex makes the same pivots on both."""
+    if elim is None:
+        return LPResult(INFEASIBLE)
+    c, ws, d, free = elim[:4]
+    k = len(ws)
+
+    def line(f):
+        return tuple(dot(f.linear, w) for w in ws), dot(f.linear, c) + d * f.constant
+
+    plain, slack = [line(f) for f in plain], [line(f) for f in slack]
+    z0 = (0,) * k if start is None else tuple(start[j] for j in free)
+    t0 = min([QQ(1)] + [QQ(dot(A, z0) + G, d) for A, G in slack])
+    ineqs = [(A + (0,), -G) for A, G in plain] + [(A + (-d,), -G) for A, G in slack]
+    ineqs.append(((0,) * k + (-1,), -1))
+    res = lp_max(k + 1, (0,) * k + (1,), ineqs=ineqs, start=z0 + (t0,))
+    if res.status == OPTIMAL:
+        z = res.point[:k]
+        res.point = tuple(QQ(ci + sum(zj * w[i] for zj, w in zip(z, ws)), d)
+                          for i, ci in enumerate(c))
+    return res
 
 
 # -- rational Gauss elimination ----------------------------------------------

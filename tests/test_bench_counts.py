@@ -4,8 +4,8 @@
 A fresh ``python -B`` process builds the seed-201 round of each workload
 from ``bench/workloads.py``, runs it once to warm up, and counts the calls
 of ``polyhedra._slack_lp``, ``polyhedra._eliminate``, the
-implied-equality probe ``polyhedra._max_capped``, the rational line
-reader ``polyhedra._line`` and ``polyhedra.refine_cell`` over a second
+implied-equality probe ``polyhedra._max_capped``, the integer line
+reader ``polyhedra._lines`` and ``polyhedra.refine_cell`` over a second
 round, rebound in every tropint module that holds them, and among the
 slack programs those whose elimination leaves fewer than two free
 variables, which ``polyhedra._relint_lp`` reads from an interval instead.
@@ -43,11 +43,11 @@ for workload in sys.argv[3:]:
     workloads.warm_up()
     for op in ops:
         op.run()
-    counts = dict.fromkeys(["_slack_lp", "_slack_lp k<2", "_eliminate", "_max_capped", "_line",
+    counts = dict.fromkeys(["_slack_lp", "_slack_lp k<2", "_eliminate", "_max_capped", "_lines",
                             "refine_cell"], 0)
     bound = []
     for real in (polyhedra._slack_lp, polyhedra._eliminate, polyhedra._max_capped,
-                 polyhedra._line, polyhedra.refine_cell):
+                 polyhedra._lines, polyhedra.refine_cell):
         wrapper = counted(real, counts)
         for info in pkgutil.iter_modules(tropint.__path__):
             module = importlib.import_module(f"tropint.{info.name}")
@@ -109,13 +109,20 @@ print(json.dumps(out))
 # to 8 (space-chain), the _line calls from 48 to 0, 28 to 0 and 2,502 to
 # 2,496, and the Fractions from 766 to 658, 3,229 to 3,169 and 46,928 to
 # 46,904.
+# Every elimination is read by one integer line reader, whatever the number
+# of free variables, and an interval's ends stay integer pairs, so only the
+# constants of facets and the coordinates of points are Fractions; a
+# constraint row whose entries are ints is parsed with one Fraction, its
+# bound.  The counts of polyhedra._line (0, 0 and 2,496) gave way to those
+# of polyhedra._lines, which reads a whole list of forms per call, and the
+# Fractions went from 658 to 511, 3,169 to 2,897 and 46,904 to 38,010.
 _COUNTS = {
     "plane-intersect": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 54, "_max_capped": 0,
-                        "_line": 0, "refine_cell": 6, "Fraction": 658},
+                        "_lines": 81, "refine_cell": 6, "Fraction": 511},
     "curve-arith": {"_slack_lp": 0, "_slack_lp k<2": 0, "_eliminate": 98, "_max_capped": 0,
-                    "_line": 0, "refine_cell": 72, "Fraction": 3169},
+                    "_lines": 314, "refine_cell": 72, "Fraction": 2897},
     "space-chain": {"_slack_lp": 375, "_slack_lp k<2": 0, "_eliminate": 586, "_max_capped": 16,
-                    "_line": 2496, "refine_cell": 8, "Fraction": 46904},
+                    "_lines": 1371, "refine_cell": 8, "Fraction": 38010},
 }
 
 

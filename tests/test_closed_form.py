@@ -12,9 +12,12 @@ the sign of the best slack, and its point must be exact, satisfy every row
 and be strict for every inequality when the slack is positive.  On
 programs that leave two or more variables free, ``polyhedra._slack_lp``
 must give the status and value of the reference, and its point must be
-exact, satisfy every row and attain the value.  The box of a cell of
-dimension one, read from the lines of its inequalities, must be the one
-two LPs per side give, and ``polyhedra.strict_point`` on a cell of
+exact, satisfy every row and attain the value; it must also give the
+status, value and point of the rational slack program
+(``oracles.reference_slack_lp``), whose rows its integer rows scale by
+positive factors.  The interval of a cell of dimension at most one, read
+from the integer lines of its inequalities, must be the box two LPs per
+side give, and ``polyhedra.strict_point`` on a cell of
 dimension at most one must read the maximum of a form from the same
 interval, with no LP, and agree with the reference.  Sums, equality,
 push-forward and the projection formula of plane curves then run no LP at
@@ -27,8 +30,9 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_lp_max
+from oracles import reference_lp_max, reference_slack_lp
 from test_faces import _count_lps
+from test_intervals import _ends
 from test_weighted_sum import _split_edges
 
 import tropint.polyhedra as polyhedra
@@ -134,13 +138,18 @@ def _free(n, eqs):
 @given(programs(low=False))
 def test_simplex_matches_reference(program):
     n, plain, slack, eqs, start = program
+    elim = polyhedra._eliminate(n, eqs)
     with _spy() as spy:
-        res = polyhedra._slack_lp(plain, slack, polyhedra._eliminate(n, eqs), start)
+        res = polyhedra._slack_lp(plain, slack, elim, start)
     # The simplex runs exactly when the equalities are consistent.
     assert spy.call_count == (_free(n, eqs) is not None)
     status, value, _ = _reference(n, plain, slack, eqs)
     assert status != UNBOUNDED
     assert (res.status, res.value) == (status, value)
+    # The integer rows scale the rational ones by positive factors, so the
+    # simplex takes the same path to the same point.
+    rational = reference_slack_lp(plain, slack, elim, start)
+    assert (res.status, res.value, res.point) == (rational.status, rational.value, rational.point)
     if res.status == OPTIMAL:
         # An exact float such as 0.5 equals Fraction(1, 2); only the type
         # tells a point computed with int / int apart.
@@ -212,20 +221,24 @@ def test_relint_reads_low_systems_from_their_interval(system):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(low_cells())
 def test_box_of_a_curve_cell_is_its_interval(cell):
+    # The bounds of the free variable over the cell, by two LPs of the
+    # reference on its rational lines, are the ends of its interval; a point
+    # has no free variable and its interval is unbounded on both sides.
     elim = polyhedra._eliminate(cell.ambient_dim, cell.eqs)
-    lines = [polyhedra._line(f, elim) for f in cell.ineqs]
-    rows = [(A, -G) for A, G in lines]
-    want = []
-    for _ in range(cell.dim):
-        bounds = []
-        for sign in (-1, 1):
-            status, value, _ = reference_lp_max(1, (sign,), ineqs=rows)
-            assert status != INFEASIBLE
-            bounds.append(None if status == UNBOUNDED else sign * value)
-        want.append(tuple(bounds))
+    assert elim == cell._elim
+    c, ws, d = elim[:3]
+    rows = [(tuple(dot(f.linear, w) for w in ws), -(dot(f.linear, c) + d * f.constant))
+            for f in cell.ineqs]
+    want = (None, None)
+    if cell.dim:
+        ends = [reference_lp_max(1, (sign,), ineqs=rows) for sign in (-1, 1)]
+        assert all(status != INFEASIBLE for status, _, _ in ends)
+        want = tuple(None if status == UNBOUNDED else sign * value
+                     for sign, (status, value, _) in zip((-1, 1), ends))
     with _spy() as spy:
-        assert polyhedra._hull_box(cell) == (elim, want)
+        box = polyhedra._interval(polyhedra._lines(cell.ineqs, elim))
     assert not spy.called
+    assert _ends(box) == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -3,26 +3,29 @@ references.
 
 A constraint system whose equalities leave one free variable z is built,
 canonicalized, cut into facets and given its recession cone from the
-interval of z that its inequalities cut out (``polyhedra._interval_of``),
-with no slack program.  On random such systems in R^2 and R^3, with
-rational constants, repeated and parallel forms, forms constant on the
-line, and empty and single-point systems, the results must match the
-rational references of ``tests/oracles.py``: emptiness and dimension by the
+interval of z that the integer lines of its inequalities cut out
+(``polyhedra._lines`` and ``polyhedra._interval``), with no slack
+program.  On random such systems in R^2 and R^3, with rational
+constants, repeated and parallel forms, forms constant on the line, and
+empty and single-point systems, the results must match the rational
+references of ``tests/oracles.py``: emptiness and dimension by the
 two-phase reference simplex, the canonical key and the faces by their
 general constructions, and the recession cone by the boundedness of +w and
 -w.  A point's elimination, written down, must be the one ``_eliminate``
 computes.  Every interior point is a tuple of ``Fraction``s as built, with
 no conversion by the cell.
 
-The interval is read in integers: each line is a positive multiple of the
-rational line d f(x) = (a . w) z + (a . c + d f.constant), and the ends are
-chosen by cross-multiplication.  Against the rational reading
-(``oracles.reference_interval``), with constants over the coprime
-denominators 7, 60 and 97 and roots that tie over different denominators,
-the lines must have the same signs and roots and the interval the same
-ends.  Every end and every point coordinate that ``_interval``,
-``_relint_lp``, ``strict_point`` and the facets of ``canonical_cell`` return
-must be exactly a ``Fraction``, never a float or an int.
+The interval is read in integers.  Each line of ``polyhedra._lines`` is
+the rational line d f(x) = (a . w_j)_j . z + (a . c + d f.constant) times
+one positive factor, on eliminations that leave from 0 to 4 variables
+free, and the ends of ``polyhedra._interval`` are integer pairs with
+positive denominators, chosen by cross-multiplication.  Against the
+rational reading (``oracles.reference_interval``), with constants over
+the coprime denominators 7, 60 and 97 and roots that tie over different
+denominators, the interval must have the same ends.  Every point
+coordinate that ``_relint_lp``, ``strict_point`` and the facets of
+``canonical_cell`` return must be exactly a ``Fraction``, never a float or
+an int.
 """
 
 from fractions import Fraction
@@ -220,24 +223,56 @@ def wide_line_systems(draw):
     return n, draw(st.permutations(ineqs)), eqs, w
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(wide_line_systems())
+@st.composite
+def flat_systems(draw):
+    """(n, ineqs, eqs): up to four forms with constants over 1, 7, 60 or
+    97 in R^n, n from 1 to 4, on the solutions of up to n consistent
+    equalities through a rational point, which leave from 0 to 4 variables
+    free; some equalities repeat a combination of others."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.tuples(*[_rat] * n))
+    normals = draw(st.lists(st.tuples(*[_coef] * n), max_size=n))
+    if normals and draw(st.booleans()):
+        normals.append(tuple(a - 2 * b for a, b in zip(normals[0], normals[-1])))
+    eqs = [AffineForm(a, -dot(a, p)) for a in normals]
+    ineqs = draw(st.lists(st.builds(AffineForm, st.tuples(*[_coef] * n), _wide), max_size=4))
+    return n, ineqs, eqs
+
+
+def _ends(box):
+    """The ends of an interval of :func:`polyhedra._interval` as rationals,
+    after checking that each is an integer pair with a positive
+    denominator."""
+    if box is None:
+        return None
+    assert all(end is None or (type(end[0]) is int and type(end[1]) is int and end[1] > 0)
+               for end in box)
+    return tuple(None if end is None else QQ(*end) for end in box)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(wide_line_systems().map(lambda system: system[:3]), flat_systems()))
 def test_integer_lines_read_as_the_rational_ones(system):
-    n, ineqs, eqs, _ = system
+    # Each integer line is the rational line d f(x) = (a . w_j)_j . z +
+    # (a . c + d f.constant) times one positive factor, whatever the number
+    # of free variables; with at most one, the interval is the rational one.
+    n, ineqs, eqs = system
     elim = polyhedra._eliminate(n, eqs)
-    c, (w,), d = elim[:3]
-    lines, box = polyhedra._interval_of(ineqs, elim)
-    rational = [(dot(f.linear, w), dot(f.linear, c) + d * f.constant) for f in ineqs]
-    assert all(type(A) is int and type(G) is int for A, G in lines)
+    c, ws, d = elim[:3]
+    lines = polyhedra._lines(ineqs, elim)
+    rational = [(tuple(dot(f.linear, w) for w in ws), dot(f.linear, c) + d * f.constant)
+                for f in ineqs]
+    assert len(lines) == len(ineqs)
     for (A, G), (alpha, gamma) in zip(lines, rational):
-        assert (A > 0) - (A < 0) == (alpha > 0) - (alpha < 0)
-        if A:
-            assert QQ(-G, A) == -gamma / alpha
-        else:
-            assert (G > 0) - (G < 0) == (gamma > 0) - (gamma < 0)
-    assert box == reference_interval(rational)
-    if box is not None:
-        assert _exact(end for end in box if end is not None)
+        assert type(A) is tuple and len(A) == len(ws) and type(G) is int
+        assert all(type(a) is int for a in A)
+        integer, exact = A + (G,), alpha + (gamma,)
+        s = next((QQ(x) / y for x, y in zip(integer, exact) if y), QQ(1))
+        assert s > 0 and integer == tuple(s * y for y in exact)
+    if len(ws) <= 1:
+        box = polyhedra._interval(lines)
+        assert _ends(box) == reference_interval([(alpha[0] if alpha else 0, gamma)
+                                                 for alpha, gamma in rational])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -252,12 +287,11 @@ def test_tied_roots_over_different_denominators(data):
         r = data.draw(st.sampled_from(roots))
         A = data.draw(st.sampled_from((1, -1))) * r.denominator * data.draw(
             st.sampled_from((1, 2, 3, 7, 60)))
-        lines.append((A, -A * r.numerator // r.denominator))
-    lines += data.draw(st.lists(st.tuples(st.just(0), st.integers(-1, 2)), max_size=1))
+        lines.append(((A,), -A * r.numerator // r.denominator))
+    lines += data.draw(st.lists(st.tuples(st.sampled_from(((), (0,))), st.integers(-1, 2)),
+                                max_size=1))
     box = polyhedra._interval(lines)
-    assert box == reference_interval([(QQ(A), QQ(G)) for A, G in lines])
-    if box is not None:
-        assert _exact(end for end in box if end is not None)
+    assert _ends(box) == reference_interval([(QQ(A[0] if A else 0), QQ(G)) for A, G in lines])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -330,18 +330,51 @@ def test_cli_usage_error_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("quoted, path", [(False, "$"), (True, "$.cells[0].ineqs[0][1]")])
+@pytest.mark.parametrize("quoted, path", [(False, "$"), (True, "$.cells[0].ineqs[0][1]"),
+                                           (True, "$.cells[0].eqs[0][1]")])
 def test_integer_past_the_digit_limit_exits_2(capsys, tmp_path, quoted, path):
     # More digits than Python converts between str and int: the decoder
-    # rejects a JSON literal, int() a "p/q" string.
+    # rejects a JSON literal, int() a "p/q" string.  The literal is the
+    # bound of an inequality, or of the equality the path names.
     digits = "1" * (sys.get_int_max_str_digits() + 1)
     literal = f'"1/{digits}"' if quoted else digits
+    key, dim = ("eqs", 0) if ".eqs" in path else ("ineqs", 1)
     doc = tmp_path / "long.json"
-    doc.write_text('{"kind": "cycle", "ambient_dim": 1, "dim": 1, '
-                   f'"cells": [{{"ineqs": [[1, {literal}]], "eqs": [], "weight": 1}}]}}')
+    doc.write_text(f'{{"kind": "cycle", "ambient_dim": 1, "dim": {dim}, '
+                   f'"cells": [{{"{key}": [[1, {literal}]], "weight": 1}}]}}')
     assert main(["validate", str(doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: integer of more than") and len(err) < 200
+
+
+# A malformed coordinate or bound of a constraint row, in the second
+# inequality or the first equality of a line in R^2, and the message it
+# gives, byte for byte.
+_BAD_ENTRIES = [
+    ("ineqs", 0, True, "$.cells[0].ineqs[1][0]: expected an integer, got True"),
+    ("ineqs", 1, "1/2", "$.cells[0].ineqs[1][1]: expected an integer, got '1/2'"),
+    ("ineqs", 2, False, "$.cells[0].ineqs[1][2]: expected integer or 'p/q' string, got False"),
+    ("ineqs", 2, "x", "$.cells[0].ineqs[1][2]: malformed rational 'x'"),
+    ("eqs", 0, None, "$.cells[0].eqs[0][0]: expected an integer, got None"),
+    ("eqs", 1, [1], "$.cells[0].eqs[0][1]: expected an integer, got [1]"),
+    ("eqs", 2, True, "$.cells[0].eqs[0][2]: expected integer or 'p/q' string, got True"),
+    ("eqs", 2, "1/0", "$.cells[0].eqs[0][2]: zero denominator"),
+]
+
+
+@pytest.mark.parametrize("key, index, value, message", _BAD_ENTRIES)
+def test_bad_constraint_entry_exits_2_with_its_path(capsys, tmp_path, key, index, value, message):
+    row = [1, 0, 0]
+    row[index] = value
+    rows = {"ineqs": [], "eqs": [row]} if key == "eqs" else {"ineqs": [[0, 1, 0], row], "eqs": []}
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({"kind": "cycle", "ambient_dim": 2, "dim": 1,
+                               "cells": [{**rows, "weight": 1}]}))
+    with pytest.raises(DocumentError) as caught:
+        parse_document(doc.read_text())
+    assert str(caught.value) == message
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_math_error_codes(capsys):

@@ -16,8 +16,8 @@ the pieces, their inequalities and points, and the signs must be equal,
 and every point coordinate a ``Fraction``.
 
 A point is refined from the same integer lines, all constant there: it
-comes back alone, with the signs of the forms at it, and no rational line
-(``polyhedra._line``) is read.
+comes back alone, with the signs of the forms at it, and no ``Fraction``
+is built.
 """
 
 from collections import Counter
@@ -304,11 +304,21 @@ def signed_forms(draw, p):
 def test_point_is_refined_by_the_signs_of_its_forms(n, data):
     p = data.draw(st.tuples(*[_wide] * n))
     cell, forms = point_cell(p), data.draw(signed_forms(p))
-    with mock.patch.object(polyhedra, "_line", wraps=polyhedra._line) as lines:
+    made = []
+    real_new = QQ.__dict__["__new__"]
+
+    def new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new.__func__(cls, *args, **kwargs)
+
+    QQ.__new__ = staticmethod(new)
+    try:
         pairs = refine_cell(cell, forms)
+    finally:
+        QQ.__new__ = real_new
     assert len(pairs) == 1 and pairs[0][0] is cell
     assert pairs[0][1] == sign_vector(cell, forms)
-    assert not lines.called
+    assert not made
 
 
 # Slack solves of add(conic, line) on fresh copies.  Every cell is a segment

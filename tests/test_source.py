@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,3 +102,65 @@ def test_standard_skeleton_holds_the_one_cache_across_calls():
     other = ("import functools as f\nfrom functools import cache as memo\n"
              "@f.lru_cache(maxsize=8)\ndef g(): pass\nh = memo(g)\n")
     assert sorted(_cache_uses(ast.parse(other))) == ["g", "line 5"]
+
+
+_ROLE = re.compile(r":(func|meth|class|attr|data|mod):`([^`]+)`")
+
+
+def _resolves(dotted):
+    """Whether a dotted name is a module of the package or an attribute
+    reached from the longest module that prefixes it."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def _broken_references(module, text):
+    """The Sphinx roles in a module's text whose target names nothing.  A
+    leading "." is relative to the package, a name starting with
+    "tropint." is absolute (after an optional "~"), and any other name is
+    looked up in the module, a bare method or attribute also on the
+    module's own classes."""
+    broken = []
+    for match in _ROLE.finditer(text):
+        role, target = match.groups()
+        name = target.lstrip("~")
+        if name.startswith("."):
+            found = _resolves("tropint" + name)
+        elif name.split(".")[0] == "tropint":
+            found = _resolves(name)
+        else:
+            found = _resolves(f"{module.__name__}.{name}") or (
+                role in ("meth", "attr") and "." not in name
+                and any(isinstance(v, type) and v.__module__ == module.__name__
+                        and hasattr(v, name) for v in vars(module).values()))
+        if not found:
+            broken.append(f":{role}:`{target}`")
+    return broken
+
+
+def test_docstring_references_resolve():
+    # A reference to a helper that a change deleted or renamed points the
+    # reader at nothing.
+    found = []
+    for path in SOURCES:
+        module = importlib.import_module(
+            "tropint" if path.stem == "__init__" else f"tropint.{path.stem}")
+        found += [f"{path.name}: {ref}"
+                  for ref in _broken_references(module, path.read_text(encoding="utf-8"))]
+    assert SOURCES and not found
+    # A stale name is found, in each spelling.
+    from tropint import polyhedra
+    stale = (":func:`_line` :func:`.polyhedra._interval_of` "
+             ":func:`~tropint.polyhedra._integer_lines` :meth:`no_such_method`")
+    assert len(_broken_references(polyhedra, stale)) == 4
+    assert not _broken_references(polyhedra, ":meth:`canonical_cell` :func:`.kernel.dot`")
